@@ -5,9 +5,7 @@ The reported figure for a leaf is a normalized max error::
 
     err = max_i |analytic_i - numeric_i| / max(max|analytic|, max|numeric|, 1e-12)
 
-which stays meaningful when individual entries are near zero.  The suite
-in :data:`CHECKS` feeds ``pfnet gradcheck``; each entry builds a small
-random problem and returns the worst error across its leaves.
+which stays meaningful when individual entries are near zero.
 """
 
 from __future__ import annotations

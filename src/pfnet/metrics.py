@@ -179,12 +179,12 @@ class BoundaryStats:
             self.counts.setdefault(t, np.zeros(4, dtype=np.int64))
 
     def update(self, pred_mask, gt_mask):
-        for t in self.thresholds:
+        for t in self.counts:  # unique thresholds; a repeated one counts once
             self.counts[t] += np.array(boundary_match_counts(pred_mask, gt_mask, t))
         return self
 
     def merge(self, other):
-        for t in self.thresholds:
+        for t in self.counts:
             self.counts[t] += other.counts[t]
         return self
 
@@ -250,7 +250,7 @@ def report_rows(iou_result, f1_result, boundary_stats=None, extras=None):
     rows.append(("mean_f1", f1_result.mean))
     rows.append(("excluded_classes", iou_result.excluded))
     if boundary_stats is not None:
-        for t in boundary_stats.thresholds:
+        for t in boundary_stats.counts:
             rows.append((f"boundary_f1_{t}px", boundary_stats.f1(t)))
     for key, value in (extras or {}).items():
         rows.append((key, value))

@@ -221,6 +221,20 @@ def test_boundary_stats_streaming():
         assert 0.0 <= stats.f1(t) <= 1.0
 
 
+def test_boundary_stats_repeated_threshold_counts_once():
+    rng = np.random.Generator(np.random.PCG64(10))
+    pairs = [(rng.integers(0, 3, (12, 12)), rng.integers(0, 3, (12, 12))) for _ in range(3)]
+    desk = BoundaryStats(thresholds=(3, 2, 1, 1))
+    single = BoundaryStats(thresholds=(1,))
+    for pred, gt in pairs[:2]:
+        desk.update(pred, gt)
+        single.update(pred, gt)
+    assert np.array_equal(desk.counts[1], single.counts[1])
+    desk.merge(BoundaryStats(thresholds=(3, 2, 1, 1)).update(*pairs[2]))
+    single.merge(BoundaryStats(thresholds=(1,)).update(*pairs[2]))
+    assert np.array_equal(desk.counts[1], single.counts[1])
+
+
 def test_label_boundaries_matches_oracle():
     rng = np.random.Generator(np.random.PCG64(7))
     mask = rng.integers(0, 4, (16, 16))

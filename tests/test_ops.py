@@ -18,7 +18,8 @@ from pfnet.ops import (
     scatter_points_batched,
     topk_select,
 )
-from pfnet.tensor import Tensor, mul, sum_all
+from pfnet import config, network, pointflow
+from pfnet.tensor import Tape, Tensor, mul, sum_all
 
 
 def rand(shape, seed, lo=-1.0, hi=1.0):
@@ -90,6 +91,105 @@ def test_conv_gradients(seed, stride, padding, k):
         return sum_all(mul(conv2d(x, p), w))
 
     assert check_gradients(build, [x, p.weight, p.bias]) < DEFAULT_TOL
+
+
+@pytest.mark.parametrize(
+    "n,cin,h,w,cout,k,stride,padding",
+    [
+        pytest.param(2, 2, 7, 5, 3, 3, 2, 0, id="odd-3x3-s2-p0"),
+        pytest.param(2, 2, 7, 5, 3, 3, 2, 1, id="odd-3x3-s2-p1"),
+        pytest.param(2, 2, 7, 5, 3, 1, 2, 0, id="odd-1x1-s2"),
+        pytest.param(1, 3, 8, 6, 4, 3, 2, 1, id="stem-cin3-batch1"),
+        pytest.param(1, 2, 5, 4, 3, 3, 1, 1, id="3x3-s1-batch1"),
+        pytest.param(1, 4, 3, 5, 2, 1, 1, 0, id="1x1-s1-batch1"),
+    ],
+)
+def test_conv_gradients_odd_shapes(n, cin, h, w, cout, k, stride, padding):
+    x = Tensor(rand((n, cin, h, w), 30), requires_grad=True)
+    p = conv_params(cout, cin, k, 31, stride=stride, padding=padding)
+    w_out = Tensor(rand(conv2d(x, p).shape, 32))
+
+    def build():
+        return sum_all(mul(conv2d(x, p), w_out))
+
+    assert check_gradients(build, [x, p.weight, p.bias]) < DEFAULT_TOL
+
+
+def conv_reference(x, weight, bias, stride, padding):
+    """Direct cross-correlation in float64: one einsum per kernel tap."""
+    n, _, h, w = x.shape
+    cout, _, kh, kw = weight.shape
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
+    pad = ((0, 0), (0, 0), (padding, padding), (padding, padding))
+    xp = np.pad(x.astype(np.float64), pad)
+    out = np.zeros((n, cout, oh, ow)) + bias.astype(np.float64)[None, :, None, None]
+    for i in range(kh):
+        for j in range(kw):
+            window = xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
+            out += np.einsum("oc,ncyx->noyx", weight[:, :, i, j].astype(np.float64), window)
+    return out
+
+
+def test_conv_float32_matches_reference_on_desk_shapes(monkeypatch):
+    net_cfg = config.network_config(config.load_config(config.packaged_config_path("desk")))
+    params = network.init_params(net_cfg, 0)
+    calls = []
+
+    def recording_conv2d(x, p):
+        calls.append((x.data, p))
+        return conv2d(x, p)
+
+    monkeypatch.setattr(network, "conv2d", recording_conv2d)
+    monkeypatch.setattr(pointflow, "conv2d", recording_conv2d)
+    image = Tensor(rand((2, 3) + tuple(net_cfg.input_size), 41).astype(np.float32))
+    network.pfnet_forward(image, params, net_cfg)
+    assert len(calls) == sum(name.endswith(".weight") for name in params)
+    for xd, p in calls:
+        out = conv2d(Tensor(xd), p).data
+        assert out.dtype == np.float32
+        ref = conv_reference(xd, p.weight.data, p.bias.data, p.stride, p.padding)
+        err = np.abs(out - ref).max() / np.abs(ref).max()
+        assert err <= 1e-5, (xd.shape, p.weight.shape, p.stride, p.padding, err)
+
+
+def held_arrays(fn):
+    """Arrays a closure keeps alive beyond the tensors it was handed, each
+    counted once by the array that owns its memory."""
+    owners = {}
+    stack = [cell.cell_contents for cell in fn.__closure__ or ()]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            owners[id(obj)] = obj
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+    return list(owners.values())
+
+
+def recorded_backward(x, p):
+    with Tape() as tape:
+        conv2d(x, p)
+    ((_, backward),) = tape.entries
+    return backward
+
+
+@pytest.mark.parametrize("stride,h,w", [(1, 9, 7), (2, 8, 6)])
+def test_conv3x3_tape_keeps_one_padded_input(stride, h, w):
+    x = Tensor(rand((2, 4, h, w), 50), requires_grad=True)
+    p = conv_params(5, 4, 3, 51, stride=stride, padding=1)
+    held = held_arrays(recorded_backward(x, p))
+    padded_bytes = 2 * 4 * (h + 2) * (w + 2) * x.data.itemsize
+    assert sum(a.nbytes for a in held) <= padded_bytes + p.weight.data.nbytes
+
+
+def test_conv1x1_tape_keeps_nothing_larger_than_input():
+    x = Tensor(rand((2, 4, 9, 7), 52), requires_grad=True)
+    p = conv_params(6, 4, 1, 53)
+    held = held_arrays(recorded_backward(x, p))
+    assert held and max(a.nbytes for a in held) <= x.data.nbytes
 
 
 # ---------------------------------------------------------------------------
