@@ -1,7 +1,7 @@
 """Point-wise affinity propagation between feature-pyramid levels.
 
-Subpackages: tensor core, NN kernels, the point-flow module, the network
-assembly, training, synthetic data, metrics, and the ``pfnet`` CLI.
+Modules: tensor core, NN kernels, the point-flow module, the network
+assembly, training, synthetic data, configuration and metrics.
 """
 
 __version__ = "0.1.0"

@@ -12,6 +12,7 @@ named parameters with a (name, shape, offset) manifest.
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass
 
@@ -229,17 +230,29 @@ def augment(image, mask, op):
 # tensor container (PFT1)
 
 
-def write_tensor(arr, path):
+def _stored(arr, what=""):
+    """Little-endian copy of ``arr`` and its PFT1/PFC1 dtype code."""
     arr = np.asarray(arr)
-    if arr.dtype == np.float32:
-        arr = arr.astype("<f4")
-    elif arr.dtype == np.float64:
-        arr = arr.astype("<f8")
-    elif arr.dtype == np.uint8:
-        arr = arr.astype("u1")
-    else:
-        raise ValueError(f"unsupported dtype {arr.dtype}")
-    code = _DTYPE_CODES[arr.dtype]
+    if arr.dtype not in (np.float32, np.float64, np.uint8):
+        raise ValueError(f"unsupported dtype {arr.dtype}{what}")
+    arr = arr.astype(arr.dtype.newbyteorder("<"))
+    return arr, _DTYPE_CODES[arr.dtype]
+
+
+def _take(raw, pos, size, label):
+    """``size`` bytes of ``raw`` from ``pos`` and the offset after them."""
+    if pos + size > len(raw):
+        raise ValueError(f"truncated {label} at byte {pos}")
+    return raw[pos : pos + size], pos + size
+
+
+def _unpack(fmt, raw, pos, label):
+    chunk, end = _take(raw, pos, struct.calcsize(fmt), label)
+    return struct.unpack(fmt, chunk), end
+
+
+def write_tensor(arr, path):
+    arr, code = _stored(arr)
     with open(path, "wb") as f:
         f.write(b"PFT1")
         f.write(struct.pack("<BB", code, arr.ndim))
@@ -251,24 +264,16 @@ def write_tensor(arr, path):
 def read_tensor(path):
     with open(path, "rb") as f:
         raw = f.read()
-    return _decode_tensor(raw, path)[0]
-
-
-def _decode_tensor(raw, label, offset=0):
-    if raw[offset : offset + 4] != b"PFT1":
-        raise ValueError(f"bad magic in {label}")
-    code, ndim = struct.unpack_from("<BB", raw, offset + 4)
+    if raw[:4] != b"PFT1":
+        raise ValueError(f"bad magic in {path} at byte 0")
+    header = f"header in {path}"
+    (code, ndim), pos = _unpack("<BB", raw, 4, header)
     if code not in _CODE_DTYPES:
-        raise ValueError(f"unknown dtype code {code} in {label}")
-    dims = struct.unpack_from(f"<{ndim}I", raw, offset + 6)
+        raise ValueError(f"unknown dtype code {code} in {path} at byte 4")
+    dims, pos = _unpack(f"<{ndim}I", raw, pos, header)
     dtype = _CODE_DTYPES[code]
-    start = offset + 6 + 4 * ndim
-    nbytes = int(np.prod(dims)) * dtype.itemsize if ndim else dtype.itemsize
-    payload = raw[start : start + nbytes]
-    if len(payload) != nbytes:
-        raise ValueError(f"truncated payload in {label}")
-    arr = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
-    return arr, start + nbytes
+    payload, _ = _take(raw, pos, int(np.prod(dims)) * dtype.itemsize, f"payload in {path}")
+    return np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -282,16 +287,29 @@ def write_pgm(mask, path):
         f.write(mask.tobytes())
 
 
+# a header token, after whitespace and "#" comment lines, and the one
+# whitespace byte that ends it
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*\n)*(\S+)\s")
+
+
 def read_pgm(path):
     with open(path, "rb") as f:
         raw = f.read()
-    parts = raw.split(b"\n", 3)
-    if parts[0] != b"P5":
-        raise ValueError(f"not a binary PGM: {path}")
-    w, h = (int(t) for t in parts[1].split())
-    data = parts[3][: h * w]
-    if len(data) != h * w:
-        raise ValueError(f"truncated PGM payload: {path}")
+    fields, pos = [], 0
+    for name in ("magic", "width", "height", "maxval"):
+        m = _PGM_TOKEN.match(raw, pos)
+        if m is None:
+            raise ValueError(f"bad or truncated PGM header in {path} at byte {pos}: no {name}")
+        if name != "magic" and not m.group(1).isdigit():
+            raise ValueError(f"bad PGM {name} in {path} at byte {m.start(1)}")
+        fields.append(m.group(1))
+        pos = m.end()
+    if fields[0] != b"P5":
+        raise ValueError(f"not a binary PGM: {path} at byte 0")
+    w, h, maxval = (int(t) for t in fields[1:])
+    if maxval != 255:
+        raise ValueError(f"unsupported PGM maxval {maxval} in {path}; only 255 is read")
+    data, _ = _take(raw, pos, h * w, f"PGM payload in {path}")
     return np.frombuffer(data, dtype=np.uint8).reshape(h, w).copy()
 
 
@@ -348,20 +366,12 @@ def write_checkpoint(path, named_arrays, config_text=""):
     header += struct.pack("<I", len(names))
     for name in names:
         arr = named_arrays[name]
-        arr = arr.data if isinstance(arr, Tensor) else np.asarray(arr)
-        if arr.dtype == np.float32:
-            arr = arr.astype("<f4")
-        elif arr.dtype == np.float64:
-            arr = arr.astype("<f8")
-        elif arr.dtype == np.uint8:
-            arr = arr.astype("u1")
-        else:
-            raise ValueError(f"unsupported dtype {arr.dtype} for {name}")
+        arr, code = _stored(arr.data if isinstance(arr, Tensor) else arr, f" for {name}")
         blob = arr.tobytes()
         nb = name.encode()
         header += struct.pack("<H", len(nb))
         header += nb
-        header += struct.pack("<BB", _DTYPE_CODES[arr.dtype], arr.ndim)
+        header += struct.pack("<BB", code, arr.ndim)
         for d in arr.shape:
             header += struct.pack("<I", d)
         header += struct.pack("<Q", offset)
@@ -377,35 +387,25 @@ def read_checkpoint(path):
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:4] != b"PFC1":
-        raise ValueError(f"bad magic in {path}")
-    pos = 4
-    (cfg_len,) = struct.unpack_from("<I", raw, pos)
-    pos += 4
-    config_text = raw[pos : pos + cfg_len].decode()
-    pos += cfg_len
-    (count,) = struct.unpack_from("<I", raw, pos)
-    pos += 4
+        raise ValueError(f"bad magic in {path} at byte 0")
+    header = f"header in {path}"
+    (cfg_len,), pos = _unpack("<I", raw, 4, header)
+    config_bytes, pos = _take(raw, pos, cfg_len, header)
+    (count,), pos = _unpack("<I", raw, pos, header)
     manifest = []
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", raw, pos)
-        pos += 2
-        name = raw[pos : pos + name_len].decode()
-        pos += name_len
-        code, ndim = struct.unpack_from("<BB", raw, pos)
-        pos += 2
-        dims = struct.unpack_from(f"<{ndim}I", raw, pos)
-        pos += 4 * ndim
-        (offset,) = struct.unpack_from("<Q", raw, pos)
-        pos += 8
+        (name_len,), pos = _unpack("<H", raw, pos, header)
+        name_bytes, pos = _take(raw, pos, name_len, header)
+        name = name_bytes.decode()
+        (code, ndim), pos = _unpack("<BB", raw, pos, header)
         if code not in _CODE_DTYPES:
-            raise ValueError(f"unknown dtype code {code} for {name}")
+            raise ValueError(f"unknown dtype code {code} for {name} in {path} at byte {pos - 2}")
+        dims, pos = _unpack(f"<{ndim}I", raw, pos, header)
+        (offset,), pos = _unpack("<Q", raw, pos, header)
         manifest.append((name, _CODE_DTYPES[code], dims, offset))
-    base = pos
     arrays = {}
     for name, dtype, dims, offset in manifest:
-        nbytes = int(np.prod(dims)) * dtype.itemsize if dims else dtype.itemsize
-        payload = raw[base + offset : base + offset + nbytes]
-        if len(payload) != nbytes:
-            raise ValueError(f"truncated payload for {name} in {path}")
+        nbytes = int(np.prod(dims)) * dtype.itemsize
+        payload, _ = _take(raw, pos + offset, nbytes, f"payload for {name} in {path}")
         arrays[name] = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
-    return arrays, config_text
+    return arrays, config_bytes.decode()

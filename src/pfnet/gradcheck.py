@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tape, Tensor, reverse_accumulate
+from .tensor import Tape, reverse_accumulate
 
 DEFAULT_STEP = 1e-5
 DEFAULT_TOL = 1e-4
@@ -75,9 +75,3 @@ def check_gradients(build_loss, leaves, h=DEFAULT_STEP, max_probes=None, seed=0)
         worst = max(worst, float(err))
     return worst
 
-
-def weighted_scalar(out, weights):
-    """Reduce a tensor to a scalar with fixed random weights (generic probe)."""
-    from .tensor import elementwise_binary, sum_all
-
-    return sum_all(elementwise_binary("mul", out, Tensor(weights)))

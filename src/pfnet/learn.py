@@ -19,13 +19,12 @@ from scipy.ndimage import maximum_filter
 
 from . import tensor as tt
 from .data import AUGMENT_OPS, augment
-from .metrics import label_boundaries
+from .metrics import IGNORE_LABEL, label_boundaries
 from .network import ParameterSet, init_params, pfnet_forward
 from .ops import bilinear_resize
 from .tensor import Tape, Tensor, _accumulate, _maybe_record, reverse_accumulate
 
 EDGE_STRIDES = (8, 16, 32)
-IGNORE_LABEL = 255
 _EPS = 1e-7
 
 
@@ -186,11 +185,9 @@ def _batch_losses(params, images, masks, net_cfg, train_cfg):
     total = tt.scale(ce, train_cfg.ce_weight)
     bce_parts = []
     if out.boundary_maps and train_cfg.bce_weight != 0.0:
+        targets = [edge_targets_from_mask(m, train_cfg.edge_radius) for m in masks]
         for gap in sorted(out.boundary_maps):
-            stride = 2 ** gap
-            target = np.stack(
-                [edge_targets_from_mask(m, train_cfg.edge_radius)[stride] for m in masks]
-            )[:, None]
+            target = np.stack([t[2 ** gap] for t in targets])[:, None]
             bce_parts.append(bce_loss(out.boundary_maps[gap], target))
         bce_sum = bce_parts[0]
         for part in bce_parts[1:]:

@@ -1,6 +1,6 @@
 """Segmentation quality: per-class IoU/F1 from a confusion matrix,
 contour F1 at pixel tolerances via an exact distance transform, and the
-foreground-sampled-point-ratio diagnostic.
+foreground counts of sampled points.
 
 Confusion matrices and boundary match counts are mergeable, so metrics
 computed streaming over crops equal the same metrics on pooled counts.
@@ -14,11 +14,6 @@ import numpy as np
 from scipy.ndimage import distance_transform_edt
 
 IGNORE_LABEL = 255
-
-# contour tolerances in pixels; desk-scale counterparts of the full-scale
-# {12, 9, 5, 3} set, floored at 1 px
-FULL_SCALE_THRESHOLDS = (12, 9, 5, 3)
-DESK_THRESHOLDS = (3, 2, 1, 1)
 
 
 class ConfusionMatrix:
@@ -194,28 +189,6 @@ class BoundaryStats:
 
 # ---------------------------------------------------------------------------
 # sampled-point diagnostics
-
-
-def fg_sample_ratio(point_sets, gt_mask):
-    """Fraction of unique sampled points that land on foreground pixels.
-
-    Points from every module are mapped to full-resolution cells and
-    de-duplicated by cell before counting.
-    """
-    h, w = gt_mask.shape
-    cells = []
-    for pts in point_sets:
-        pts = np.asarray(pts, dtype=np.float64).reshape(-1, 2)
-        if pts.shape[0] == 0:
-            continue
-        rows = np.clip(np.floor(pts[:, 0] * h), 0, h - 1).astype(np.int64)
-        cols = np.clip(np.floor(pts[:, 1] * w), 0, w - 1).astype(np.int64)
-        cells.append(rows * w + cols)
-    if not cells:
-        raise ValueError("empty point set")
-    unique = np.unique(np.concatenate(cells))
-    fg = np.asarray(gt_mask).ravel()[unique] > 0
-    return float(fg.sum()) / unique.size
 
 
 def fg_point_counts(point_sets, gt_mask):

@@ -16,7 +16,7 @@ the effective values shrink.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -193,9 +193,6 @@ class NetOutput:
     logits: Tensor                 # [N, num_classes, H/4, W/4]
     boundary_maps: dict            # gap -> boundary map tensor
     pfm_outputs: dict              # gap -> PfmOutput
-
-    def boundary_list(self):
-        return [self.boundary_maps[g] for g in sorted(self.boundary_maps)]
 
 
 def pfnet_forward(image, params, cfg):

@@ -30,36 +30,6 @@ class ConvParams:
     padding: int = 0
 
 
-@dataclass(frozen=True)
-class NormalizedPoint:
-    """Resolution-independent point; u is vertical, v horizontal, in [0, 1]."""
-
-    u: float
-    v: float
-
-    @classmethod
-    def cell_center(cls, i, j, h, w):
-        return cls((i + 0.5) / h, (j + 0.5) / w)
-
-
-def points_as_array(pts):
-    """Coerce a point list / [K, 2] array to a float64 [K, 2] array."""
-    if isinstance(pts, np.ndarray):
-        arr = np.asarray(pts, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValueError(f"expected [K, 2] points, got {arr.shape}")
-        return arr
-    return np.array([(p.u, p.v) for p in pts], dtype=np.float64).reshape(-1, 2)
-
-
-def grid_center_points(h, w):
-    """All cell centers of an h x w grid, row-major, as a [h*w, 2] array."""
-    ii, jj = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    u = (ii.ravel() + 0.5) / h
-    v = (jj.ravel() + 0.5) / w
-    return np.stack([u, v], axis=1)
-
-
 def flat_to_points(flat_idx, h, w):
     """Map flat grid indices to normalized cell centers, preserving order."""
     flat_idx = np.asarray(flat_idx)
@@ -382,27 +352,6 @@ def point_sample_batched(x, pts):
     return _maybe_record(out, (x,), backward)
 
 
-def bilinear_point_sample(x, pts):
-    """Sample a single-item map at normalized points -> matrix [K, C]."""
-    if x.shape[0] != 1:
-        raise ValueError("bilinear_point_sample expects a single batch item")
-    arr = points_as_array(pts)
-    sampled = point_sample_batched(x, arr[None])
-    k, c = arr.shape[0], x.shape[1]
-    return reshape(sampled, (k, c))
-
-
-def reshape(x, shape):
-    """View with a different shape (same element count, row-major)."""
-    shape = tuple(int(d) for d in shape)
-    out = Tensor(x.data.reshape(shape), _op="reshape")
-
-    def backward(g):
-        _accumulate(x, g.reshape(x.shape))
-
-    return _maybe_record(out, (x,), backward)
-
-
 # ---------------------------------------------------------------------------
 # selection and scatter
 
@@ -463,16 +412,3 @@ def scatter_points_batched(base, pts, values):
         _accumulate(values, gvals)
 
     return _maybe_record(out, (base, values), backward)
-
-
-def scatter_points(base, pts, values):
-    """Single-item scatter of [K, C] rows; untouched cells keep base values."""
-    if base.shape[0] != 1:
-        raise ValueError("scatter_points expects a single batch item")
-    arr = points_as_array(pts)
-    if arr.shape[0] != values.shape[0]:
-        raise ValueError(f"{arr.shape[0]} points but {values.shape[0]} value rows")
-    if arr.shape[0] == 0:
-        return base
-    vals3 = reshape(values, (1,) + tuple(values.shape))
-    return scatter_points_batched(base, arr[None], vals3)

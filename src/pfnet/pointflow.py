@@ -20,7 +20,7 @@ values bitwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -28,17 +28,12 @@ import numpy as np
 from . import tensor as tt
 from .ops import (
     ConvParams,
-    NormalizedPoint,
     adaptive_max_pool,
-    bilinear_point_sample,
     bilinear_resize,
     box_avg_pool,
     conv2d,
     flat_to_points,
-    grid_center_points,
     point_sample_batched,
-    points_as_array,
-    reshape,
     scatter_points_batched,
     topk_select,
     _adaptive_edges,
@@ -95,10 +90,6 @@ class PfmOutput:
     boundary_points: np.ndarray        # [N, K, 2]; K may be 0
     boundary_scores: np.ndarray        # [N, K]
     refined_coarse: Optional[Tensor] = None  # bottom-up flows only
-
-    def point_list(self, flow, item):
-        pts = self.salient_points if flow == "salient" else self.boundary_points
-        return [NormalizedPoint(float(u), float(v)) for u, v in pts[item]]
 
 
 def compute_saliency(coarse, fine, params):
@@ -203,7 +194,7 @@ def boundary_branch(coarse, saliency, params, cfg):
     return boundary, flat_to_points(flat, h, w), scores
 
 
-def _propagate_batched(src, dst, pts, affinity_scale=1.0):
+def point_propagate(src, dst, pts, affinity_scale=1.0):
     """Affinity-weighted propagation for [N, K, 2] point sets -> [N, K, C].
 
     Queries and the residual come from ``dst``, keys and values from
@@ -220,40 +211,18 @@ def _propagate_batched(src, dst, pts, affinity_scale=1.0):
     return tt.add(tt.batched_matmul(weights, keys), queries)
 
 
-def point_propagate(src, dst, pts, affinity_scale=1.0):
-    """Single-item propagation returning refined point rows [K, C]."""
-    if src.shape[0] != 1 or dst.shape[0] != 1:
-        raise ValueError("point_propagate expects single batch items")
-    if src.shape[1] != dst.shape[1]:
-        raise ValueError("channel counts differ")
-    arr = points_as_array(pts)
-    if arr.shape[0] < 1:
-        raise ValueError("empty point list")
-    rows = _propagate_batched(src, dst, arr[None], affinity_scale)
-    return reshape(rows, (arr.shape[0], src.shape[1]))
+def _flow(value_srcs, dst, out, cfg):
+    """Propagate the salient then the boundary flow and scatter into ``dst``.
 
-
-def _flow_into_fine(coarse_src_salient, coarse_src_boundary, fine, out, cfg):
-    """Top-down step: propagate both flows and scatter into the fine level."""
-    refined = fine
-    if out.salient_points.shape[1] > 0:
-        rows = _propagate_batched(coarse_src_salient, fine, out.salient_points, cfg.affinity_scale)
-        refined = scatter_points_batched(refined, out.salient_points, rows)
-    if out.boundary_points.shape[1] > 0:
-        rows = _propagate_batched(coarse_src_boundary, fine, out.boundary_points, cfg.affinity_scale)
-        refined = scatter_points_batched(refined, out.boundary_points, rows)
-    return refined
-
-
-def _flow_into_coarse(coarse, fine, out, cfg):
-    """Bottom-up step: sample values from the fine level, refine the coarse."""
-    refined = coarse
-    if out.salient_points.shape[1] > 0:
-        rows = _propagate_batched(fine, coarse, out.salient_points, cfg.affinity_scale)
-        refined = scatter_points_batched(refined, out.salient_points, rows)
-    if out.boundary_points.shape[1] > 0:
-        rows = _propagate_batched(fine, coarse, out.boundary_points, cfg.affinity_scale)
-        refined = scatter_points_batched(refined, out.boundary_points, rows)
+    ``value_srcs`` holds the (salient, boundary) sources of keys and values;
+    queries always come from the unrefined ``dst``.  Empty point sets are
+    skipped.
+    """
+    refined = dst
+    for src, pts in zip(value_srcs, (out.salient_points, out.boundary_points)):
+        if pts.shape[1] > 0:
+            rows = point_propagate(src, dst, pts, cfg.affinity_scale)
+            refined = scatter_points_batched(refined, pts, rows)
     return refined
 
 
@@ -280,12 +249,12 @@ def pfm_forward(coarse, fine, cfg, params):
         boundary_scores=b_scores,
     )
     if cfg.direction == "top_down":
-        out.refined = _flow_into_fine(enhanced, coarse, fine, out, cfg)
+        out.refined = _flow((enhanced, coarse), fine, out, cfg)
     elif cfg.direction == "bottom_up":
-        out.refined_coarse = _flow_into_coarse(coarse, fine, out, cfg)
+        out.refined_coarse = _flow((fine, fine), coarse, out, cfg)
     else:  # td_then_bu
-        out.refined = _flow_into_fine(enhanced, coarse, fine, out, cfg)
-        out.refined_coarse = _flow_into_coarse(coarse, out.refined, out, cfg)
+        out.refined = _flow((enhanced, coarse), fine, out, cfg)
+        out.refined_coarse = _flow((out.refined, out.refined), coarse, out, cfg)
     return out
 
 
@@ -303,6 +272,6 @@ def dense_affinity_reference(src, dst, affinity_scale=1.0):
     h, w = src.shape[2:]
     if h * w > DENSE_POINT_LIMIT:
         raise ValueError(f"{h * w} points exceeds the dense limit {DENSE_POINT_LIMIT}")
-    pts = np.broadcast_to(grid_center_points(h, w), (src.shape[0], h * w, 2))
-    rows = _propagate_batched(src, dst, pts, affinity_scale)
+    pts = np.broadcast_to(flat_to_points(np.arange(h * w), h, w), (src.shape[0], h * w, 2))
+    rows = point_propagate(src, dst, pts, affinity_scale)
     return scatter_points_batched(dst, pts, rows)

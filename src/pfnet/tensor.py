@@ -286,20 +286,6 @@ def scale(x, c):
 # linear algebra
 
 
-def matmul(a, b):
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("matmul expects 2-d operands")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    out = Tensor(a.data @ b.data, _op="matmul")
-
-    def backward(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
-
-    return _maybe_record(out, (a, b), backward)
-
-
 def batched_matmul(a, b):
     """Stacked matrix product [B,m,k] x [B,k,n] -> [B,m,n]."""
     if a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
@@ -340,12 +326,6 @@ def softmax_lastdim(x):
         _accumulate(x, (g - (g * s).sum(axis=-1, keepdims=True)) * s)
 
     return _maybe_record(out, (x,), backward)
-
-
-def softmax_rows(x):
-    if x.ndim != 2:
-        raise ValueError("softmax_rows expects a 2-d matrix")
-    return softmax_lastdim(x)
 
 
 def concat_channels(xs):

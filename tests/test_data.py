@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,21 @@ def test_all_ops_preserve_alignment():
 # tensor files
 
 
+def assert_every_truncation_rejected(path, read):
+    """Cutting a valid file at any byte length raises a ValueError that
+    names the file and an offset inside the cut file."""
+    raw = path.read_bytes()
+    read(path)
+    for n in range(len(raw)):
+        path.write_bytes(raw[:n])
+        with pytest.raises(ValueError) as info:
+            read(path)
+        message = str(info.value)
+        assert str(path) in message, message
+        offset = re.search(r"at byte (\d+)", message)
+        assert offset is not None and int(offset.group(1)) <= n, message
+
+
 def test_tensor_roundtrip_f32(tmp_path):
     arr = np.random.Generator(np.random.PCG64(3)).random((2, 3, 4)).astype(np.float32)
     path = tmp_path / "t.pft"
@@ -208,6 +225,12 @@ def test_tensor_truncated(tmp_path):
         read_tensor(path)
 
 
+def test_tensor_every_truncation_rejected(tmp_path):
+    path = tmp_path / "t.pft"
+    write_tensor(np.arange(6, dtype=np.float32).reshape(2, 3), path)
+    assert_every_truncation_rejected(path, read_tensor)
+
+
 def test_tensor_unknown_dtype_rejected(tmp_path):
     with pytest.raises(ValueError):
         write_tensor(np.ones((2, 2), dtype=np.int32), tmp_path / "x.pft")
@@ -221,6 +244,32 @@ def test_pgm_roundtrip(tmp_path):
     mask = np.random.Generator(np.random.PCG64(6)).integers(0, 6, (20, 30)).astype(np.uint8)
     write_pgm(mask, tmp_path / "m.pgm")
     assert np.array_equal(read_pgm(tmp_path / "m.pgm"), mask)
+
+
+def test_pgm_every_truncation_rejected(tmp_path):
+    path = tmp_path / "m.pgm"
+    write_pgm(np.arange(12, dtype=np.uint8).reshape(3, 4), path)
+    assert_every_truncation_rejected(path, read_pgm)
+
+
+def test_pgm_header_comments_skipped(tmp_path):
+    mask = np.arange(6, dtype=np.uint8).reshape(2, 3)
+    path = tmp_path / "c.pgm"
+    path.write_bytes(b"P5\n# written by hand\n3 # width\n2\n255\n" + mask.tobytes())
+    assert np.array_equal(read_pgm(path), mask)
+
+
+def test_pgm_rejects_other_maxval_and_bad_fields(tmp_path):
+    path = tmp_path / "w.pgm"
+    path.write_bytes(b"P5\n2 2\n65535\n" + b"\x00" * 8)
+    with pytest.raises(ValueError, match="maxval 65535"):
+        read_pgm(path)
+    path.write_bytes(b"P5\nx 2\n255\n" + b"\x00" * 4)
+    with pytest.raises(ValueError, match="width .* at byte 3"):
+        read_pgm(path)
+    path.write_bytes(b"P6\n2 2\n255\n" + b"\x00" * 12)
+    with pytest.raises(ValueError, match="not a binary PGM"):
+        read_pgm(path)
 
 
 def test_ppm_writes_valid_header(tmp_path):
@@ -275,3 +324,13 @@ def test_checkpoint_bad_magic(tmp_path):
     (tmp_path / "x.ckpt").write_bytes(b"XXXX" + b"\x00" * 30)
     with pytest.raises(ValueError, match="bad magic"):
         read_checkpoint(tmp_path / "x.ckpt")
+
+
+def test_checkpoint_every_truncation_rejected(tmp_path):
+    named = {
+        "a.weight": np.arange(6, dtype=np.float32).reshape(2, 3),
+        "b": np.arange(3, dtype=np.uint8),
+    }
+    path = tmp_path / "c.ckpt"
+    write_checkpoint(path, named, "cfg = 1\n")
+    assert_every_truncation_rejected(path, read_checkpoint)

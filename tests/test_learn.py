@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pfnet import learn
 from pfnet.gradcheck import DEFAULT_TOL, check_gradients
 from pfnet.learn import (
     SgdMomentum,
@@ -239,6 +240,20 @@ def test_train_step_runs_and_reports():
     assert any(
         not np.array_equal(new_params[n].data, params[n].data) for n in params
     )
+
+
+def test_train_step_builds_edge_targets_once_per_mask(monkeypatch):
+    calls = []
+
+    def counting_edge_map(mask, radius=1):
+        calls.append(mask.shape)
+        return edge_map(mask, radius)
+
+    monkeypatch.setattr(learn, "edge_map", counting_edge_map)
+    cfg = tiny_cfg()
+    assert len(cfg.pfm_enabled_gaps) == 3
+    train_step(init_params(cfg, 0), SgdMomentum(), tiny_crops(3, 6), cfg, TrainConfig(batch_size=3), 0, 10)
+    assert len(calls) == 3  # one per batch item, not one per item and gap
 
 
 def test_loss_decreases_over_first_iterations():

@@ -6,7 +6,7 @@ from pfnet.metrics import (
     ConfusionMatrix,
     boundary_f1,
     class_f1,
-    fg_sample_ratio,
+    fg_point_counts,
     label_boundaries,
     miou,
     report_rows,
@@ -257,14 +257,16 @@ def test_fg_ratio_all_on_rectangle():
     mask = np.zeros((16, 16), dtype=np.uint8)
     mask[4:8, 4:8] = 1
     pts = np.array([[(r + 0.5) / 16, (c + 0.5) / 16] for r in range(4, 8) for c in range(4, 8)])
-    assert fg_sample_ratio([pts], mask) == 1.0
+    assert fg_point_counts([pts], mask) == (16, 16)
 
 
 def test_fg_ratio_uniform_grid_approximates_mask_ratio():
     rng = np.random.Generator(np.random.PCG64(8))
     mask = (rng.random((16, 16)) < 0.25).astype(np.uint8)
     pts = np.array([[(r + 0.5) / 16, (c + 0.5) / 16] for r in range(16) for c in range(16)])
-    assert fg_sample_ratio([pts], mask) == pytest.approx((mask > 0).mean(), abs=1e-12)
+    hits, unique = fg_point_counts([pts], mask)
+    assert unique == 256
+    assert hits / unique == pytest.approx((mask > 0).mean(), abs=1e-12)
 
 
 def test_fg_ratio_deduplicates_cells():
@@ -272,13 +274,20 @@ def test_fg_ratio_deduplicates_cells():
     mask[0, 0] = 1
     near_same_cell = np.array([[0.01, 0.01], [0.05, 0.05]])  # same cell twice
     other = np.array([[0.9, 0.9]])
-    ratio = fg_sample_ratio([near_same_cell, other], mask)
-    assert ratio == pytest.approx(0.5)  # one fg cell of two unique cells
+    assert fg_point_counts([near_same_cell, other], mask) == (1, 2)  # one fg cell of two
 
 
-def test_fg_ratio_empty_rejected():
-    with pytest.raises(ValueError):
-        fg_sample_ratio([np.zeros((0, 2))], np.zeros((4, 4)))
+def test_fg_counts_empty_point_sets_are_zero():
+    assert fg_point_counts([np.zeros((0, 2))], np.zeros((4, 4))) == (0, 0)
+    assert fg_point_counts([], np.zeros((4, 4))) == (0, 0)
+
+
+def test_fg_counts_accept_batched_point_sets():
+    # [N, K, 2] point sets, as a PFM returns them, count like their flat rows
+    mask = np.zeros((8, 8), dtype=np.uint8)
+    mask[:4] = 1
+    pts = np.random.Generator(np.random.PCG64(10)).uniform(0, 1, (2, 5, 2))
+    assert fg_point_counts([pts], mask) == fg_point_counts([pts.reshape(-1, 2)], mask)
 
 
 # ---------------------------------------------------------------------------
@@ -291,14 +300,14 @@ def test_report_writers(tmp_path):
     pred = rng.integers(0, 3, (16, 16))
     cm = ConfusionMatrix(3).update(gt, pred)
     stats = BoundaryStats(thresholds=(3, 2, 1)).update(pred, gt)
-    rows = report_rows(miou(cm), class_f1(cm), stats, extras={"fg_sample_ratio": 0.25})
+    rows = report_rows(miou(cm), class_f1(cm), stats, extras={"fg_point_ratio": 0.25})
     write_report_csv(rows, tmp_path / "report.csv")
     write_report_text(rows, tmp_path / "report.txt")
     csv_text = (tmp_path / "report.csv").read_text()
     assert csv_text.startswith("metric,value\n")
     assert "miou," in csv_text
     assert "boundary_f1_3px," in csv_text
-    assert "fg_sample_ratio,0.25" in csv_text
+    assert "fg_point_ratio,0.25" in csv_text
     assert (tmp_path / "report.txt").read_text().count("\n") == len(rows)
     keys = [k for k, _ in rows]
     assert sum(1 for k in keys if k.endswith("_iou")) == 3

@@ -4,17 +4,14 @@ import pytest
 from pfnet.gradcheck import DEFAULT_TOL, check_gradients
 from pfnet.ops import (
     ConvParams,
-    NormalizedPoint,
     adaptive_avg_pool,
     adaptive_max_pool,
-    bilinear_point_sample,
     bilinear_resize,
     box_avg_pool,
     channel_norm,
     conv2d,
-    grid_center_points,
+    flat_to_points,
     point_sample_batched,
-    scatter_points,
     scatter_points_batched,
     topk_select,
 )
@@ -399,29 +396,38 @@ def test_resize_gradients(seed, out_hw):
 
 
 def test_point_sample_at_pixel_centers_is_exact():
-    x = Tensor(rand((1, 3, 4, 5), 13))
-    pts = grid_center_points(4, 5)
-    out = bilinear_point_sample(x, pts).data
-    expected = x.data[0].reshape(3, 20).T
+    x = Tensor(rand((2, 3, 4, 5), 13))
+    pts = np.broadcast_to(flat_to_points(np.arange(20), 4, 5), (2, 20, 2))
+    out = point_sample_batched(x, pts).data
+    expected = x.data.reshape(2, 3, 20).transpose(0, 2, 1)
     assert np.array_equal(out, expected)  # bitwise
 
 
 def test_point_sample_constant_map():
     x = Tensor(np.full((1, 2, 3, 3), 1.25))
-    pts = np.array([[0.0, 0.0], [1.0, 1.0], [0.37, 0.91]])
-    assert np.allclose(bilinear_point_sample(x, pts).data, 1.25)
+    pts = np.array([[[0.0, 0.0], [1.0, 1.0], [0.37, 0.91]]])
+    assert np.allclose(point_sample_batched(x, pts).data, 1.25)
 
 
 def test_point_sample_center_mean():
     x = Tensor(np.array([[0.0, 1.0], [2.0, 3.0]]).reshape(1, 1, 2, 2))
-    out = bilinear_point_sample(x, [NormalizedPoint(0.5, 0.5)]).data
-    assert out[0, 0] == pytest.approx(1.5)
+    out = point_sample_batched(x, np.array([[[0.5, 0.5]]])).data
+    assert out[0, 0, 0] == pytest.approx(1.5)
 
 
 def test_point_sample_rejects_outside_coordinates():
     x = Tensor(np.zeros((1, 1, 2, 2)))
     with pytest.raises(ValueError):
-        bilinear_point_sample(x, np.array([[0.5, 1.2]]))
+        point_sample_batched(x, np.array([[[0.5, 1.2]]]))
+    with pytest.raises(ValueError):  # [K, 2] without the batch axis
+        point_sample_batched(x, np.array([[0.5, 0.5]]))
+
+
+def test_flat_to_points_are_row_major_cell_centers():
+    for h, w in ((1, 1), (3, 5), (4, 4), (7, 2)):
+        ii, jj = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+        expected = np.stack([(ii.ravel() + 0.5) / h, (jj.ravel() + 0.5) / w], axis=1)
+        assert np.array_equal(flat_to_points(np.arange(h * w), h, w), expected)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -477,15 +483,15 @@ def test_topk_k_too_large():
 
 
 def test_scatter_empty_points_is_identity():
-    base = Tensor(rand((1, 2, 3, 3), 17))
-    out = scatter_points(base, np.zeros((0, 2)), Tensor(np.zeros((0, 2))))
+    base = Tensor(rand((2, 2, 3, 3), 17))
+    out = scatter_points_batched(base, np.zeros((2, 0, 2)), Tensor(np.zeros((2, 0, 2))))
     assert np.array_equal(out.data, base.data)
 
 
 def test_scatter_single_cell():
     base = Tensor(np.zeros((1, 2, 3, 3)))
-    pts = [NormalizedPoint.cell_center(1, 1, 3, 3)]
-    out = scatter_points(base, pts, Tensor(np.array([[5.0, 6.0]])))
+    pts = flat_to_points(np.array([[4]]), 3, 3)  # center of cell (1, 1)
+    out = scatter_points_batched(base, pts, Tensor(np.array([[[5.0, 6.0]]])))
     expected = np.zeros((1, 2, 3, 3))
     expected[0, :, 1, 1] = [5.0, 6.0]
     assert np.array_equal(out.data, expected)
@@ -493,47 +499,51 @@ def test_scatter_single_cell():
 
 def test_scatter_collision_last_write_wins():
     base = Tensor(np.zeros((1, 1, 2, 2)))
-    pts = np.array([[0.2, 0.2], [0.05, 0.05]])  # both map to cell (0, 0)
-    out = scatter_points(base, pts, Tensor(np.array([[1.0], [2.0]])))
+    pts = np.array([[[0.2, 0.2], [0.05, 0.05]]])  # both map to cell (0, 0)
+    out = scatter_points_batched(base, pts, Tensor(np.array([[[1.0], [2.0]]])))
     assert out.data[0, 0, 0, 0] == 2.0
 
 
 def test_scatter_row_count_mismatch():
     base = Tensor(np.zeros((1, 1, 2, 2)))
     with pytest.raises(ValueError):
-        scatter_points(base, np.array([[0.5, 0.5]]), Tensor(np.zeros((2, 1))))
+        scatter_points_batched(base, np.array([[[0.5, 0.5]]]), Tensor(np.zeros((1, 2, 1))))
+    with pytest.raises(ValueError):  # batch sizes disagree
+        scatter_points_batched(base, np.zeros((2, 1, 2)), Tensor(np.zeros((2, 1, 1))))
 
 
 def test_scatter_then_sample_roundtrip():
     # distinct cells, points at those cells' centers: read back exactly
     base = Tensor(rand((1, 3, 4, 4), 18))
-    pts = np.array([[0.125, 0.125], [0.625, 0.375], [0.875, 0.875]])
-    values = Tensor(rand((3, 3), 19))
-    out = scatter_points(base, pts, values)
-    back = bilinear_point_sample(out, pts)
+    pts = np.array([[[0.125, 0.125], [0.625, 0.375], [0.875, 0.875]]])
+    values = Tensor(rand((1, 3, 3), 19))
+    out = scatter_points_batched(base, pts, values)
+    back = point_sample_batched(out, pts)
     assert np.array_equal(back.data, values.data)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_scatter_gradients(seed):
     base = Tensor(rand((1, 2, 4, 4), seed), requires_grad=True)
-    values = Tensor(rand((3, 2), seed + 5), requires_grad=True)
-    pts = np.array([[0.1, 0.1], [0.6, 0.6], [0.6, 0.62]])  # last two collide
+    values = Tensor(rand((1, 3, 2), seed + 5), requires_grad=True)
+    pts = np.array([[[0.1, 0.1], [0.6, 0.6], [0.6, 0.62]]])  # last two collide
     w = Tensor(rand((1, 2, 4, 4), seed + 9))
 
     def build():
-        return sum_all(mul(scatter_points(base, pts, values), w))
+        return sum_all(mul(scatter_points_batched(base, pts, values), w))
 
     assert check_gradients(build, [base, values]) < DEFAULT_TOL
 
 
 def test_scatter_batched_matches_single():
+    # each row of a batched scatter equals the scatter of its batch-of-1 slice
     base2 = Tensor(rand((2, 2, 4, 4), 20))
     pts2 = np.random.Generator(np.random.PCG64(21)).uniform(0, 1, (2, 3, 2))
+    pts2[1, 2] = pts2[1, 0]  # a collision in one item only
     vals2 = Tensor(rand((2, 3, 2), 22))
     out = scatter_points_batched(base2, pts2, vals2)
     for n in range(2):
-        single = scatter_points(
-            Tensor(base2.data[n : n + 1]), pts2[n], Tensor(vals2.data[n])
+        single = scatter_points_batched(
+            Tensor(base2.data[n : n + 1]), pts2[n : n + 1], Tensor(vals2.data[n : n + 1])
         )
         assert np.array_equal(out.data[n], single.data[0])

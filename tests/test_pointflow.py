@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from pfnet.gradcheck import DEFAULT_TOL, check_gradients
-from pfnet.ops import ConvParams, grid_center_points, point_sample_batched
+from pfnet.ops import ConvParams, flat_to_points, point_sample_batched, scatter_points_batched
 from pfnet.pointflow import (
+    DIRECTIONS,
+    EDGE_MODES,
     PfmConfig,
     PfmParams,
     boundary_branch,
@@ -13,7 +15,7 @@ from pfnet.pointflow import (
     point_propagate,
     salient_match,
 )
-from pfnet.tensor import Tensor, mul, sum_all
+from pfnet.tensor import Tensor, add, mul, softmax_lastdim, sum_all
 
 
 def rand(shape, seed, lo=-1.0, hi=1.0):
@@ -99,7 +101,7 @@ def test_salient_match_zero_map_residual_identity():
     enhanced, points, _ = salient_match(coarse, m, small_cfg())
     assert np.array_equal(enhanced.data, coarse.data)
     # tie-break: smallest flat index of each 2x2 region
-    expected = grid_center_points(4, 4)[[0, 2, 8, 10]]
+    expected = flat_to_points(np.array([0, 2, 8, 10]), 4, 4)
     assert np.allclose(points[0], expected)
 
 
@@ -224,19 +226,19 @@ def test_boundary_addition_mode_runs():
 def test_propagate_single_point_is_sum():
     src = Tensor(rand((1, 2, 4, 4), 23))
     dst = Tensor(rand((1, 2, 8, 8), 24))
-    pts = np.array([[0.4, 0.7]])
+    pts = np.array([[[0.4, 0.7]]])
     rows = point_propagate(src, dst, pts)
-    q = point_sample_batched(dst, pts[None]).data[0]
-    kv = point_sample_batched(src, pts[None]).data[0]
+    q = point_sample_batched(dst, pts).data
+    kv = point_sample_batched(src, pts).data
     assert np.allclose(rows.data, q + kv, atol=1e-12)
 
 
 def test_propagate_constant_source_reduces_to_shift():
     src = Tensor(np.full((1, 2, 4, 4), 3.5))
     dst = Tensor(rand((1, 2, 8, 8), 25))
-    pts = rand((5, 2), 26, 0.1, 0.9)
+    pts = rand((5, 2), 26, 0.1, 0.9)[None]
     rows = point_propagate(src, dst, pts)
-    q = point_sample_batched(dst, pts[None]).data[0]
+    q = point_sample_batched(dst, pts).data
     assert np.allclose(rows.data, q + 3.5, atol=1e-12)
 
 
@@ -248,8 +250,8 @@ def test_propagate_two_point_hand_case():
     dst_vals = np.zeros((1, 2, 2, 2))
     dst_vals[0, :, 0, 0] = [0.5, 0.25]
     dst_vals[0, :, 0, 1] = [-0.5, 1.0]
-    pts = np.array([[0.25, 0.25], [0.25, 0.75]])  # centers of cells (0,0), (0,1)
-    rows = point_propagate(Tensor(src_vals), Tensor(dst_vals), pts).data
+    pts = np.array([[[0.25, 0.25], [0.25, 0.75]]])  # centers of cells (0,0), (0,1)
+    rows = point_propagate(Tensor(src_vals), Tensor(dst_vals), pts).data[0]
 
     q = np.array([[0.5, 0.25], [-0.5, 1.0]])
     kv = np.array([[1.0, 2.0], [3.0, -1.0]])
@@ -262,24 +264,24 @@ def test_propagate_two_point_hand_case():
 def test_propagate_residual_guarantee_zero_source():
     src = Tensor(np.zeros((1, 3, 4, 4)))
     dst = Tensor(rand((1, 3, 8, 8), 27))
-    pts = rand((6, 2), 28, 0.0, 1.0)
+    pts = rand((6, 2), 28, 0.0, 1.0)[None]
     rows = point_propagate(src, dst, pts)
-    q = point_sample_batched(dst, pts[None]).data[0]
+    q = point_sample_batched(dst, pts).data
     assert np.array_equal(rows.data, q)  # bitwise
 
 
 def test_propagate_empty_points_rejected():
     src = Tensor(rand((1, 2, 4, 4), 29))
     with pytest.raises(ValueError):
-        point_propagate(src, src, np.zeros((0, 2)))
+        point_propagate(src, src, np.zeros((1, 0, 2)))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_propagate_gradients(seed):
-    src = Tensor(rand((1, 2, 4, 4), seed), requires_grad=True)
-    dst = Tensor(rand((1, 2, 8, 8), seed + 1), requires_grad=True)
-    pts = rand((4, 2), seed + 2, 0.05, 0.95)
-    w = Tensor(rand((4, 2), seed + 3))
+    src = Tensor(rand((2, 2, 4, 4), seed), requires_grad=True)
+    dst = Tensor(rand((2, 2, 8, 8), seed + 1), requires_grad=True)
+    pts = rand((2, 4, 2), seed + 2, 0.05, 0.95)
+    w = Tensor(rand((2, 4, 2), seed + 3))
 
     def build():
         return sum_all(mul(point_propagate(src, dst, pts), w))
@@ -344,6 +346,14 @@ def test_pfm_determinism():
     assert run() == run()
 
 
+def flow_oracle(srcs, dst, out):
+    """Salient then boundary rows, queried from the unrefined ``dst``."""
+    refined = dst
+    for src, pts in zip(srcs, (out.salient_points, out.boundary_points)):
+        refined = scatter_points_batched(refined, pts, point_propagate(src, dst, pts))
+    return refined
+
+
 def test_pfm_bottom_up_refines_coarse():
     coarse, fine = levels(37)
     out = pfm_forward(coarse, fine, small_cfg(direction="bottom_up"), make_params(3, 38))
@@ -360,21 +370,56 @@ def test_pfm_td_then_bu_produces_both():
     assert out.refined_coarse.shape == coarse.shape
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_pfm_end_to_end_gradients(seed):
+def test_pfm_bottom_up_values():
+    coarse, fine = levels(45, n=2)
+    out = pfm_forward(coarse, fine, small_cfg(direction="bottom_up"), make_params(3, 46))
+    expected = flow_oracle((fine, fine), coarse, out)
+    assert np.array_equal(out.refined_coarse.data, expected.data)  # bitwise
+
+
+def test_pfm_td_then_bu_values():
+    coarse, fine = levels(47, n=2)
+    params = make_params(3, 48)
+    td = pfm_forward(coarse, fine, small_cfg(direction="top_down"), params)
+    out = pfm_forward(coarse, fine, small_cfg(direction="td_then_bu"), params)
+    assert np.array_equal(out.refined.data, td.refined.data)
+    expected = flow_oracle((out.refined, out.refined), coarse, out)
+    assert np.array_equal(out.refined_coarse.data, expected.data)
+    assert not np.array_equal(out.refined_coarse.data, coarse.data)
+
+
+def check_pfm_gradients(seed, **cfg_kw):
     coarse = Tensor(rand((1, 2, 4, 4), seed + 200), requires_grad=True)
     fine = Tensor(rand((1, 2, 8, 8), seed + 201), requires_grad=True)
     params = make_params(2, seed + 202)
-    cfg = small_cfg(channels=2, salient_kernel=(2, 2), boundary_k=3)
-    w = Tensor(rand((1, 2, 8, 8), seed + 203))
+    cfg = small_cfg(channels=2, salient_kernel=(2, 2), boundary_k=3, **cfg_kw)
+    w_fine = Tensor(rand((1, 2, 8, 8), seed + 203))
+    w_coarse = Tensor(rand((1, 2, 4, 4), seed + 204))
 
     def build():
         out = pfm_forward(coarse, fine, cfg, params)
-        return sum_all(mul(out.refined, w))
+        parts = []
+        if out.refined is not None:
+            parts.append(sum_all(mul(out.refined, w_fine)))
+        if out.refined_coarse is not None:
+            parts.append(sum_all(mul(out.refined_coarse, w_coarse)))
+        return parts[0] if len(parts) == 1 else add(parts[0], parts[1])
 
     leaves = [coarse, fine, params.saliency_conv.weight, params.saliency_conv.bias,
               params.boundary_conv.weight, params.boundary_conv.bias]
-    assert check_gradients(build, leaves) < DEFAULT_TOL
+    return check_gradients(build, leaves)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pfm_end_to_end_gradients(seed):
+    assert check_pfm_gradients(seed) < DEFAULT_TOL
+
+
+@pytest.mark.parametrize("edge_mode", EDGE_MODES)
+@pytest.mark.parametrize("direction", DIRECTIONS)
+def test_pfm_end_to_end_gradients_every_mode(direction, edge_mode):
+    seed = 3 + 3 * DIRECTIONS.index(direction) + EDGE_MODES.index(edge_mode)
+    assert check_pfm_gradients(seed, direction=direction, edge_mode=edge_mode) < DEFAULT_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +446,9 @@ def test_dense_equals_full_grid_sparse(seed, size):
     src = Tensor(rand((1, 3, size, size), 100 + seed))
     dst = Tensor(rand((1, 3, size, size), 200 + seed))
     dense = dense_affinity_reference(src, dst)
-    pts = grid_center_points(size, size)
+    pts = flat_to_points(np.arange(size * size), size, size)[None]
     rows = point_propagate(src, dst, pts)
-    scattered = rows.data.T.reshape(1, 3, size, size)
+    scattered = rows.data[0].T.reshape(1, 3, size, size)
     assert np.abs(dense.data - scattered).max() < 1e-6
 
 
@@ -415,11 +460,9 @@ def test_dense_reference_point_limit():
 
 def test_affinity_rows_sum_to_one_many_sizes():
     rng = np.random.Generator(np.random.PCG64(44))
-    from pfnet.tensor import softmax_rows
-
     for _ in range(50):
         k = int(rng.integers(1, 64))
         q = rng.uniform(-2, 2, (k, 3))
         kv = rng.uniform(-2, 2, (k, 3))
-        w = softmax_rows(Tensor(q @ kv.T)).data
+        w = softmax_lastdim(Tensor(q @ kv.T)).data
         assert np.abs(w.sum(axis=1) - 1.0).max() < 1e-6

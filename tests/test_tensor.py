@@ -12,13 +12,12 @@ from pfnet.tensor import (
     create,
     elementwise_binary,
     elementwise_unary,
-    matmul,
     mul,
     relu,
     reverse_accumulate,
     scale,
     sigmoid,
-    softmax_rows,
+    softmax_lastdim,
     sub,
     sum_all,
 )
@@ -126,46 +125,51 @@ def test_binary_rejects_general_broadcast(b_shape):
 
 
 def test_matmul_identity():
-    a = Tensor(rand((2, 2), 7))
-    out = matmul(Tensor(np.eye(2)), a)
+    a = Tensor(rand((2, 2, 2), 7))
+    out = batched_matmul(Tensor(np.broadcast_to(np.eye(2), (2, 2, 2))), a)
     assert np.array_equal(out.data, a.data)
 
 
 def test_matmul_hand_expansion():
-    out = matmul(Tensor(np.array([[1.0, 2.0]])), Tensor(np.array([[3.0], [4.0]])))
-    assert out.data.tolist() == [[11.0]]
+    a = Tensor(np.array([[[1.0, 2.0]], [[-1.0, 0.5]]]))
+    b = Tensor(np.array([[[3.0], [4.0]], [[2.0], [6.0]]]))
+    assert batched_matmul(a, b).data.tolist() == [[[11.0]], [[1.0]]]
 
 
 def test_matmul_zeros():
-    a = Tensor(rand((3, 4), 8))
-    out = matmul(Tensor(np.zeros((2, 3))), a)
-    assert np.array_equal(out.data, np.zeros((2, 4)))
+    a = Tensor(rand((2, 3, 4), 8))
+    out = batched_matmul(Tensor(np.zeros((2, 2, 3))), a)
+    assert np.array_equal(out.data, np.zeros((2, 2, 4)))
 
 
 def test_matmul_dimension_mismatch():
     with pytest.raises(ValueError):
-        matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+        batched_matmul(Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((1, 2, 3))))
+    with pytest.raises(ValueError):  # stack sizes differ
+        batched_matmul(Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((2, 3, 2))))
+    with pytest.raises(ValueError):  # plain matrices are not stacks
+        batched_matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
 
 
 def test_softmax_uniform_and_shift_invariance():
-    assert np.allclose(softmax_rows(Tensor(np.zeros((1, 2)))).data, [[0.5, 0.5]])
+    assert np.allclose(softmax_lastdim(Tensor(np.zeros((1, 2)))).data, [[0.5, 0.5]])
     for c in (-5.0, 0.0, 17.5):
-        row = softmax_rows(Tensor(np.full((1, 3), c))).data
+        row = softmax_lastdim(Tensor(np.full((1, 3), c))).data
         assert np.allclose(row, 1.0 / 3.0, atol=1e-9)
 
 
 def test_softmax_reference_value():
     # e^1/(e^1+e^2), e^2/(e^1+e^2) evaluated independently
-    out = softmax_rows(Tensor(np.array([[1.0, 2.0]]))).data
+    out = softmax_lastdim(Tensor(np.array([[1.0, 2.0]]))).data
     assert out[0, 0] == pytest.approx(0.26894142136999512075, abs=1e-12)
     assert out[0, 1] == pytest.approx(0.73105857863000487925, abs=1e-12)
 
 
 def test_softmax_rows_sum_to_one_and_shift_invariant():
-    x = rand((40, 17), 9, -50, 50)
-    s = softmax_rows(Tensor(x)).data
-    assert np.abs(s.sum(axis=1) - 1.0).max() < 1e-6
-    shifted = softmax_rows(Tensor(x + 123.0)).data
+    x = rand((2, 40, 17), 9, -50, 50)
+    s = softmax_lastdim(Tensor(x)).data
+    assert np.abs(s.sum(axis=-1) - 1.0).max() < 1e-6
+    shifted = softmax_lastdim(Tensor(x + 123.0)).data
     assert np.abs(s - shifted).max() < 1e-9
 
 
@@ -296,18 +300,6 @@ def test_binary_gradients(kind, b_shape, seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_matmul_gradients(seed):
-    a = Tensor(rand((3, 4), seed), requires_grad=True)
-    b = Tensor(rand((4, 2), seed + 30), requires_grad=True)
-    w = Tensor(rand((3, 2), seed + 60))
-
-    def build():
-        return sum_all(mul(matmul(a, b), w))
-
-    assert check_gradients(build, [a, b]) < DEFAULT_TOL
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
 def test_batched_matmul_gradients(seed):
     a = Tensor(rand((2, 3, 4), seed), requires_grad=True)
     b = Tensor(rand((2, 4, 5), seed + 30), requires_grad=True)
@@ -321,11 +313,11 @@ def test_batched_matmul_gradients(seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_softmax_gradients(seed):
-    x = Tensor(rand((4, 6), seed), requires_grad=True)
-    w = Tensor(rand((4, 6), seed + 77))
+    x = Tensor(rand((2, 4, 6), seed), requires_grad=True)
+    w = Tensor(rand((2, 4, 6), seed + 77))
 
     def build():
-        return sum_all(mul(softmax_rows(x), w))
+        return sum_all(mul(softmax_lastdim(x), w))
 
     assert check_gradients(build, [x]) < DEFAULT_TOL
 
@@ -344,11 +336,11 @@ def test_concat_and_scale_gradients(seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_composite_graph_matches_finite_differences(seed):
-    x = Tensor(rand((5, 5), seed), requires_grad=True)
-    y = Tensor(rand((5, 5), seed + 7), requires_grad=True)
+    x = Tensor(rand((2, 5, 5), seed), requires_grad=True)
+    y = Tensor(rand((2, 5, 5), seed + 7), requires_grad=True)
 
     def build():
-        z = matmul(sigmoid(x), softmax_rows(y))
+        z = batched_matmul(sigmoid(x), softmax_lastdim(y))
         return sum_all(mul(z, z))
 
     assert check_gradients(build, [x, y]) < DEFAULT_TOL
@@ -358,7 +350,7 @@ def test_determinism_of_forward_and_gradients():
     def run():
         x = Tensor(rand((4, 4), 42), requires_grad=True)
         with Tape() as tape:
-            loss = sum_all(mul(softmax_rows(x), x))
+            loss = sum_all(mul(softmax_lastdim(x), x))
         reverse_accumulate(tape, loss)
         return loss.data.tobytes(), x.grad.tobytes()
 
