@@ -251,6 +251,15 @@ def _unpack(fmt, raw, pos, label):
     return struct.unpack(fmt, chunk), end
 
 
+def _take_text(raw, pos, size, label):
+    """``_take``, with the bytes decoded as UTF-8 text."""
+    chunk, end = _take(raw, pos, size, label)
+    try:
+        return chunk.decode(), end
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"bad UTF-8 text in {label} at byte {pos + exc.start}") from None
+
+
 def write_tensor(arr, path):
     arr, code = _stored(arr)
     with open(path, "wb") as f:
@@ -338,13 +347,16 @@ def write_manifest(entries, path):
 def read_manifest(path):
     entries = []
     with open(path) as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            image_path, mask_path, split = line.split("\t")
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
+            image_path, mask_path, split = fields
             if split not in ("train", "val"):
-                raise ValueError(f"bad split {split!r} in {path}")
+                raise ValueError(f"{path}:{lineno}: bad split {split!r}")
             entries.append((image_path, mask_path, split))
     return entries
 
@@ -390,13 +402,12 @@ def read_checkpoint(path):
         raise ValueError(f"bad magic in {path} at byte 0")
     header = f"header in {path}"
     (cfg_len,), pos = _unpack("<I", raw, 4, header)
-    config_bytes, pos = _take(raw, pos, cfg_len, header)
+    config_text, pos = _take_text(raw, pos, cfg_len, header)
     (count,), pos = _unpack("<I", raw, pos, header)
     manifest = []
     for _ in range(count):
         (name_len,), pos = _unpack("<H", raw, pos, header)
-        name_bytes, pos = _take(raw, pos, name_len, header)
-        name = name_bytes.decode()
+        name, pos = _take_text(raw, pos, name_len, header)
         (code, ndim), pos = _unpack("<BB", raw, pos, header)
         if code not in _CODE_DTYPES:
             raise ValueError(f"unknown dtype code {code} for {name} in {path} at byte {pos - 2}")
@@ -408,4 +419,4 @@ def read_checkpoint(path):
         nbytes = int(np.prod(dims)) * dtype.itemsize
         payload, _ = _take(raw, pos + offset, nbytes, f"payload for {name} in {path}")
         arrays[name] = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
-    return arrays, config_bytes.decode()
+    return arrays, config_text

@@ -41,6 +41,12 @@ def flat_to_points(flat_idx, h, w):
 # ---------------------------------------------------------------------------
 # convolution
 
+# Most elements in one column tile of the stacked output-gradient block
+# that conv2d's backward builds (512 KiB in float32).  Conv backward time
+# was within noise from 2**17 to 2**20 at desk and 256 px shapes, while the
+# largest per-conv backward transient grew with the block.
+_BLOCK = 1 << 17
+
 
 def conv2d(x, p):
     """Cross-correlation with zero padding; differentiable in x, weight, bias.
@@ -55,10 +61,16 @@ def conv2d(x, p):
     the stride s.  Tap (i, j) reads phase (i % s, j % s) at flat offset
     ``(i // s) * wq + j // s``, so each tap is one 2-D GEMM over the whole
     batch, added into an extended output whose cells beyond oh x ow are
-    dropped.  Backward runs the same taps for the weight and input
-    gradients.  The tape keeps that 1x buffer and the tap-major weight, not
+    dropped.  The tape keeps that 1x buffer and the tap-major weight, not
     a kh*kw-fold column matrix (the memory argument of MEC, arXiv
     1706.06873).
+
+    Backward stacks, per stride phase, the output gradient shifted by each
+    of the phase's taps into one block ``G [taps * cout, cols]``, a column
+    tile of at most ``_BLOCK`` elements at a time.  Each tile then costs two
+    GEMMs: ``G @ buf[ph, :, cols].T`` adds to the phase's weight gradient,
+    and ``W_ph.T @ G`` is written straight into the input gradient's
+    columns, where ``W_ph`` stacks the phase's tap weights.
     """
     n, cin, h, w = x.shape
     cout, cin_w, kh, kw = p.weight.shape
@@ -116,21 +128,43 @@ def conv2d(x, p):
     out = Tensor(out_data, _op="conv2d")
 
     def backward(g):
-        gext = np.zeros((cout, n, hq, wq), dtype=g.dtype)
-        gext[:, :, :oh, :ow] = g.transpose(1, 0, 2, 3)
-        gm = gext.reshape(cout, lq)[:, :m]
+        # phase (pa, pb) holds the taps (pa + s * a, pb + s * b), at offset
+        # d = a * wq + b; phase (0, 0) holds the most, na x nb
+        na, nb = -(-kh // s), -(-kw // s)
+        tile = min(lq, _BLOCK // (na * nb * cout))
+        # the extended output gradient after dmax zero columns; shifted[a, b]
+        # is it moved right by d = a * wq + b columns, as tap (a, b) of a
+        # phase reads it: shifted[a, b, :, c] = gpad[:, dmax - d + c]
+        dmax = taps[-1][3]
+        gpad = np.zeros((cout, dmax + lq), dtype=g.dtype)
+        gpad[:, dmax:].reshape(cout, n, hq, wq)[:, :, :oh, :ow] = g.transpose(1, 0, 2, 3)
+        e = gpad.itemsize
+        shifted = np.lib.stride_tricks.as_strided(
+            gpad[:, dmax:], (na, nb, cout, lq), (-wq * e, -e, gpad.strides[0], e), writeable=False
+        )
         gw = np.empty((kh, kw, cout, cin), dtype=g.dtype)
-        for i, j, ph, d in taps:
-            np.matmul(gm, buf[ph, :, d : d + m].T, out=gw[i, j])
+        gbuf = np.zeros((s * s, cin, lq), dtype=g.dtype) if x.requires_grad else None
+        block = np.empty(na * nb * cout * tile, dtype=g.dtype)
+        for pa in range(s):
+            for pb in range(s):
+                ta, tb = len(range(pa, kh, s)), len(range(pb, kw, s))
+                if not ta * tb:
+                    continue
+                ph, r = pa * s + pb, ta * tb * cout
+                w_ph = wt[pa::s, pb::s].reshape(r, cin)
+                gw_ph = np.zeros((r, cin), dtype=g.dtype)
+                for c0 in range(0, lq, tile):
+                    cw = min(tile, lq - c0)
+                    blk = block[: r * cw].reshape(r, cw)
+                    blk.reshape(ta, tb, cout, cw)[...] = shifted[:ta, :tb, :, c0 : c0 + cw]
+                    gw_ph += np.matmul(blk, buf[ph, :, c0 : c0 + cw].T)
+                    if gbuf is not None:
+                        np.matmul(w_ph.T, blk, out=gbuf[ph, :, c0 : c0 + cw])
+                gw[pa::s, pb::s] = gw_ph.reshape(ta, tb, cout, cin)
         _accumulate(p.weight, np.ascontiguousarray(gw.transpose(2, 3, 0, 1)))
         _accumulate(p.bias, g.sum(axis=(0, 2, 3)))
-        if not x.requires_grad:
+        if gbuf is None:
             return
-        gbuf = np.zeros((s * s, cin, lq), dtype=g.dtype)
-        gtmp = np.empty((cin, m), dtype=g.dtype)
-        for i, j, ph, d in taps:
-            np.matmul(wt[i, j].T, gm, out=gtmp)
-            gbuf[ph, :, d : d + m] += gtmp
         gxp = gbuf.reshape(s, s, cin, n, hq, wq).transpose(2, 3, 4, 0, 5, 1).reshape(cin, n, s * hq, s * wq)
         gx = gxp[:, :, padding : padding + h, padding : padding + w].transpose(1, 0, 2, 3)
         _accumulate(x, np.ascontiguousarray(gx))
@@ -284,17 +318,16 @@ def _interp_matrix(out_size, in_size, dtype):
 
 
 def bilinear_resize(x, out_hw):
-    """Resize by sampling at grid centers with edge clamping."""
+    """Resize by sampling at grid centers with edge clamping; a resize to
+    the input's own size returns the input itself."""
     n, c, h, w = x.shape
     oh, ow = int(out_hw[0]), int(out_hw[1])
     if oh < 1 or ow < 1:
         raise ValueError("output size must be positive")
     if (oh, ow) == (h, w):
-        ry = np.eye(h, dtype=x.dtype)
-        rx = np.eye(w, dtype=x.dtype)
-    else:
-        ry = _interp_matrix(oh, h, x.dtype)
-        rx = _interp_matrix(ow, w, x.dtype)
+        return x
+    ry = _interp_matrix(oh, h, x.dtype)
+    rx = _interp_matrix(ow, w, x.dtype)
     out = Tensor(np.matmul(ry, np.matmul(x.data, rx.T)), _op="bilinear_resize")
 
     def backward(g):

@@ -292,6 +292,21 @@ def test_manifest_bad_split(tmp_path):
         read_manifest(tmp_path / "manifest.tsv")
 
 
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        pytest.param("img1.pft\tmask1.pgm", id="two-fields"),
+        pytest.param("img1.pft\tmask1.pgm\ttrain\textra", id="four-fields"),
+        pytest.param("img1.pft\tmask1.pgm\ttest", id="bad-split"),
+    ],
+)
+def test_manifest_errors_name_file_and_line(tmp_path, bad_line):
+    path = tmp_path / "manifest.tsv"
+    path.write_text(f"img0.pft\tmask0.pgm\ttrain\n\n{bad_line}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3:")):
+        read_manifest(path)
+
+
 # ---------------------------------------------------------------------------
 # checkpoint container
 
@@ -334,3 +349,16 @@ def test_checkpoint_every_truncation_rejected(tmp_path):
     path = tmp_path / "c.ckpt"
     write_checkpoint(path, named, "cfg = 1\n")
     assert_every_truncation_rejected(path, read_checkpoint)
+
+
+@pytest.mark.parametrize("what", ["config", "name"])
+def test_checkpoint_non_utf8_text_rejected(tmp_path, what):
+    path = tmp_path / "c.ckpt"
+    write_checkpoint(path, {"a.weight": np.zeros(2, dtype=np.float32)}, "cfg = 1\n")
+    raw = bytearray(path.read_bytes())
+    # magic, config length, 8 config bytes, parameter count, name length
+    pos = 8 if what == "config" else 8 + 8 + 4 + 2
+    raw[pos] = 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=re.escape(f"{path} at byte {pos}")):
+        read_checkpoint(path)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,8 @@ from pfnet.ops import (
     scatter_points_batched,
     topk_select,
 )
-from pfnet import config, network, pointflow
-from pfnet.tensor import Tape, Tensor, mul, sum_all
+from pfnet import config, network, ops, pointflow
+from pfnet.tensor import Tape, Tensor, mul, reverse_accumulate, sum_all
 
 
 def rand(shape, seed, lo=-1.0, hi=1.0):
@@ -128,6 +130,24 @@ def conv_reference(x, weight, bias, stride, padding):
     return out
 
 
+def conv_reference_grads(x, weight, g, stride, padding):
+    """Weight, bias and input gradients in float64: one einsum per tap."""
+    _, _, h, w = x.shape
+    _, _, kh, kw = weight.shape
+    _, _, oh, ow = g.shape
+    g = g.astype(np.float64)
+    pad = ((0, 0), (0, 0), (padding, padding), (padding, padding))
+    xp = np.pad(x.astype(np.float64), pad)
+    gxp = np.zeros_like(xp)
+    gw = np.zeros(weight.shape)
+    for i in range(kh):
+        for j in range(kw):
+            window = (slice(None), slice(None), slice(i, i + stride * oh, stride), slice(j, j + stride * ow, stride))
+            gw[:, :, i, j] = np.einsum("noyx,ncyx->oc", g, xp[window])
+            gxp[window] += np.einsum("oc,noyx->ncyx", weight[:, :, i, j].astype(np.float64), g)
+    return gw, g.sum(axis=(0, 2, 3)), gxp[:, :, padding : padding + h, padding : padding + w]
+
+
 def test_conv_float32_matches_reference_on_desk_shapes(monkeypatch):
     net_cfg = config.network_config(config.load_config(config.packaged_config_path("desk")))
     params = network.init_params(net_cfg, 0)
@@ -142,12 +162,42 @@ def test_conv_float32_matches_reference_on_desk_shapes(monkeypatch):
     image = Tensor(rand((2, 3) + tuple(net_cfg.input_size), 41).astype(np.float32))
     network.pfnet_forward(image, params, net_cfg)
     assert len(calls) == sum(name.endswith(".weight") for name in params)
-    for xd, p in calls:
-        out = conv2d(Tensor(xd), p).data
+    for k, (xd, p) in enumerate(calls):
+        x = Tensor(xd, requires_grad=True)
+        p.weight.grad = p.bias.grad = None
+        with Tape() as tape:
+            out = conv2d(x, p).data
         assert out.dtype == np.float32
         ref = conv_reference(xd, p.weight.data, p.bias.data, p.stride, p.padding)
         err = np.abs(out - ref).max() / np.abs(ref).max()
         assert err <= 1e-5, (xd.shape, p.weight.shape, p.stride, p.padding, err)
+        g = rand(out.shape, 100 + k).astype(np.float32)
+        ((_, backward),) = tape.entries
+        backward(g)
+        refs = conv_reference_grads(xd, p.weight.data, g, p.stride, p.padding)
+        for name, got, want in zip(("weight", "bias", "input"), (p.weight.grad, p.bias.grad, x.grad), refs):
+            assert got.dtype == np.float32
+            err = np.abs(got - want).max() / np.abs(want).max()
+            assert err <= 1e-5, (name, xd.shape, p.weight.shape, p.stride, p.padding, err)
+
+
+@pytest.mark.parametrize("stride,h,w,cols", [(1, 6, 5, 40), (2, 7, 6, 15)])
+def test_conv_gradients_across_column_tiles(monkeypatch, stride, h, w, cols):
+    n, cin, cout = 2, 3, 2
+    lq = n * -(-(h + 2) // stride) * -(-(w + 2) // stride)
+    rows = cout * (9 if stride == 1 else 4)  # stacked rows of phase (0, 0)
+    # a block of `cols` columns splits the extended grid into three or more
+    # tiles, the last one narrower
+    assert lq > 2 * cols and lq % cols
+    monkeypatch.setattr(ops, "_BLOCK", rows * cols)
+    x = Tensor(rand((n, cin, h, w), 60), requires_grad=True)
+    p = conv_params(cout, cin, 3, 61, stride=stride, padding=1)
+    w_out = Tensor(rand(conv2d(x, p).shape, 62))
+
+    def build():
+        return sum_all(mul(conv2d(x, p), w_out))
+
+    assert check_gradients(build, [x, p.weight, p.bias]) < DEFAULT_TOL
 
 
 def held_arrays(fn):
@@ -187,6 +237,37 @@ def test_conv1x1_tape_keeps_nothing_larger_than_input():
     p = conv_params(6, 4, 1, 53)
     held = held_arrays(recorded_backward(x, p))
     assert held and max(a.nbytes for a in held) <= x.data.nbytes
+
+
+def backward_peak(backward, g, params):
+    for t in params:
+        t.grad = None
+    tracemalloc.start()
+    try:
+        backward(g)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_conv_backward_peak_bounded_at_desk_head_shape(monkeypatch):
+    # the fused head conv of desk.cfg: 256 -> 64 channels on 16x16 maps
+    x = Tensor(rand((8, 256, 16, 16), 70).astype(np.float32), requires_grad=True)
+    weight = Tensor(rand((64, 256, 3, 3), 71).astype(np.float32), requires_grad=True)
+    p = ConvParams(weight, Tensor(np.zeros(64, dtype=np.float32), requires_grad=True), padding=1)
+    backward = recorded_backward(x, p)
+    g = rand((8, 64, 16, 16), 72).astype(np.float32)
+    rows, lq = 9 * 64, 8 * 18 * 18
+    # the peak stays within that of 16-column tiles plus twice the block
+    # budget (the block, and as much again for slack); a single untiled
+    # [9 * cout, lq] block exceeds that bound
+    bound = 2 * 4 * ops._BLOCK
+    monkeypatch.setattr(ops, "_BLOCK", rows * 16)
+    bound += backward_peak(backward, g, (x, p.weight, p.bias))
+    monkeypatch.undo()
+    assert backward_peak(backward, g, (x, p.weight, p.bias)) <= bound
+    monkeypatch.setattr(ops, "_BLOCK", rows * lq)
+    assert backward_peak(backward, g, (x, p.weight, p.bias)) > bound
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +446,17 @@ def test_resize_same_size_is_identity():
     x = Tensor(rand((1, 2, 5, 7), 12))
     out = bilinear_resize(x, (5, 7)).data
     assert np.abs(out - x.data).max() < 1e-12
+
+
+def test_resize_same_size_returns_input_and_passes_gradient():
+    x = Tensor(rand((2, 3, 5, 7), 14), requires_grad=True)
+    w = Tensor(rand((2, 3, 5, 7), 15))
+    assert bilinear_resize(x, (5, 7)) is x
+    with Tape() as tape:
+        loss = sum_all(mul(bilinear_resize(x, (5, 7)), w))
+    reverse_accumulate(tape, loss)
+    # the identity interpolation matrices passed the gradient exactly
+    assert np.array_equal(x.grad, w.data)
 
 
 def test_resize_constant_map():
