@@ -12,6 +12,13 @@ bins up to 6) exceed the tiny grids of a desk-scale input, so the
 assembly clamps each gap's point budget to its grid and drops pooled bins
 larger than the deepest map.  The configured values are preserved; only
 the effective values shrink.
+
+The fused head is the paper's one 3x3 conv (``head.conv``) over the
+channel concat of levels 2-5 resized to 1/4 scale, computed as the sum
+of that conv over each level's slice of input channels: a plain conv on
+level 2, and ``resize_conv3x3`` on levels 3-5, which mixes channels on
+the level's own coarse grid and folds the upsampling into the taps.
+Neither the resized maps nor the concat are formed.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tensor as tt
-from .ops import ConvParams, adaptive_avg_pool, bilinear_resize, channel_norm, conv2d
+from .ops import ConvParams, adaptive_avg_pool, bilinear_resize, channel_norm, conv2d, resize_conv3x3
 from .pointflow import PfmConfig, PfmParams, pfm_forward
 from .tensor import Tensor
 
@@ -234,9 +241,13 @@ def pfnet_forward(image, params, cfg):
         else:
             p[gap - 1] = tt.add(fine, bilinear_resize(p[gap], fine.shape[2:]))
 
+    # head.conv over the resized concat of p[2..5], one weight slice per level
     qh, qw = image.shape[2] // 4, image.shape[3] // 4
-    fused = tt.concat_channels([bilinear_resize(p[l], (qh, qw)) for l in (2, 3, 4, 5)])
-    head = conv2d(fused, params.conv("head.conv", padding=1))
+    c = cfg.fpn_channels
+    weight = params["head.conv.weight"]
+    head = conv2d(p[2], ConvParams(tt.channel_slice(weight, 0, c), params["head.conv.bias"], padding=1))
+    for l in (3, 4, 5):
+        head = tt.add(head, resize_conv3x3(p[l], tt.channel_slice(weight, (l - 2) * c, (l - 1) * c), (qh, qw)))
     head = tt.relu(channel_norm(head, params["head.norm.gamma"], params["head.norm.beta"]))
     logits = conv2d(head, params.conv("head.classifier"))
     return NetOutput(logits=logits, boundary_maps=boundary_maps, pfm_outputs=pfm_outputs)

@@ -183,9 +183,10 @@ def channel_norm(x, gamma, beta, eps=1e-5):
         raise ValueError("channel_norm needs at least 2 elements per channel")
     axes = (0, 2, 3)
     mu = x.data.mean(axis=axes, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=axes, keepdims=True)
+    xhat = x.data - mu
+    var = (xhat ** 2).mean(axis=axes, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat *= inv
     g4 = gamma.data.reshape(1, c, 1, 1)
     out = Tensor(g4 * xhat + beta.data.reshape(1, c, 1, 1), _op="channel_norm")
 
@@ -311,9 +312,9 @@ def _interp_matrix(out_size, in_size, dtype):
     lo = np.floor(pos).astype(np.int64)
     hi = np.minimum(lo + 1, in_size - 1)
     frac = pos - lo
-    for i in range(out_size):
-        r[i, lo[i]] += 1.0 - frac[i]
-        r[i, hi[i]] += frac[i]
+    rows = np.arange(out_size)
+    np.add.at(r, (rows, lo), 1.0 - frac)
+    np.add.at(r, (rows, hi), frac)
     return r
 
 
@@ -334,6 +335,66 @@ def bilinear_resize(x, out_hw):
         _accumulate(x, np.matmul(ry.T, np.matmul(g, rx)))
 
     return _maybe_record(out, (x,), backward)
+
+
+def _shifted_interp(out_size, in_size, dtype):
+    """[out, 3 * in] interpolation matrix of a 3-tap padded conv: block i
+    holds, in row Y, row Y + i - 1 of ``_interp_matrix``, or zeros where
+    that row falls outside the map."""
+    r = _interp_matrix(out_size, in_size, dtype)
+    r3 = np.zeros((out_size, 3, in_size), dtype=dtype)
+    r3[1:, 0] = r[:-1]
+    r3[:, 1] = r
+    r3[:-1, 2] = r[1:]
+    return r3.reshape(out_size, 3 * in_size)
+
+
+def resize_conv3x3(x, weight, out_hw):
+    """``conv2d(bilinear_resize(x, out_hw), ConvParams(weight, 0, padding=1))``
+    computed on x's own grid; differentiable in x and weight.
+
+    The resize is ``Ry @ x @ Rx.T`` and tap (i, j) reads the resized map
+    shifted by (i - 1, j - 1), which is the same as shifting the rows of
+    Ry and Rx; zero padding is the rows shifted off the map.  So with Ry3
+    ``[oh, 3h]`` and Rx3 ``[ow, 3w]`` stacking the three shifted matrices
+    (``_shifted_interp``), the output is three 2-D GEMMs: the taps mix
+    channels on the coarse grid, ``[(j, co, i), ci] @ [ci, (n, x, y)]``,
+    then ``(i, y)`` is contracted with Ry3 and ``(j, x)`` with Rx3, with
+    one transpose-copy before each of the last two.  Backward runs the
+    same GEMMs transposed.  The tape keeps the channel-major input,
+    the stacked weight and the two small matrices.
+    """
+    n, cin, h, w = x.shape
+    cout, cin_w, kh, kw = weight.shape
+    if (kh, kw) != (3, 3):
+        raise ValueError(f"resize_conv3x3 needs a 3x3 kernel, got {kh}x{kw}")
+    if cin != cin_w:
+        raise ValueError(f"input has {cin} channels, weight expects {cin_w}")
+    oh, ow = int(out_hw[0]), int(out_hw[1])
+    if oh < 1 or ow < 1:
+        raise ValueError("output size must be positive")
+    ry = _shifted_interp(oh, h, x.dtype)
+    rx = _shifted_interp(ow, w, x.dtype)
+    ws = np.ascontiguousarray(weight.data.transpose(3, 0, 2, 1)).reshape(9 * cout, cin)
+    xc = np.ascontiguousarray(x.data.transpose(1, 0, 3, 2)).reshape(cin, n * w * h)
+    with np.errstate(over="ignore"):  # overflow surfaces as the finiteness error
+        z = np.matmul(ws, xc).reshape(3, cout, 3, n, w, h)
+        a = np.matmul(z.transpose(0, 1, 3, 4, 2, 5).reshape(3 * cout * n * w, 3 * h), ry.T)
+        a = a.reshape(3, cout, n, w, oh).transpose(2, 1, 4, 0, 3).reshape(n * cout * oh, 3 * w)
+        out_data = np.matmul(a, rx.T).reshape(n, cout, oh, ow)
+    out = Tensor(out_data, _op="resize_conv3x3")
+
+    def backward(g):
+        ga = np.matmul(g.reshape(n * cout * oh, ow), rx).reshape(n, cout, oh, 3, w)
+        gz = np.matmul(ga.transpose(3, 1, 0, 4, 2).reshape(3 * cout * n * w, oh), ry)
+        gz = gz.reshape(3, cout, n, w, 3, h).transpose(0, 1, 4, 2, 3, 5).reshape(9 * cout, n * w * h)
+        gws = np.matmul(gz, xc.T).reshape(3, cout, 3, cin)
+        _accumulate(weight, np.ascontiguousarray(gws.transpose(1, 3, 2, 0)))
+        if x.requires_grad:
+            gx = np.matmul(ws.T, gz).reshape(cin, n, w, h).transpose(1, 0, 3, 2)
+            _accumulate(x, np.ascontiguousarray(gx))
+
+    return _maybe_record(out, (x, weight), backward)
 
 
 def _point_weights(pts, h, w):

@@ -68,9 +68,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self):
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
@@ -344,6 +341,21 @@ def concat_channels(xs):
             _accumulate(t, piece)
 
     return _maybe_record(out, tuple(xs), backward)
+
+
+def channel_slice(x, start, stop):
+    """Channels ``[start, stop)`` of axis 1."""
+    start, stop = int(start), int(stop)
+    if x.ndim < 2 or not 0 <= start < stop <= x.shape[1]:
+        raise ValueError(f"channel range [{start}, {stop}) outside shape {x.shape}")
+    out = Tensor(x.data[:, start:stop], _op="channel_slice")
+
+    def backward(g):
+        gx = np.zeros(x.shape, dtype=g.dtype)
+        gx[:, start:stop] = g
+        _accumulate(x, gx)
+
+    return _maybe_record(out, (x,), backward)
 
 
 def sum_all(x):

@@ -10,9 +10,11 @@ from pfnet.network import (
     pfnet_forward,
     ppm_forward,
 )
+from pfnet import config, network, ops
 from pfnet.pointflow import PfmConfig
-from pfnet.tensor import Tape, Tensor, mul, reverse_accumulate, sum_all
+from pfnet.tensor import Tape, Tensor, concat_channels, mul, relu, reverse_accumulate, sum_all
 from pfnet.learn import ce_loss
+from test_ops import held_arrays
 
 
 def rand(shape, seed, lo=-1.0, hi=1.0):
@@ -213,3 +215,51 @@ def test_end_to_end_ce_gradient_matches_finite_differences(seed):
 
     leaves = [params["backbone.stage1.conv1.weight"], params["head.conv.weight"]]
     assert check_gradients(build, leaves, max_probes=24) < DEFAULT_TOL
+
+
+def desk_cfg():
+    return config.network_config(config.load_config(config.packaged_config_path("desk")))
+
+
+def test_head_matches_concat_formulation_on_desk(monkeypatch):
+    net_cfg = desk_cfg()
+    params = init_params(net_cfg, 0)
+    levels = {}
+
+    def recording_conv2d(x, p):
+        if p.bias is params["head.conv.bias"]:
+            levels[2] = x
+        return ops.conv2d(x, p)
+
+    def recording_resize_conv3x3(x, weight, out_hw):
+        levels[len(levels) + 2] = x  # called for levels 3, 4, 5 after level 2
+        return ops.resize_conv3x3(x, weight, out_hw)
+
+    monkeypatch.setattr(network, "conv2d", recording_conv2d)
+    monkeypatch.setattr(network, "resize_conv3x3", recording_resize_conv3x3)
+    image = Tensor(rand((2, 3) + tuple(net_cfg.input_size), 5).astype(np.float32))
+    logits = pfnet_forward(image, params, net_cfg).logits.data
+    assert sorted(levels) == [2, 3, 4, 5]
+    assert [levels[l].shape[2:] for l in (2, 3, 4, 5)] == [net_cfg.level_size(l) for l in (2, 3, 4, 5)]
+    # the paper's head: resize every level to 1/4 scale, concat, one conv
+    quarter = net_cfg.level_size(2)
+    fused = concat_channels([ops.bilinear_resize(levels[l], quarter) for l in (2, 3, 4, 5)])
+    head = ops.conv2d(fused, params.conv("head.conv", padding=1))
+    head = relu(ops.channel_norm(head, params["head.norm.gamma"], params["head.norm.beta"]))
+    ref = ops.conv2d(head, params.conv("head.classifier")).data
+    assert np.abs(logits - ref).max() / np.abs(ref).max() <= 1e-5
+
+
+def test_forward_tape_keeps_no_quarter_grid_concat():
+    net_cfg = desk_cfg()
+    params = init_params(net_cfg, 0)
+    n, c = 4, net_cfg.fpn_channels
+    qh, qw = net_cfg.level_size(2)
+    image = Tensor(rand((n, 3) + tuple(net_cfg.input_size), 6).astype(np.float32))
+    with Tape() as tape:
+        pfnet_forward(image, params, net_cfg)
+    # no closure keeps an array with the 4C channels of the resized levels
+    # at the quarter grid (the concat, or a padded copy of it)
+    for _, backward in tape.entries:
+        for a in held_arrays(backward):
+            assert not (4 * c in a.shape and a.size >= n * 4 * c * qh * qw), (backward.__qualname__, a.shape)

@@ -14,6 +14,7 @@ from pfnet.ops import (
     conv2d,
     flat_to_points,
     point_sample_batched,
+    resize_conv3x3,
     scatter_points_batched,
     topk_select,
 )
@@ -148,28 +149,57 @@ def conv_reference_grads(x, weight, g, stride, padding):
     return gw, g.sum(axis=(0, 2, 3)), gxp[:, :, padding : padding + h, padding : padding + w]
 
 
+def rel_err(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+def resize_conv_reference(x, weight, out_hw):
+    """Float64 output, and a function of the output gradient returning the
+    weight and input gradients, of ``conv2d(bilinear_resize(x, out_hw))``
+    with zero bias and padding 1, through ``conv_reference``."""
+    x64 = Tensor(x.astype(np.float64), requires_grad=True)
+    with Tape() as tape:
+        resized = bilinear_resize(x64, out_hw).data
+    ((_, resize_backward),) = tape.entries
+
+    def grads(g):
+        gw, _, gr = conv_reference_grads(resized, weight, g, 1, 1)
+        resize_backward(gr)
+        return gw, x64.grad
+
+    return conv_reference(resized, weight, np.zeros(weight.shape[0]), 1, 1), grads
+
+
 def test_conv_float32_matches_reference_on_desk_shapes(monkeypatch):
     net_cfg = config.network_config(config.load_config(config.packaged_config_path("desk")))
     params = network.init_params(net_cfg, 0)
-    calls = []
+    calls, folds = [], []
 
     def recording_conv2d(x, p):
         calls.append((x.data, p))
         return conv2d(x, p)
 
+    def recording_resize_conv3x3(x, weight, out_hw):
+        folds.append((x.data, weight.data, out_hw))
+        return resize_conv3x3(x, weight, out_hw)
+
     monkeypatch.setattr(network, "conv2d", recording_conv2d)
     monkeypatch.setattr(pointflow, "conv2d", recording_conv2d)
+    monkeypatch.setattr(network, "resize_conv3x3", recording_resize_conv3x3)
     image = Tensor(rand((2, 3) + tuple(net_cfg.input_size), 41).astype(np.float32))
     network.pfnet_forward(image, params, net_cfg)
     assert len(calls) == sum(name.endswith(".weight") for name in params)
+    assert len(folds) == 3  # head levels 3, 4 and 5
     for k, (xd, p) in enumerate(calls):
+        # weights are re-wrapped as leaves: the head's level-2 weight is a
+        # channel_slice output made without a tape, which backward skips
         x = Tensor(xd, requires_grad=True)
-        p.weight.grad = p.bias.grad = None
+        p = ConvParams(Tensor(p.weight.data, requires_grad=True), Tensor(p.bias.data, requires_grad=True), p.stride, p.padding)
         with Tape() as tape:
             out = conv2d(x, p).data
         assert out.dtype == np.float32
         ref = conv_reference(xd, p.weight.data, p.bias.data, p.stride, p.padding)
-        err = np.abs(out - ref).max() / np.abs(ref).max()
+        err = rel_err(out, ref)
         assert err <= 1e-5, (xd.shape, p.weight.shape, p.stride, p.padding, err)
         g = rand(out.shape, 100 + k).astype(np.float32)
         ((_, backward),) = tape.entries
@@ -177,8 +207,22 @@ def test_conv_float32_matches_reference_on_desk_shapes(monkeypatch):
         refs = conv_reference_grads(xd, p.weight.data, g, p.stride, p.padding)
         for name, got, want in zip(("weight", "bias", "input"), (p.weight.grad, p.bias.grad, x.grad), refs):
             assert got.dtype == np.float32
-            err = np.abs(got - want).max() / np.abs(want).max()
+            err = rel_err(got, want)
             assert err <= 1e-5, (name, xd.shape, p.weight.shape, p.stride, p.padding, err)
+    for k, (xd, wd, out_hw) in enumerate(folds):
+        x, weight = Tensor(xd, requires_grad=True), Tensor(wd, requires_grad=True)
+        with Tape() as tape:
+            out = resize_conv3x3(x, weight, out_hw).data
+        assert out.dtype == np.float32
+        ref, ref_grads = resize_conv_reference(xd, wd, out_hw)
+        assert rel_err(out, ref) <= 1e-5, (xd.shape, out_hw, rel_err(out, ref))
+        g = rand(out.shape, 200 + k).astype(np.float32)
+        ((_, backward),) = tape.entries
+        backward(g)
+        for name, got, want in zip(("weight", "input"), (weight.grad, x.grad), ref_grads(g)):
+            assert got.dtype == np.float32
+            err = rel_err(got, want)
+            assert err <= 1e-5, (name, xd.shape, out_hw, err)
 
 
 @pytest.mark.parametrize("stride,h,w,cols", [(1, 6, 5, 40), (2, 7, 6, 15)])
@@ -251,7 +295,7 @@ def backward_peak(backward, g, params):
 
 
 def test_conv_backward_peak_bounded_at_desk_head_shape(monkeypatch):
-    # the fused head conv of desk.cfg: 256 -> 64 channels on 16x16 maps
+    # a wide conv at desk scale: 256 -> 64 channels on 16x16 maps, batch 8
     x = Tensor(rand((8, 256, 16, 16), 70).astype(np.float32), requires_grad=True)
     weight = Tensor(rand((64, 256, 3, 3), 71).astype(np.float32), requires_grad=True)
     p = ConvParams(weight, Tensor(np.zeros(64, dtype=np.float32), requires_grad=True), padding=1)
@@ -481,6 +525,83 @@ def test_resize_gradients(seed, out_hw):
         return sum_all(mul(bilinear_resize(x, out_hw), w))
 
     assert check_gradients(build, [x]) < DEFAULT_TOL
+
+
+def interp_matrix_loop(out_size, in_size, dtype):
+    """The row loop ``ops._interp_matrix`` replaced, as its bitwise reference."""
+    r = np.zeros((out_size, in_size), dtype=dtype)
+    pos = (np.arange(out_size) + 0.5) * (in_size / out_size) - 0.5
+    pos = np.clip(pos, 0.0, in_size - 1.0)
+    lo = np.floor(pos).astype(np.int64)
+    hi = np.minimum(lo + 1, in_size - 1)
+    frac = pos - lo
+    for i in range(out_size):
+        r[i, lo[i]] += 1.0 - frac[i]
+        r[i, hi[i]] += frac[i]
+    return r
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_interp_matrix_matches_row_loop_bitwise(dtype):
+    sizes = [(o, i) for o in range(1, 41) for i in range(1, 41)] + [(256, 64)]
+    for out_size, in_size in sizes:
+        got = ops._interp_matrix(out_size, in_size, dtype)
+        want = interp_matrix_loop(out_size, in_size, dtype)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (out_size, in_size)
+
+
+# ---------------------------------------------------------------------------
+# resize folded into a 3x3 conv
+
+
+@pytest.mark.parametrize(
+    "hw,out_hw",
+    [
+        pytest.param((1, 1), (2, 2), id="2x-from-1x1"),
+        pytest.param((3, 2), (6, 4), id="2x"),
+        pytest.param((2, 2), (8, 8), id="4x-from-2x2"),
+        pytest.param((1, 1), (8, 8), id="8x-from-1x1"),
+        pytest.param((2, 2), (16, 16), id="8x-from-2x2"),
+        pytest.param((3, 5), (7, 4), id="non-integer"),
+        pytest.param((6, 5), (3, 4), id="downsample"),
+    ],
+)
+def test_resize_conv3x3_values_and_gradients(hw, out_hw):
+    x = Tensor(rand((2, 3) + hw, 80), requires_grad=True)
+    weight = Tensor(rand((2, 3, 3, 3), 81), requires_grad=True)
+    w_out = Tensor(rand((2, 2) + out_hw, 82))
+    resized = conv2d(bilinear_resize(x, out_hw), ConvParams(weight, Tensor(np.zeros(2)), padding=1))
+    assert np.abs(resize_conv3x3(x, weight, out_hw).data - resized.data).max() < 1e-12
+
+    def build():
+        return sum_all(mul(resize_conv3x3(x, weight, out_hw), w_out))
+
+    assert check_gradients(build, [x, weight]) < DEFAULT_TOL
+
+
+@pytest.mark.parametrize("hw", [8, 4, 2])
+def test_resize_conv3x3_float32_matches_reference_on_desk_head_shapes(hw):
+    # levels 3, 4 and 5 of desk.cfg's fused head: 64 channels to 16x16
+    xd = rand((8, 64, hw, hw), 90).astype(np.float32)
+    wd = rand((64, 64, 3, 3), 91).astype(np.float32)
+    out = resize_conv3x3(Tensor(xd), Tensor(wd), (16, 16)).data
+    ref, _ = resize_conv_reference(xd, wd, (16, 16))
+    assert out.dtype == np.float32
+    assert rel_err(out, ref) <= 1e-5
+
+
+@pytest.mark.parametrize("out_hw", [(0, 4), (4, 0), (-2, 3)])
+def test_resize_conv3x3_invalid_out_hw(out_hw):
+    with pytest.raises(ValueError):
+        resize_conv3x3(Tensor(rand((1, 2, 3, 3), 94)), Tensor(rand((2, 2, 3, 3), 95)), out_hw)
+
+
+def test_resize_conv3x3_rejects_bad_weight():
+    x = Tensor(rand((1, 2, 3, 3), 96))
+    with pytest.raises(ValueError):
+        resize_conv3x3(x, Tensor(rand((2, 2, 1, 1), 97)), (6, 6))
+    with pytest.raises(ValueError):
+        resize_conv3x3(x, Tensor(rand((2, 3, 3, 3), 98)), (6, 6))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from pfnet.tensor import (
     Tensor,
     add,
     batched_matmul,
+    channel_slice,
     concat_channels,
     create,
     elementwise_binary,
@@ -188,6 +189,18 @@ def test_concat_spatial_mismatch():
         concat_channels([Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 3, 2)))])
 
 
+@pytest.mark.parametrize("start,stop", [(0, 2), (1, 4), (3, 5), (0, 5)])
+def test_channel_slice_values(start, stop):
+    x = Tensor(rand((2, 5, 3, 3), 12))
+    assert np.array_equal(channel_slice(x, start, stop).data, x.data[:, start:stop])
+
+
+@pytest.mark.parametrize("start,stop", [(-1, 2), (2, 2), (3, 1), (0, 6)])
+def test_channel_slice_bad_range_rejected(start, stop):
+    with pytest.raises(ValueError):
+        channel_slice(Tensor(np.zeros((1, 5, 2, 2))), start, stop)
+
+
 # ---------------------------------------------------------------------------
 # reverse accumulation
 
@@ -332,6 +345,18 @@ def test_concat_and_scale_gradients(seed):
         return sum_all(mul(scale(concat_channels([a, b]), 1.75), w))
 
     assert check_gradients(build, [a, b]) < DEFAULT_TOL
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_channel_slice_gradients(seed):
+    x = Tensor(rand((2, 5, 2, 3), seed), requires_grad=True)
+    w = Tensor(rand((2, 2, 2, 3), seed + 10))
+
+    def build():
+        # two overlapping slices, so the gradient adds across fan-out
+        return add(sum_all(mul(channel_slice(x, 1, 3), w)), sum_all(channel_slice(x, 2, 5)))
+
+    assert check_gradients(build, [x]) < DEFAULT_TOL
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
