@@ -9,6 +9,7 @@ canonical form for the run log.
 from __future__ import annotations
 
 import copy
+import math
 from importlib import resources
 
 from .learn import TrainConfig
@@ -29,6 +30,13 @@ def _bool(text):
     raise ConfigError(f"expected true/false, got {text!r}")
 
 
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _int_list(text):
     text = text.strip()
     if not text or text == "none":
@@ -36,7 +44,7 @@ def _int_list(text):
     return tuple(int(t) for t in text.split(","))
 
 
-_PARSERS = {int: int, float: float, str: str, bool: _bool, tuple: _int_list}
+_PARSERS = {int: int, float: _finite_float, str: str, bool: _bool, tuple: _int_list}
 
 # section -> key -> (type, default)
 SCHEMA = {
@@ -137,8 +145,13 @@ def parse_config_text(text, cfg=None, origin="<config>"):
 def load_config(path=None):
     if path is None:
         return default_config()
-    with open(path) as f:
-        return parse_config_text(f.read(), origin=str(path))
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"bad UTF-8 text in {path} at byte {exc.start}") from None
+    return parse_config_text(text, origin=str(path))
 
 
 def apply_overrides(cfg, overrides):

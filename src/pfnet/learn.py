@@ -102,11 +102,12 @@ def bce_loss(pred, target):
     count = p.size
     loss = float(-(target * np.log(p) + (1.0 - target) * np.log1p(-p)).sum() / count)
     out = Tensor(np.asarray(loss, dtype=pred.dtype), _op="bce_loss")
+    pred_slot, pred_data = pred.slot, pred.data
 
     def backward(g):
-        inside = (pred.data > _EPS) & (pred.data < 1.0 - _EPS)
+        inside = (pred_data > _EPS) & (pred_data < 1.0 - _EPS)
         grad = (p - target) / (p * (1.0 - p) * count)
-        _accumulate(pred, (g * grad * inside).astype(pred.dtype))
+        _accumulate(pred_slot, (g * grad * inside).astype(pred_data.dtype))
 
     return _maybe_record(out, (pred,), backward)
 
@@ -131,13 +132,14 @@ def ce_loss(logits, mask, ignore_label=IGNORE_LABEL):
     picked = np.take_along_axis(logp, labels[:, None], axis=1)[:, 0]
     loss = float(-(picked * valid).sum() / count)
     out = Tensor(np.asarray(loss, dtype=logits.dtype), _op="ce_loss")
+    logits_slot, dtype = logits.slot, logits.dtype
 
     def backward(g):
         softmax = np.exp(logp)
         onehot = np.zeros_like(softmax)
         np.put_along_axis(onehot, labels[:, None], 1.0, axis=1)
         grad = (softmax - onehot) * valid[:, None] / count
-        _accumulate(logits, (g * grad).astype(logits.dtype))
+        _accumulate(logits_slot, (g * grad).astype(dtype))
 
     return _maybe_record(out, (logits,), backward)
 

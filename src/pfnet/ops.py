@@ -85,6 +85,7 @@ def conv2d(x, p):
         raise ValueError(f"degenerate output size {oh}x{ow}")
     # Both backward closures are defined here, not in helpers: pfbench's
     # tracer names a tape entry's op kind after the function defining it.
+    x_slot, w_slot, b_slot = x.slot, p.weight.slot, p.bias.slot
     if (kh, kw, s, padding) == (1, 1, 1, 0):
         x3 = x.data.reshape(n, cin, h * w)
         w2 = p.weight.data.reshape(cout, cin)
@@ -95,10 +96,10 @@ def conv2d(x, p):
 
         def backward(g):
             g3 = g.reshape(n, cout, h * w)
-            _accumulate(p.weight, np.matmul(g3, x3.transpose(0, 2, 1)).sum(axis=0).reshape(p.weight.shape))
-            _accumulate(p.bias, g3.sum(axis=(0, 2)))
-            if x.requires_grad:
-                _accumulate(x, np.matmul(w2.T, g3).reshape(x.shape))
+            _accumulate(w_slot, np.matmul(g3, x3.transpose(0, 2, 1)).sum(axis=0).reshape(cout, cin, 1, 1))
+            _accumulate(b_slot, g3.sum(axis=(0, 2)))
+            if x_slot.requires_grad:
+                _accumulate(x_slot, np.matmul(w2.T, g3).reshape(n, cin, h, w))
 
         return _maybe_record(out, (x, p.weight, p.bias), backward)
 
@@ -143,7 +144,7 @@ def conv2d(x, p):
             gpad[:, dmax:], (na, nb, cout, lq), (-wq * e, -e, gpad.strides[0], e), writeable=False
         )
         gw = np.empty((kh, kw, cout, cin), dtype=g.dtype)
-        gbuf = np.zeros((s * s, cin, lq), dtype=g.dtype) if x.requires_grad else None
+        gbuf = np.zeros((s * s, cin, lq), dtype=g.dtype) if x_slot.requires_grad else None
         block = np.empty(na * nb * cout * tile, dtype=g.dtype)
         for pa in range(s):
             for pb in range(s):
@@ -161,13 +162,13 @@ def conv2d(x, p):
                     if gbuf is not None:
                         np.matmul(w_ph.T, blk, out=gbuf[ph, :, c0 : c0 + cw])
                 gw[pa::s, pb::s] = gw_ph.reshape(ta, tb, cout, cin)
-        _accumulate(p.weight, np.ascontiguousarray(gw.transpose(2, 3, 0, 1)))
-        _accumulate(p.bias, g.sum(axis=(0, 2, 3)))
+        _accumulate(w_slot, np.ascontiguousarray(gw.transpose(2, 3, 0, 1)))
+        _accumulate(b_slot, g.sum(axis=(0, 2, 3)))
         if gbuf is None:
             return
         gxp = gbuf.reshape(s, s, cin, n, hq, wq).transpose(2, 3, 4, 0, 5, 1).reshape(cin, n, s * hq, s * wq)
         gx = gxp[:, :, padding : padding + h, padding : padding + w].transpose(1, 0, 2, 3)
-        _accumulate(x, np.ascontiguousarray(gx))
+        _accumulate(x_slot, np.ascontiguousarray(gx))
 
     return _maybe_record(out, (x, p.weight, p.bias), backward)
 
@@ -189,14 +190,15 @@ def channel_norm(x, gamma, beta, eps=1e-5):
     xhat *= inv
     g4 = gamma.data.reshape(1, c, 1, 1)
     out = Tensor(g4 * xhat + beta.data.reshape(1, c, 1, 1), _op="channel_norm")
+    x_slot, gamma_slot, beta_slot = x.slot, gamma.slot, beta.slot
 
     def backward(g):
-        _accumulate(gamma, (g * xhat).sum(axis=axes))
-        _accumulate(beta, g.sum(axis=axes))
+        _accumulate(gamma_slot, (g * xhat).sum(axis=axes))
+        _accumulate(beta_slot, g.sum(axis=axes))
         dxhat = g * g4
         m1 = dxhat.mean(axis=axes, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=axes, keepdims=True)
-        _accumulate(x, inv * (dxhat - m1 - xhat * m2))
+        _accumulate(x_slot, inv * (dxhat - m1 - xhat * m2))
 
     return _maybe_record(out, (x, gamma, beta), backward)
 
@@ -235,13 +237,14 @@ def adaptive_max_pool(x, out_hw):
             pooled[:, :, i, j] = np.take_along_axis(flat, am[:, :, None], axis=2)[:, :, 0]
             indices[:, :, i, j] = (rs[i] + am // rw) * w + (cs[j] + am % rw)
     out = Tensor(pooled, _op="adaptive_max_pool")
+    x_slot, dtype = x.slot, x.dtype
 
     def backward(g):
-        gx = np.zeros((n, c, h * w), dtype=x.dtype)
+        gx = np.zeros((n, c, h * w), dtype=dtype)
         nn = np.arange(n)[:, None, None, None]
         cc = np.arange(c)[None, :, None, None]
         np.add.at(gx, (nn, cc, indices), g)
-        _accumulate(x, gx.reshape(n, c, h, w))
+        _accumulate(x_slot, gx.reshape(n, c, h, w))
 
     _maybe_record(out, (x,), backward)
     return out, indices
@@ -260,14 +263,15 @@ def adaptive_avg_pool(x, out_hw):
         for j in range(kw):
             pooled[:, :, i, j] = x.data[:, :, rs[i] : re[i], cs[j] : ce[j]].mean(axis=(2, 3))
     out = Tensor(pooled, _op="adaptive_avg_pool")
+    x_slot, dtype = x.slot, x.dtype
 
     def backward(g):
-        gx = np.zeros((n, c, h, w), dtype=x.dtype)
+        gx = np.zeros((n, c, h, w), dtype=dtype)
         for i in range(kh):
             for j in range(kw):
                 area = (re[i] - rs[i]) * (ce[j] - cs[j])
                 gx[:, :, rs[i] : re[i], cs[j] : ce[j]] += g[:, :, i : i + 1, j : j + 1] / area
-        _accumulate(x, gx)
+        _accumulate(x_slot, gx)
 
     return _maybe_record(out, (x,), backward)
 
@@ -293,9 +297,10 @@ def box_avg_pool(x, k):
         return acc / (k * k)
 
     out = Tensor(box(x.data), _op="box_avg_pool")
+    x_slot = x.slot
 
     def backward(g):
-        _accumulate(x, box(g))  # zero-padded box sum is self-adjoint
+        _accumulate(x_slot, box(g))  # zero-padded box sum is self-adjoint
 
     return _maybe_record(out, (x,), backward)
 
@@ -330,9 +335,10 @@ def bilinear_resize(x, out_hw):
     ry = _interp_matrix(oh, h, x.dtype)
     rx = _interp_matrix(ow, w, x.dtype)
     out = Tensor(np.matmul(ry, np.matmul(x.data, rx.T)), _op="bilinear_resize")
+    x_slot = x.slot
 
     def backward(g):
-        _accumulate(x, np.matmul(ry.T, np.matmul(g, rx)))
+        _accumulate(x_slot, np.matmul(ry.T, np.matmul(g, rx)))
 
     return _maybe_record(out, (x,), backward)
 
@@ -383,16 +389,17 @@ def resize_conv3x3(x, weight, out_hw):
         a = a.reshape(3, cout, n, w, oh).transpose(2, 1, 4, 0, 3).reshape(n * cout * oh, 3 * w)
         out_data = np.matmul(a, rx.T).reshape(n, cout, oh, ow)
     out = Tensor(out_data, _op="resize_conv3x3")
+    x_slot, w_slot = x.slot, weight.slot
 
     def backward(g):
         ga = np.matmul(g.reshape(n * cout * oh, ow), rx).reshape(n, cout, oh, 3, w)
         gz = np.matmul(ga.transpose(3, 1, 0, 4, 2).reshape(3 * cout * n * w, oh), ry)
         gz = gz.reshape(3, cout, n, w, 3, h).transpose(0, 1, 4, 2, 3, 5).reshape(9 * cout, n * w * h)
         gws = np.matmul(gz, xc.T).reshape(3, cout, 3, cin)
-        _accumulate(weight, np.ascontiguousarray(gws.transpose(1, 3, 2, 0)))
-        if x.requires_grad:
+        _accumulate(w_slot, np.ascontiguousarray(gws.transpose(1, 3, 2, 0)))
+        if x_slot.requires_grad:
             gx = np.matmul(ws.T, gz).reshape(cin, n, w, h).transpose(1, 0, 3, 2)
-            _accumulate(x, np.ascontiguousarray(gx))
+            _accumulate(x_slot, np.ascontiguousarray(gx))
 
     return _maybe_record(out, (x, weight), backward)
 
@@ -433,15 +440,16 @@ def point_sample_batched(x, pts):
     w10 = (wy * (1 - wx))[..., None].astype(x.dtype)
     w11 = (wy * wx)[..., None].astype(x.dtype)
     out = Tensor(w00 * v00 + w01 * v01 + w10 * v10 + w11 * v11, _op="point_sample")
+    x_slot, dtype = x.slot, x.dtype
 
     def backward(g):
-        gx = np.zeros((n, c, h * w), dtype=x.dtype)
+        gx = np.zeros((n, c, h * w), dtype=dtype)
         base = np.arange(n)[:, None, None] * c + np.arange(c)[None, :, None]  # [N, C, 1]
         for yy, xx, ww in ((y0, x0, w00), (y0, x1, w01), (y1, x0, w10), (y1, x1, w11)):
             flat = (yy * w + xx)[:, None, :]  # [N, 1, K]
             idx = base * (h * w) + flat  # [N, C, K]
             np.add.at(gx.reshape(-1), idx.ravel(), (ww * g).transpose(0, 2, 1).ravel())
-        _accumulate(x, gx.reshape(n, c, h, w))
+        _accumulate(x_slot, gx.reshape(n, c, h, w))
 
     return _maybe_record(out, (x,), backward)
 
@@ -496,13 +504,15 @@ def scatter_points_batched(base, pts, values):
     ni, ki = np.nonzero(keep)
     out_data[ni[:, None], np.arange(c)[None, :], rows[ni, ki][:, None], cols[ni, ki][:, None]] = values.data[ni, ki]
     out = Tensor(out_data, _op="scatter_points")
+    base_slot, values_slot = base.slot, values.slot
+    values_shape, values_dtype = values.shape, values.dtype
 
     def backward(g):
         gbase = g.copy()
         gbase[ni[:, None], np.arange(c)[None, :], rows[ni, ki][:, None], cols[ni, ki][:, None]] = 0.0
-        _accumulate(base, gbase)
-        gvals = np.zeros(values.shape, dtype=values.dtype)
+        _accumulate(base_slot, gbase)
+        gvals = np.zeros(values_shape, dtype=values_dtype)
         gvals[ni, ki] = g[ni[:, None], np.arange(c)[None, :], rows[ni, ki][:, None], cols[ni, ki][:, None]]
-        _accumulate(values, gvals)
+        _accumulate(values_slot, gvals)
 
     return _maybe_record(out, (base, values), backward)

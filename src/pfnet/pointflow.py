@@ -204,7 +204,7 @@ def point_propagate(src, dst, pts, affinity_scale=1.0):
         raise ValueError("empty point list")
     queries = point_sample_batched(dst, pts)
     keys = point_sample_batched(src, pts)
-    affinity = tt.batched_matmul(queries, tt.swap_last_axes(keys))
+    affinity = tt.batched_matmul(queries, keys, transpose_b=True)
     if affinity_scale != 1.0:
         affinity = tt.scale(affinity, affinity_scale)
     weights = tt.softmax_lastdim(affinity)

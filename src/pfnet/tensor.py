@@ -1,10 +1,17 @@
 """Dense tensors plus a reverse-mode differentiation tape.
 
 A :class:`Tensor` is an immutable dense value array (float32 for training,
-float64 for gradient checking).  Operations executed while a :class:`Tape`
-is active are recorded in execution order; :func:`reverse_accumulate`
-replays the adjoint rules in reverse, visiting every recorded operation
-exactly once and accumulating gradients additively across fan-out.
+float64 for gradient checking) plus a :class:`GradSlot`, the small object
+that holds its gradient and whether it wants one.  Operations executed
+while a :class:`Tape` is active record their output's slot and a backward
+closure; :func:`reverse_accumulate` replays the closures in reverse,
+visiting every recorded operation exactly once and accumulating gradients
+additively across fan-out.
+
+The tape never holds a tensor.  Each backward closure keeps the slots of
+its inputs and only the arrays its adjoint reads (``mul`` its operands,
+``relu`` its own output, a conv its padded input), so an intermediate
+value that no adjoint reads is freed as soon as the forward drops it.
 
 Broadcasting is deliberately restricted to the two patterns the network
 needs: a per-channel vector ``[1, C, 1, 1]`` against a feature map
@@ -31,15 +38,27 @@ def _active_tape():
     return getattr(_state, "tape", None)
 
 
+class GradSlot:
+    """Backward-pass bookkeeping of one tensor: its gradient, and whether
+    it wants one.  Tapes and backward closures hold slots, not tensors."""
+
+    __slots__ = ("grad", "requires_grad")
+
+    def __init__(self, requires_grad):
+        self.grad = None
+        self.requires_grad = requires_grad
+
+
 class Tensor:
     """Dense N-d value array with shape fixed at creation.
 
     ``data`` is row-major. Values must be finite after every forward
     operation; a NaN/Inf result raises immediately instead of propagating.
-    ``grad`` is backward-pass bookkeeping and not part of the value.
+    ``grad`` and ``requires_grad`` live in ``slot`` and are not part of
+    the value.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "slot")
 
     def __init__(self, data, requires_grad=False, _op=None):
         arr = np.asarray(data)
@@ -49,8 +68,23 @@ class Tensor:
             where = "" if _op is None else f" (output of {_op})"
             raise FloatingPointError(f"non-finite tensor values{where}")
         self.data = arr
-        self.requires_grad = bool(requires_grad)
-        self.grad = None
+        self.slot = GradSlot(bool(requires_grad))
+
+    @property
+    def grad(self):
+        return self.slot.grad
+
+    @grad.setter
+    def grad(self, value):
+        self.slot.grad = value
+
+    @property
+    def requires_grad(self):
+        return self.slot.requires_grad
+
+    @requires_grad.setter
+    def requires_grad(self, value):
+        self.slot.requires_grad = bool(value)
 
     @property
     def shape(self):
@@ -78,13 +112,17 @@ class Tape:
     Use as a context manager; operations executed inside record an adjoint
     rule whenever any operand requires gradients.  A tape can be
     backpropagated once, via :func:`reverse_accumulate`.
+
+    Entries and bookkeeping are keyed by slot: a tensor may be freed
+    mid-forward and its ``id()`` reused, but every slot the tape knows
+    stays alive with it.
     """
 
     def __init__(self):
-        self.entries = []          # (output Tensor, backward callable)
+        self.entries = []          # (output GradSlot, backward callable)
         self.consumed = False
-        self._produced = set()     # id() of tensors produced on this tape
-        self._leaves = {}          # id() -> leaf Tensor with requires_grad
+        self._produced = set()     # id() of the slots of outputs recorded here
+        self._leaves = {}          # id() -> (slot, shape, dtype) of each leaf input
 
     def __enter__(self):
         if _active_tape() is not None:
@@ -97,22 +135,27 @@ class Tape:
         return False
 
     def record(self, out, inputs, backward):
-        out.requires_grad = True
+        out.slot.requires_grad = True
         for t in inputs:
-            if t.requires_grad and id(t) not in self._produced:
-                self._leaves[id(t)] = t
-        self._produced.add(id(out))
-        self.entries.append((out, backward))
+            slot = t.slot
+            if slot.requires_grad and id(slot) not in self._produced:
+                self._leaves[id(slot)] = (slot, t.shape, t.dtype)
+        self._produced.add(id(out.slot))
+        self.entries.append((out.slot, backward))
 
     def owns(self, t):
-        return id(t) in self._produced
+        return id(t.slot) in self._produced
 
 
-def _accumulate(t, g):
-    """Add a gradient contribution to ``t`` (no in-place mutation)."""
-    if not t.requires_grad:
+def _accumulate(slot, g):
+    """Add a gradient contribution to an input's slot (no in-place mutation).
+
+    Backward closures call this with the slots they captured in the
+    forward; they hold no tensor, only the arrays their adjoint reads.
+    """
+    if not slot.requires_grad:
         return
-    t.grad = g if t.grad is None else t.grad + g
+    slot.grad = g if slot.grad is None else slot.grad + g
 
 
 def reverse_accumulate(tape, loss):
@@ -129,13 +172,12 @@ def reverse_accumulate(tape, loss):
         raise TapeError("loss was not produced on this tape")
     tape.consumed = True
     loss.grad = np.ones((), dtype=loss.dtype)
-    for out, backward in reversed(tape.entries):
-        if out.grad is not None:
-            backward(out.grad)
-    for leaf in tape._leaves.values():
-        if leaf.grad is None:
-            leaf.grad = np.zeros(leaf.shape, dtype=leaf.dtype)
-    return {id(t): t.grad for t in tape._leaves.values()}
+    for slot, backward in reversed(tape.entries):
+        if slot.grad is not None:
+            backward(slot.grad)
+    for slot, shape, dtype in tape._leaves.values():
+        if slot.grad is None:
+            slot.grad = np.zeros(shape, dtype=dtype)
 
 
 def _maybe_record(out, inputs, backward):
@@ -181,27 +223,23 @@ def _sigmoid(x):
 _UNARY_FORWARD = {
     "relu": lambda x: np.maximum(x, 0.0),
     "sigmoid": _sigmoid,
-    "exp": np.exp,
-    "neg": np.negative,
 }
 
 
 def elementwise_unary(kind, x):
+    """Both kinds' adjoints read only the output: relu's ``x > 0`` is
+    ``out > 0``."""
     if kind not in _UNARY_FORWARD:
         raise ValueError(f"unknown unary kind {kind!r}")
-    with np.errstate(over="ignore"):  # overflow surfaces as the finiteness error
-        out_data = _UNARY_FORWARD[kind](x.data)
+    out_data = _UNARY_FORWARD[kind](x.data)
     out = Tensor(out_data, _op=kind)
+    x_slot = x.slot
 
     def backward(g):
         if kind == "relu":
-            _accumulate(x, g * (x.data > 0))
-        elif kind == "sigmoid":
-            _accumulate(x, g * out_data * (1.0 - out_data))
-        elif kind == "exp":
-            _accumulate(x, g * out_data)
-        else:  # neg
-            _accumulate(x, -g)
+            _accumulate(x_slot, g * (out_data > 0))
+        else:  # sigmoid
+            _accumulate(x_slot, g * out_data * (1.0 - out_data))
 
     return _maybe_record(out, (x,), backward)
 
@@ -238,20 +276,23 @@ def elementwise_binary(kind, a, b):
     else:
         out_data = a.data * b.data
     out = Tensor(out_data, _op=kind)
+    a_slot, b_slot = a.slot, b.slot
+    # only mul's adjoint reads the operands
+    a_data, b_data = (a.data, b.data) if kind == "mul" else (None, None)
 
     def reduce_b(g):
         return g if axes is None else g.sum(axis=axes, keepdims=True)
 
     def backward(g):
         if kind == "add":
-            _accumulate(a, g)
-            _accumulate(b, reduce_b(g))
+            _accumulate(a_slot, g)
+            _accumulate(b_slot, reduce_b(g))
         elif kind == "sub":
-            _accumulate(a, g)
-            _accumulate(b, -reduce_b(g))
+            _accumulate(a_slot, g)
+            _accumulate(b_slot, -reduce_b(g))
         else:
-            _accumulate(a, g * b.data)
-            _accumulate(b, reduce_b(g * a.data))
+            _accumulate(a_slot, g * b_data)
+            _accumulate(b_slot, reduce_b(g * a_data))
 
     return _maybe_record(out, (a, b), backward)
 
@@ -272,9 +313,10 @@ def scale(x, c):
     """Multiply by a plain python scalar constant."""
     c = float(c)
     out = Tensor(x.data * c, _op="scale")
+    x_slot = x.slot
 
     def backward(g):
-        _accumulate(x, g * c)
+        _accumulate(x_slot, g * c)
 
     return _maybe_record(out, (x,), backward)
 
@@ -283,29 +325,23 @@ def scale(x, c):
 # linear algebra
 
 
-def batched_matmul(a, b):
-    """Stacked matrix product [B,m,k] x [B,k,n] -> [B,m,n]."""
-    if a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
+def batched_matmul(a, b, transpose_b=False):
+    """Stacked matrix product [B,m,k] x [B,k,n] -> [B,m,n]; with
+    ``transpose_b`` the second operand is [B,n,k] and enters transposed."""
+    k = 2 if transpose_b else 1
+    if a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0] or a.shape[2] != b.shape[k]:
         raise ValueError(f"bad stacked matmul shapes: {a.shape} x {b.shape}")
-    out = Tensor(np.matmul(a.data, b.data), _op="batched_matmul")
+    a_data = a.data
+    b_data = b.data.swapaxes(1, 2) if transpose_b else b.data
+    out = Tensor(np.matmul(a_data, b_data), _op="batched_matmul")
+    a_slot, b_slot = a.slot, b.slot
 
     def backward(g):
-        _accumulate(a, np.matmul(g, b.data.swapaxes(1, 2)))
-        _accumulate(b, np.matmul(a.data.swapaxes(1, 2), g))
+        _accumulate(a_slot, np.matmul(g, b_data.swapaxes(1, 2)))
+        gb = np.matmul(a_data.swapaxes(1, 2), g)
+        _accumulate(b_slot, gb.swapaxes(1, 2) if transpose_b else gb)
 
     return _maybe_record(out, (a, b), backward)
-
-
-def swap_last_axes(x):
-    """Transpose the trailing two axes."""
-    if x.ndim < 2:
-        raise ValueError("need at least 2 dimensions")
-    out = Tensor(x.data.swapaxes(-1, -2), _op="swap_last_axes")
-
-    def backward(g):
-        _accumulate(x, g.swapaxes(-1, -2))
-
-    return _maybe_record(out, (x,), backward)
 
 
 def _softmax_lastdim_data(x):
@@ -318,9 +354,10 @@ def softmax_lastdim(x):
     """Softmax over the last axis with max-subtraction for stability."""
     s = _softmax_lastdim_data(x.data)
     out = Tensor(s, _op="softmax")
+    x_slot = x.slot
 
     def backward(g):
-        _accumulate(x, (g - (g * s).sum(axis=-1, keepdims=True)) * s)
+        _accumulate(x_slot, (g - (g * s).sum(axis=-1, keepdims=True)) * s)
 
     return _maybe_record(out, (x,), backward)
 
@@ -335,10 +372,11 @@ def concat_channels(xs):
             raise ValueError("concat_channels operands must agree on N, H, W")
     out = Tensor(np.concatenate([t.data for t in xs], axis=1), _op="concat")
     splits = np.cumsum([t.shape[1] for t in xs])[:-1]
+    slots = [t.slot for t in xs]
 
     def backward(g):
-        for t, piece in zip(xs, np.split(g, splits, axis=1)):
-            _accumulate(t, piece)
+        for slot, piece in zip(slots, np.split(g, splits, axis=1)):
+            _accumulate(slot, piece)
 
     return _maybe_record(out, tuple(xs), backward)
 
@@ -349,11 +387,12 @@ def channel_slice(x, start, stop):
     if x.ndim < 2 or not 0 <= start < stop <= x.shape[1]:
         raise ValueError(f"channel range [{start}, {stop}) outside shape {x.shape}")
     out = Tensor(x.data[:, start:stop], _op="channel_slice")
+    x_slot, shape = x.slot, x.shape
 
     def backward(g):
-        gx = np.zeros(x.shape, dtype=g.dtype)
+        gx = np.zeros(shape, dtype=g.dtype)
         gx[:, start:stop] = g
-        _accumulate(x, gx)
+        _accumulate(x_slot, gx)
 
     return _maybe_record(out, (x,), backward)
 
@@ -361,8 +400,9 @@ def channel_slice(x, start, stop):
 def sum_all(x):
     """Reduce to a 0-d scalar (fixed ascending-index accumulation)."""
     out = Tensor(x.data.sum(), _op="sum")
+    x_slot, shape, dtype = x.slot, x.shape, x.dtype
 
     def backward(g):
-        _accumulate(x, np.full(x.shape, g, dtype=x.dtype))
+        _accumulate(x_slot, np.full(shape, g, dtype=dtype))
 
     return _maybe_record(out, (x,), backward)

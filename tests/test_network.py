@@ -12,9 +12,9 @@ from pfnet.network import (
 )
 from pfnet import config, network, ops
 from pfnet.pointflow import PfmConfig
-from pfnet.tensor import Tape, Tensor, concat_channels, mul, relu, reverse_accumulate, sum_all
-from pfnet.learn import ce_loss
-from test_ops import held_arrays
+from pfnet.tensor import Tape, Tensor, add, concat_channels, mul, relu, reverse_accumulate, sum_all
+from pfnet.learn import bce_loss, ce_loss
+from test_ops import closure_objects, held_arrays
 
 
 def rand(shape, seed, lo=-1.0, hi=1.0):
@@ -263,3 +263,28 @@ def test_forward_tape_keeps_no_quarter_grid_concat():
     for _, backward in tape.entries:
         for a in held_arrays(backward):
             assert not (4 * c in a.shape and a.size >= n * 4 * c * qh * qw), (backward.__qualname__, a.shape)
+
+
+def test_training_tape_closures_hold_no_tensor():
+    # backward closures keep gradient slots and arrays, never a Tensor (or
+    # the ConvParams that holds two), so values no adjoint reads are freed
+    net_cfg = desk_cfg()
+    params = init_params(net_cfg, 0)
+    image = Tensor(rand((2, 3) + tuple(net_cfg.input_size), 7).astype(np.float32))
+    mask = np.random.Generator(np.random.PCG64(8)).integers(0, net_cfg.num_classes, (2,) + tuple(net_cfg.input_size))
+    with Tape() as tape:
+        out = pfnet_forward(image, params, net_cfg)
+        loss = ce_loss(ops.bilinear_resize(out.logits, net_cfg.input_size), mask)
+        for gap in sorted(out.boundary_maps):
+            loss = add(loss, bce_loss(out.boundary_maps[gap], np.zeros(out.boundary_maps[gap].shape)))
+    kinds = set()
+    for _, backward in tape.entries:
+        kinds.add(backward.__qualname__.split(".")[0])
+        for obj in closure_objects(backward):
+            assert not isinstance(obj, (Tensor, ops.ConvParams)), (backward.__qualname__, type(obj))
+    assert kinds >= {
+        "conv2d", "channel_norm", "elementwise_unary", "elementwise_binary", "adaptive_max_pool",
+        "adaptive_avg_pool", "box_avg_pool", "bilinear_resize", "resize_conv3x3", "point_sample_batched",
+        "scatter_points_batched", "batched_matmul", "softmax_lastdim", "concat_channels", "channel_slice",
+        "ce_loss", "bce_loss",
+    }

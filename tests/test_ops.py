@@ -1,4 +1,5 @@
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -244,19 +245,33 @@ def test_conv_gradients_across_column_tiles(monkeypatch, stride, h, w, cols):
     assert check_gradients(build, [x, p.weight, p.bias]) < DEFAULT_TOL
 
 
-def held_arrays(fn):
-    """Arrays a closure keeps alive beyond the tensors it was handed, each
-    counted once by the array that owns its memory."""
-    owners = {}
+def closure_objects(fn):
+    """Every object a closure keeps alive through its cells, looking into
+    lists, tuples and the closures of nested functions."""
+    seen, found = set(), []
     stack = [cell.cell_contents for cell in fn.__closure__ or ()]
     while stack:
         obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        if isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif isinstance(obj, types.FunctionType):
+            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
+    return found
+
+
+def held_arrays(fn):
+    """Arrays a closure keeps alive, each counted once by the array that
+    owns its memory."""
+    owners = {}
+    for obj in closure_objects(fn):
         if isinstance(obj, np.ndarray):
             while isinstance(obj.base, np.ndarray):
                 obj = obj.base
             owners[id(obj)] = obj
-        elif isinstance(obj, (list, tuple)):
-            stack.extend(obj)
     return list(owners.values())
 
 

@@ -1,7 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from pfnet.gradcheck import DEFAULT_TOL, check_gradients
+from pfnet.ops import ConvParams, conv2d
 from pfnet.tensor import (
     Tape,
     TapeError,
@@ -87,9 +90,11 @@ def test_sigmoid_strictly_inside_unit_interval():
     assert np.all(y > 0.0) and np.all(y < 1.0)
 
 
-def test_exp_overflow_is_error():
-    with pytest.raises(FloatingPointError):
-        elementwise_unary("exp", Tensor(np.array([1e4])))
+def test_overflow_is_error_naming_the_op():
+    x = Tensor(np.full((1, 1, 3, 3), 1e38, dtype=np.float32))
+    p = ConvParams(Tensor(np.full((1, 1, 3, 3), 10.0, dtype=np.float32)), Tensor(np.zeros(1, dtype=np.float32)), padding=1)
+    with pytest.raises(FloatingPointError, match="output of conv2d"):
+        conv2d(x, p)
 
 
 def test_binary_add_sub():
@@ -141,6 +146,15 @@ def test_matmul_zeros():
     a = Tensor(rand((2, 3, 4), 8))
     out = batched_matmul(Tensor(np.zeros((2, 2, 3))), a)
     assert np.array_equal(out.data, np.zeros((2, 2, 4)))
+
+
+def test_matmul_transpose_b_equals_transposed_operand():
+    a = Tensor(rand((2, 3, 4), 13))
+    b = Tensor(rand((2, 5, 4), 14))
+    out = batched_matmul(a, b, transpose_b=True).data
+    assert out.tobytes() == np.matmul(a.data, b.data.swapaxes(1, 2)).tobytes()
+    with pytest.raises(ValueError):  # b is [B, n, k]: its last axis must match a's
+        batched_matmul(a, Tensor(rand((2, 4, 5), 15)), transpose_b=True)
 
 
 def test_matmul_dimension_mismatch():
@@ -240,6 +254,40 @@ def test_unreached_leaf_gets_zero_gradient():
     assert np.array_equal(y.grad, [0.0])
 
 
+def test_output_read_by_no_adjoint_is_freed_when_dropped():
+    # a conv output feeding only an add: neither adjoint reads it, so once
+    # the caller drops it, nothing on the tape keeps its values alive
+    x = Tensor(rand((2, 3, 6, 6), 15), requires_grad=True)
+    p = ConvParams(Tensor(rand((4, 3, 3, 3), 16), requires_grad=True), Tensor(rand((4,), 17), requires_grad=True), padding=1)
+    other = Tensor(rand((2, 4, 6, 6), 18))
+    with Tape() as tape:
+        y = conv2d(x, p)
+        freed = weakref.ref(y.data)
+        loss = sum_all(add(y, other))
+        del y  # freed by reference counting, with no collection pass
+        assert freed() is None
+    reverse_accumulate(tape, loss)
+    assert np.array_equal(p.bias.grad, np.full(4, 36 * 2.0))
+
+
+def test_leaf_created_after_freed_intermediates_is_registered():
+    x = Tensor(rand((3,), 19), requires_grad=True)
+    late = []
+    with Tape() as tape:
+        loss = sum_all(x)
+        for _ in range(50):
+            loss = add(loss, sum_all(scale(x, 0.5)))  # the scale output is freed here
+        # new leaves may reuse the id() of a freed intermediate tensor
+        for k in range(50):
+            leaf = Tensor(np.full(2, float(k)), requires_grad=True)
+            scale(leaf, 2.0)  # recorded, but the loss does not reach it
+            late.append(leaf)
+    reverse_accumulate(tape, loss)
+    assert np.allclose(x.grad, 26.0)
+    for leaf in late:
+        assert leaf.grad is not None and np.array_equal(leaf.grad, np.zeros(2))
+
+
 def test_loss_must_be_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with Tape() as tape:
@@ -291,7 +339,7 @@ def unary_case(kind, seed):
     return build, [x]
 
 
-@pytest.mark.parametrize("kind", ["relu", "sigmoid", "exp", "neg"])
+@pytest.mark.parametrize("kind", ["relu", "sigmoid"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_unary_gradients(kind, seed):
     build, leaves = unary_case(kind, seed)
@@ -320,6 +368,19 @@ def test_batched_matmul_gradients(seed):
 
     def build():
         return sum_all(mul(batched_matmul(a, b), w))
+
+    assert check_gradients(build, [a, b]) < DEFAULT_TOL
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batched_matmul_transpose_b_gradients(seed):
+    a = Tensor(rand((2, 3, 4), seed), requires_grad=True)
+    b = Tensor(rand((2, 5, 4), seed + 30), requires_grad=True)
+    w = Tensor(rand((2, 3, 5), seed + 60))
+
+    def build():
+        # b is used twice, so its transposed gradient adds to another one
+        return add(sum_all(mul(batched_matmul(a, b, transpose_b=True), w)), sum_all(mul(b, b)))
 
     assert check_gradients(build, [a, b]) < DEFAULT_TOL
 
