@@ -77,14 +77,12 @@ SCHEMA = {
         "poly_power": (float, 0.9),
         "batch_size": (int, 8),
         "edge_radius": (int, 1),
-        "ce_weight": (float, 1.0),
         "bce_weight": (float, 1.0),
         "augment": (bool, True),
         "checkpoint_every": (int, 0),
     },
     "eval": {
         "boundary_thresholds": (tuple, (12, 9, 5, 3)),
-        "batch_size": (int, 16),
     },
 }
 for _gap in (3, 4, 5):
@@ -95,7 +93,6 @@ for _gap in (3, 4, 5):
         "direction": (str, "top_down"),
         "edge_mode": (str, "subtraction"),
         "salient_sampling": (str, "max_pool"),
-        "affinity_scale": (float, 1.0),
         "sampling_seed": (int, 0),
     }
 
@@ -221,13 +218,11 @@ def network_config(cfg):
     for gap in (3, 4, 5):
         g = cfg[f"pfm.gap{gap}"]
         pfm[gap] = PfmConfig(
-            channels=n["fpn_channels"],
             salient_kernel=(g["salient_kh"], g["salient_kw"]),
             boundary_k=g["boundary_k"],
             direction=g["direction"],
             edge_mode=g["edge_mode"],
             salient_sampling=g["salient_sampling"],
-            affinity_scale=g["affinity_scale"],
             sampling_seed=g["sampling_seed"],
         )
     return NetworkConfig(
@@ -253,7 +248,6 @@ def train_config(cfg, seed):
         batch_size=t["batch_size"],
         seed=seed,
         edge_radius=t["edge_radius"],
-        ce_weight=t["ce_weight"],
         bce_weight=t["bce_weight"],
         augment=t["augment"],
         checkpoint_every=t["checkpoint_every"],

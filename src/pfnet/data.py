@@ -91,6 +91,7 @@ def _background(cfg, rng):
 
 
 def _paint_object(img, mask, rng, cfg):
+    """Paint one random object; returns how many background pixels it covered."""
     h, w = cfg.canvas
     lo, hi = cfg.object_size
     oh = int(rng.integers(lo, hi + 1))
@@ -112,10 +113,12 @@ def _paint_object(img, mask, rng, cfg):
     patch_noise = rng.normal(0.0, 0.03, (3, oh, ow))
     region = (slice(top, top + oh), slice(left, left + ow))
     mask_region = mask[region]
+    covered = int(np.count_nonzero(mask_region[inside] == 0))
     mask_region[inside] = cls
     for ch in range(3):
         img_ch = img[ch][region]
         img_ch[inside] = np.clip(color[ch] + patch_noise[ch][inside], 0.0, 1.0)
+    return covered
 
 
 def synth_scene(cfg, index):
@@ -129,14 +132,13 @@ def synth_scene(cfg, index):
         rng = _rng(cfg.seed, index, attempt)
         img = _background(cfg, rng)
         mask = np.zeros((h, w), dtype=np.uint8)
-        placed = 0
+        placed = fg = 0
         while placed < max_obj:
-            fg = int((mask > 0).sum())
             if placed >= min_obj and fg >= target_px:
                 break
-            _paint_object(img, mask, rng, cfg)
+            fg += _paint_object(img, mask, rng, cfg)
             placed += 1
-        ratio = (mask > 0).sum() / (h * w)
+        ratio = fg / (h * w)
         if max_obj == 0:
             return SceneSample(img.astype(np.float32), mask)
         if lo_ratio <= ratio <= hi_ratio:

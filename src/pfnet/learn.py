@@ -1,8 +1,8 @@
 """Losses, edge-target derivation, SGD with momentum, and the training loop.
 
 Training minimizes cross-entropy on the class mask plus binary
-cross-entropy on each enabled gap's boundary map, both weighted 1 by
-default.  The learning rate follows the poly schedule
+cross-entropy on each enabled gap's boundary map, the latter scaled by
+``bce_weight`` (1 by default).  The learning rate follows the poly schedule
 ``base_lr * (1 - iter / total_iter) ** power`` with power 0.9.
 
 Edge targets come from 4-connected label changes dilated by a Chebyshev
@@ -12,6 +12,7 @@ immediately with the iteration and the operation that produced it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,12 +45,14 @@ class TrainConfig:
     batch_size: int = 8
     seed: int = 0
     edge_radius: int = 1
-    ce_weight: float = 1.0
     bce_weight: float = 1.0
     augment: bool = True
     checkpoint_every: int = 0  # iterations; 0 disables periodic checkpoints
 
     def validate(self):
+        for name in ("base_lr", "momentum", "weight_decay", "poly_power", "bce_weight"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.base_lr <= 0:
             raise ValueError("base_lr must be positive")
         if self.poly_power <= 0:
@@ -184,13 +187,13 @@ def _batch_losses(params, images, masks, net_cfg, train_cfg):
     out = pfnet_forward(Tensor(images), params, net_cfg)
     full = bilinear_resize(out.logits, images.shape[2:])
     ce = ce_loss(full, masks)
-    total = tt.scale(ce, train_cfg.ce_weight)
+    total = ce
     bce_parts = []
-    if out.boundary_maps and train_cfg.bce_weight != 0.0:
+    if out.pfm_outputs and train_cfg.bce_weight != 0.0:
         targets = [edge_targets_from_mask(m, train_cfg.edge_radius) for m in masks]
-        for gap in sorted(out.boundary_maps):
+        for gap in sorted(out.pfm_outputs):
             target = np.stack([t[2 ** gap] for t in targets])[:, None]
-            bce_parts.append(bce_loss(out.boundary_maps[gap], target))
+            bce_parts.append(bce_loss(out.pfm_outputs[gap].boundary, target))
         bce_sum = bce_parts[0]
         for part in bce_parts[1:]:
             bce_sum = tt.add(bce_sum, part)

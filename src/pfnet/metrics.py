@@ -123,27 +123,28 @@ def boundary_pixel_set(mask):
     return b
 
 
-def boundary_match_counts(pred_mask, gt_mask, threshold):
-    """Matched/total boundary-pixel counts under a Euclidean tolerance.
+def boundary_match_counts(pred_mask, gt_mask, thresholds):
+    """Matched/total boundary-pixel counts under Euclidean tolerances.
 
-    Returns (pred_matched, pred_total, gt_matched, gt_total); counts merge
-    additively across crops.
+    Returns an int64 array with one row (pred_matched, pred_total,
+    gt_matched, gt_total) per threshold; counts merge additively across
+    crops.  Each mask's contour set and distance transform is computed
+    once, whatever the number of thresholds.
     """
     if pred_mask.shape != gt_mask.shape:
         raise ValueError("mask shapes differ")
-    if threshold < 1:
+    thresholds = np.asarray(thresholds, dtype=np.float64)[:, None]
+    if (thresholds < 1).any():
         raise ValueError("threshold must be >= 1 pixel")
     pred_b = boundary_pixel_set(pred_mask)
     gt_b = boundary_pixel_set(gt_mask)
-    pred_total = int(pred_b.sum())
-    gt_total = int(gt_b.sum())
-    pred_matched = gt_matched = 0
-    if pred_total and gt_total:
-        dist_to_gt = distance_transform_edt(~gt_b)
-        pred_matched = int((dist_to_gt[pred_b] <= threshold).sum())
-        dist_to_pred = distance_transform_edt(~pred_b)
-        gt_matched = int((dist_to_pred[gt_b] <= threshold).sum())
-    return pred_matched, pred_total, gt_matched, gt_total
+    rows = np.zeros((len(thresholds), 4), dtype=np.int64)
+    rows[:, 1] = pred_b.sum()
+    rows[:, 3] = gt_b.sum()
+    if pred_b.any() and gt_b.any():
+        rows[:, 0] = (distance_transform_edt(~gt_b)[pred_b] <= thresholds).sum(axis=1)
+        rows[:, 2] = (distance_transform_edt(~pred_b)[gt_b] <= thresholds).sum(axis=1)
+    return rows
 
 
 def _f_measure(pred_matched, pred_total, gt_matched, gt_total):
@@ -158,10 +159,6 @@ def _f_measure(pred_matched, pred_total, gt_matched, gt_total):
     return 2 * precision * recall / (precision + recall)
 
 
-def boundary_f1(pred_mask, gt_mask, threshold):
-    return _f_measure(*boundary_match_counts(pred_mask, gt_mask, threshold))
-
-
 @dataclass
 class BoundaryStats:
     """Streaming boundary-match counts per threshold (a mergeable monoid)."""
@@ -174,8 +171,10 @@ class BoundaryStats:
             self.counts.setdefault(t, np.zeros(4, dtype=np.int64))
 
     def update(self, pred_mask, gt_mask):
-        for t in self.counts:  # unique thresholds; a repeated one counts once
-            self.counts[t] += np.array(boundary_match_counts(pred_mask, gt_mask, t))
+        # unique thresholds; a repeated one counts once
+        rows = boundary_match_counts(pred_mask, gt_mask, tuple(self.counts))
+        for t, row in zip(self.counts, rows):
+            self.counts[t] += row
         return self
 
     def merge(self, other):

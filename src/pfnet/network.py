@@ -33,10 +33,6 @@ from .pointflow import PfmConfig, PfmParams, pfm_forward
 from .tensor import Tensor
 
 
-def default_gap_configs(channels):
-    return {gap: PfmConfig(channels=channels) for gap in (3, 4, 5)}
-
-
 @dataclass
 class NetworkConfig:
     input_size: tuple = (64, 64)
@@ -50,7 +46,7 @@ class NetworkConfig:
 
     def __post_init__(self):
         if self.pfm is None:
-            self.pfm = default_gap_configs(self.fpn_channels)
+            self.pfm = {gap: PfmConfig() for gap in (3, 4, 5)}
 
     def validate(self):
         h, w = self.input_size
@@ -73,7 +69,6 @@ class NetworkConfig:
         kh, kw = base.salient_kernel
         return replace(
             base,
-            channels=self.fpn_channels,
             salient_kernel=(min(kh, h), min(kw, w)),
             boundary_k=min(base.boundary_k, h * w),
         )
@@ -198,8 +193,7 @@ def ppm_forward(c5, params, bins):
 @dataclass
 class NetOutput:
     logits: Tensor                 # [N, num_classes, H/4, W/4]
-    boundary_maps: dict            # gap -> boundary map tensor
-    pfm_outputs: dict              # gap -> PfmOutput
+    pfm_outputs: dict              # gap -> PfmOutput, boundary map included
 
 
 def pfnet_forward(image, params, cfg):
@@ -219,7 +213,6 @@ def pfnet_forward(image, params, cfg):
     else:
         p[5] = _lateral(c5, params, 5)
 
-    boundary_maps = {}
     pfm_outputs = {}
     for gap in (5, 4, 3):
         fine = _lateral(by_level[gap - 1], params, gap - 1)
@@ -231,7 +224,6 @@ def pfnet_forward(image, params, cfg):
             )
             out = pfm_forward(p[gap], fine, gap_cfg, gap_params)
             pfm_outputs[gap] = out
-            boundary_maps[gap] = out.boundary
             if out.refined_coarse is not None:
                 p[gap] = out.refined_coarse
             if out.refined is not None:
@@ -250,4 +242,4 @@ def pfnet_forward(image, params, cfg):
         head = tt.add(head, resize_conv3x3(p[l], tt.channel_slice(weight, (l - 2) * c, (l - 1) * c), (qh, qw)))
     head = tt.relu(channel_norm(head, params["head.norm.gamma"], params["head.norm.beta"]))
     logits = conv2d(head, params.conv("head.classifier"))
-    return NetOutput(logits=logits, boundary_maps=boundary_maps, pfm_outputs=pfm_outputs)
+    return NetOutput(logits=logits, pfm_outputs=pfm_outputs)

@@ -49,13 +49,11 @@ DENSE_POINT_LIMIT = 4096
 
 @dataclass
 class PfmConfig:
-    channels: int = 64
     salient_kernel: tuple = (14, 14)
     boundary_k: int = 128  # 0 disables the boundary flow
     direction: str = "top_down"
     edge_mode: str = "subtraction"
     salient_sampling: str = "max_pool"
-    affinity_scale: float = 1.0
     sampling_seed: int = 0
 
     def validate(self):
@@ -86,9 +84,7 @@ class PfmOutput:
     boundary: Optional[Tensor]         # boundary map on the coarse grid, in (0, 1)
     saliency: Tensor                   # saliency map on the coarse grid
     salient_points: np.ndarray         # [N, P, 2] normalized coordinates
-    salient_scores: np.ndarray         # [N, P]
     boundary_points: np.ndarray        # [N, K, 2]; K may be 0
-    boundary_scores: np.ndarray        # [N, K]
     refined_coarse: Optional[Tensor] = None  # bottom-up flows only
 
 
@@ -132,7 +128,7 @@ def salient_match(coarse, saliency, cfg):
 
     Returns the attention-enhanced coarse feature (pooled saliency is
     upsampled back to the grid before the residual multiply) plus the
-    selected salient points and their scores.  The sampling variants only
+    selected salient points.  The sampling variants only
     change the index selection; the enhanced feature always comes from the
     max-pooled attention path.
     """
@@ -149,15 +145,11 @@ def salient_match(coarse, saliency, cfg):
 
     if cfg.salient_sampling == "max_pool":
         flat = pool_idx[:, 0].reshape(n, kh * kw)
-        scores = pooled.data[:, 0].reshape(n, kh * kw).copy()
     elif cfg.salient_sampling == "uniform_random":
         flat = _uniform_region_points(saliency.data, (kh, kw), cfg.sampling_seed)
-        scores = saliency.data[:, 0].reshape(n, h * w)[np.arange(n)[:, None], flat].copy()
     else:  # attention_topk
         flat = topk_select(saliency, kh * kw)
-        scores = saliency.data[:, 0].reshape(n, h * w)[np.arange(n)[:, None], flat].copy()
-    points = flat_to_points(flat, h, w)
-    return enhanced, points, scores
+    return enhanced, flat_to_points(flat, h, w)
 
 
 def boundary_branch(coarse, saliency, params, cfg):
@@ -188,30 +180,27 @@ def boundary_branch(coarse, saliency, params, cfg):
     boundary = tt.sigmoid(conv2d(sharpened, params))
 
     if k == 0:
-        return boundary, np.zeros((n, 0, 2)), np.zeros((n, 0))
-    flat = topk_select(boundary, k)
-    scores = boundary.data[:, 0].reshape(n, h * w)[np.arange(n)[:, None], flat].copy()
-    return boundary, flat_to_points(flat, h, w), scores
+        return boundary, np.zeros((n, 0, 2))
+    return boundary, flat_to_points(topk_select(boundary, k), h, w)
 
 
-def point_propagate(src, dst, pts, affinity_scale=1.0):
+def point_propagate(src, dst, pts):
     """Affinity-weighted propagation for [N, K, 2] point sets -> [N, K, C].
 
     Queries and the residual come from ``dst``, keys and values from
-    ``src``; each row of the affinity is softmax-normalized.
+    ``src``; each row of the query/key dot-product affinity is
+    softmax-normalized, with no temperature.
     """
     if pts.shape[1] < 1:
         raise ValueError("empty point list")
     queries = point_sample_batched(dst, pts)
     keys = point_sample_batched(src, pts)
     affinity = tt.batched_matmul(queries, keys, transpose_b=True)
-    if affinity_scale != 1.0:
-        affinity = tt.scale(affinity, affinity_scale)
     weights = tt.softmax_lastdim(affinity)
     return tt.add(tt.batched_matmul(weights, keys), queries)
 
 
-def _flow(value_srcs, dst, out, cfg):
+def _flow(value_srcs, dst, out):
     """Propagate the salient then the boundary flow and scatter into ``dst``.
 
     ``value_srcs`` holds the (salient, boundary) sources of keys and values;
@@ -221,7 +210,7 @@ def _flow(value_srcs, dst, out, cfg):
     refined = dst
     for src, pts in zip(value_srcs, (out.salient_points, out.boundary_points)):
         if pts.shape[1] > 0:
-            rows = point_propagate(src, dst, pts, cfg.affinity_scale)
+            rows = point_propagate(src, dst, pts)
             refined = scatter_points_batched(refined, pts, rows)
     return refined
 
@@ -237,28 +226,26 @@ def pfm_forward(coarse, fine, cfg, params):
     """
     cfg.validate()
     saliency = compute_saliency(coarse, fine, params.saliency_conv)
-    enhanced, s_points, s_scores = salient_match(coarse, saliency, cfg)
-    boundary, b_points, b_scores = boundary_branch(coarse, saliency, params.boundary_conv, cfg)
+    enhanced, s_points = salient_match(coarse, saliency, cfg)
+    boundary, b_points = boundary_branch(coarse, saliency, params.boundary_conv, cfg)
     out = PfmOutput(
         refined=None,
         boundary=boundary,
         saliency=saliency,
         salient_points=s_points,
-        salient_scores=s_scores,
         boundary_points=b_points,
-        boundary_scores=b_scores,
     )
     if cfg.direction == "top_down":
-        out.refined = _flow((enhanced, coarse), fine, out, cfg)
+        out.refined = _flow((enhanced, coarse), fine, out)
     elif cfg.direction == "bottom_up":
-        out.refined_coarse = _flow((fine, fine), coarse, out, cfg)
+        out.refined_coarse = _flow((fine, fine), coarse, out)
     else:  # td_then_bu
-        out.refined = _flow((enhanced, coarse), fine, out, cfg)
-        out.refined_coarse = _flow((out.refined, out.refined), coarse, out, cfg)
+        out.refined = _flow((enhanced, coarse), fine, out)
+        out.refined_coarse = _flow((out.refined, out.refined), coarse, out)
     return out
 
 
-def dense_affinity_reference(src, dst, affinity_scale=1.0):
+def dense_affinity_reference(src, dst):
     """Brute-force arm: every grid center of ``src`` is a selected point.
 
     Serves as the oracle for sparse propagation and as the dense-affinity
@@ -273,5 +260,5 @@ def dense_affinity_reference(src, dst, affinity_scale=1.0):
     if h * w > DENSE_POINT_LIMIT:
         raise ValueError(f"{h * w} points exceeds the dense limit {DENSE_POINT_LIMIT}")
     pts = np.broadcast_to(flat_to_points(np.arange(h * w), h, w), (src.shape[0], h * w, 2))
-    rows = point_propagate(src, dst, pts, affinity_scale)
+    rows = point_propagate(src, dst, pts)
     return scatter_points_batched(dst, pts, rows)

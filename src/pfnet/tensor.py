@@ -188,27 +188,6 @@ def _maybe_record(out, inputs, backward):
 
 
 # ---------------------------------------------------------------------------
-# creation
-
-
-def create(shape, fill=0.0, seed=None, requires_grad=False, dtype=np.float64):
-    """Create a tensor of ``shape`` filled with a constant or seeded noise.
-
-    With ``seed`` given, values are uniform in [-1, 1] from a fixed PCG64
-    stream, so (seed, shape) determines the bytes exactly.
-    """
-    shape = tuple(int(d) for d in shape)
-    if any(d < 1 for d in shape):
-        raise ValueError(f"dimensions must be >= 1, got {shape}")
-    if seed is not None:
-        data = np.random.Generator(np.random.PCG64(seed)).uniform(-1.0, 1.0, shape)
-        data = data.astype(dtype)
-    else:
-        data = np.full(shape, float(fill), dtype=dtype)
-    return Tensor(data, requires_grad=requires_grad)
-
-
-# ---------------------------------------------------------------------------
 # elementwise
 
 
@@ -393,16 +372,5 @@ def channel_slice(x, start, stop):
         gx = np.zeros(shape, dtype=g.dtype)
         gx[:, start:stop] = g
         _accumulate(x_slot, gx)
-
-    return _maybe_record(out, (x,), backward)
-
-
-def sum_all(x):
-    """Reduce to a 0-d scalar (fixed ascending-index accumulation)."""
-    out = Tensor(x.data.sum(), _op="sum")
-    x_slot, shape, dtype = x.slot, x.shape, x.dtype
-
-    def backward(g):
-        _accumulate(x_slot, np.full(shape, g, dtype=dtype))
 
     return _maybe_record(out, (x,), backward)

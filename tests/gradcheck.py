@@ -1,4 +1,5 @@
-"""Finite-difference validation of every differentiable operation.
+"""Test helpers: finite-difference validation of every differentiable
+operation, and the scalar sum the checked losses reduce with.
 
 The check compares tape gradients against central differences at 64-bit.
 The reported figure for a leaf is a normalized max error::
@@ -12,10 +13,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tape, reverse_accumulate
+from pfnet.tensor import Tape, Tensor, _accumulate, _maybe_record, reverse_accumulate
 
 DEFAULT_STEP = 1e-5
 DEFAULT_TOL = 1e-4
+
+
+def sum_all(x):
+    """Reduce to a 0-d scalar (fixed ascending-index accumulation)."""
+    out = Tensor(x.data.sum(), _op="sum")
+    x_slot, shape, dtype = x.slot, x.shape, x.dtype
+
+    def backward(g):
+        _accumulate(x_slot, np.full(shape, g, dtype=dtype))
+
+    return _maybe_record(out, (x,), backward)
 
 
 def central_difference(build_loss, leaf, index, h=DEFAULT_STEP):
@@ -74,4 +86,3 @@ def check_gradients(build_loss, leaves, h=DEFAULT_STEP, max_probes=None, seed=0)
         err = np.abs(probed_analytic - probed_numeric).max(initial=0.0) / denom
         worst = max(worst, float(err))
     return worst
-

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from pfnet import learn
-from pfnet.gradcheck import DEFAULT_TOL, check_gradients
 from pfnet.learn import (
     SgdMomentum,
     TrainConfig,
@@ -19,6 +18,8 @@ from pfnet.network import NetworkConfig, init_params
 from pfnet.pointflow import PfmConfig
 from pfnet.tensor import Tensor
 
+from gradcheck import DEFAULT_TOL, check_gradients
+
 
 def rand(shape, seed, lo=-1.0, hi=1.0):
     return np.random.Generator(np.random.PCG64(seed)).uniform(lo, hi, shape)
@@ -31,7 +32,7 @@ def tiny_cfg(**kw):
         fpn_channels=8,
         backbone_channels=(4, 6, 8, 12),
         ppm_bins=(1,),
-        pfm={gap: PfmConfig(channels=8, salient_kernel=(2, 2), boundary_k=2) for gap in (3, 4, 5)},
+        pfm={gap: PfmConfig(salient_kernel=(2, 2), boundary_k=2) for gap in (3, 4, 5)},
     )
     base.update(kw)
     return NetworkConfig(**base)
@@ -308,3 +309,12 @@ def test_non_finite_loss_aborts_with_iteration():
     with pytest.raises(TrainingAborted) as err:
         train_step(params, opt, tiny_crops(2, 5), cfg, TrainConfig(batch_size=2), 3, 10)
     assert err.value.iteration == 3
+
+
+@pytest.mark.parametrize("field", ["base_lr", "momentum", "weight_decay", "poly_power", "bce_weight"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_train_config_rejects_non_finite_values(field, value):
+    # a config built in code skips the parser's finiteness check
+    tc = TrainConfig(epochs=1, batch_size=2, **{field: value})
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        tc.validate()

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from pfnet import metrics
 from pfnet.metrics import (
     BoundaryStats,
     ConfusionMatrix,
-    boundary_f1,
     class_f1,
     fg_point_counts,
     label_boundaries,
@@ -163,8 +163,9 @@ def test_streaming_equals_pooled():
 def test_boundary_f1_identical_masks():
     rng = np.random.Generator(np.random.PCG64(3))
     mask = rng.integers(0, 3, (16, 16))
+    stats = BoundaryStats((1, 2, 3)).update(mask, mask)
     for t in (1, 2, 3):
-        assert boundary_f1(mask, mask, t) == 1.0
+        assert stats.f1(t) == 1.0
 
 
 def test_boundary_f1_shifted_band():
@@ -172,16 +173,16 @@ def test_boundary_f1_shifted_band():
     gt[:, 10:] = 1
     pred = np.zeros((20, 20), dtype=np.int64)
     pred[:, 12:] = 1  # boundary shifted 2 px
-    assert boundary_f1(pred, gt, 3) == 1.0
-    assert boundary_f1(pred, gt, 1) == 0.0
+    assert BoundaryStats((3,)).update(pred, gt).f1(3) == 1.0
+    assert BoundaryStats((1,)).update(pred, gt).f1(1) == 0.0
 
 
 def test_boundary_f1_vacuous_agreement():
     empty = np.zeros((8, 8), dtype=np.int64)
-    assert boundary_f1(empty, empty, 1) == 1.0
+    assert BoundaryStats((1,)).update(empty, empty).f1(1) == 1.0
     half = np.zeros((8, 8), dtype=np.int64)
     half[:, 4:] = 1
-    assert boundary_f1(empty, half, 1) == 0.0
+    assert BoundaryStats((1,)).update(empty, half).f1(1) == 0.0
 
 
 def test_boundary_f1_symmetry():
@@ -189,18 +190,31 @@ def test_boundary_f1_symmetry():
     a = rng.integers(0, 2, (12, 12))
     b = rng.integers(0, 2, (12, 12))
     for t in (1, 2):
-        assert boundary_f1(a, b, t) == pytest.approx(boundary_f1(b, a, t), abs=1e-12)
+        ab = BoundaryStats((t,)).update(a, b).f1(t)
+        assert ab == pytest.approx(BoundaryStats((t,)).update(b, a).f1(t), abs=1e-12)
 
 
 def test_boundary_f1_matches_exhaustive_distance_oracle():
+    # one update scores every threshold from the same distance transforms
     rng = np.random.Generator(np.random.PCG64(5))
     for _ in range(100):
         gt = rng.integers(0, 3, (16, 16))
         pred = rng.integers(0, 3, (16, 16))
-        t = int(rng.integers(1, 4))
-        assert boundary_f1(pred, gt, t) == pytest.approx(
-            oracle_boundary_f1(pred, gt, t), abs=1e-9
-        )
+        stats = BoundaryStats((1, 2, 3)).update(pred, gt)
+        for t in (1, 2, 3):
+            assert stats.f1(t) == pytest.approx(oracle_boundary_f1(pred, gt, t), abs=1e-9)
+
+
+def test_boundary_stats_update_runs_two_distance_transforms(monkeypatch):
+    calls = []
+    edt = metrics.distance_transform_edt
+    monkeypatch.setattr(metrics, "distance_transform_edt", lambda x: calls.append(1) or edt(x))
+    rng = np.random.Generator(np.random.PCG64(11))
+    pred, gt = rng.integers(0, 3, (12, 12)), rng.integers(0, 3, (12, 12))
+    for thresholds in ((1,), (12, 9, 5, 3)):
+        calls.clear()
+        BoundaryStats(thresholds).update(pred, gt)
+        assert len(calls) == 2
 
 
 def test_boundary_stats_streaming():

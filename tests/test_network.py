@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from pfnet.gradcheck import DEFAULT_TOL, check_gradients
 from pfnet.network import (
     NetworkConfig,
     ParameterSet,
@@ -12,8 +11,10 @@ from pfnet.network import (
 )
 from pfnet import config, network, ops
 from pfnet.pointflow import PfmConfig
-from pfnet.tensor import Tape, Tensor, add, concat_channels, mul, relu, reverse_accumulate, sum_all
+from pfnet.tensor import Tape, Tensor, add, concat_channels, mul, relu, reverse_accumulate
 from pfnet.learn import bce_loss, ce_loss
+
+from gradcheck import DEFAULT_TOL, check_gradients
 from test_ops import closure_objects, held_arrays
 
 
@@ -28,7 +29,7 @@ def tiny_cfg(**kw):
         fpn_channels=8,
         backbone_channels=(4, 6, 8, 12),
         ppm_bins=(1, 2),
-        pfm={gap: PfmConfig(channels=8, salient_kernel=(2, 2), boundary_k=2) for gap in (3, 4, 5)},
+        pfm={gap: PfmConfig(salient_kernel=(2, 2), boundary_k=2) for gap in (3, 4, 5)},
     )
     base.update(kw)
     return NetworkConfig(**base)
@@ -145,7 +146,6 @@ def test_plain_fpn_baseline_shapes():
     image = Tensor(rand((2, 3, 32, 32), 11))
     out = pfnet_forward(image, params, cfg)
     assert out.logits.shape == (2, 4, 8, 8)  # quarter resolution
-    assert out.boundary_maps == {}
     assert out.pfm_outputs == {}
 
 
@@ -154,10 +154,10 @@ def test_all_gaps_give_three_boundary_maps_at_right_strides():
     params = init_params(cfg, 12, dtype=np.float64)
     image = Tensor(rand((2, 3, 32, 32), 13))
     out = pfnet_forward(image, params, cfg)
-    assert sorted(out.boundary_maps) == [3, 4, 5]
-    assert out.boundary_maps[3].shape[2:] == (4, 4)   # stride 8
-    assert out.boundary_maps[4].shape[2:] == (2, 2)   # stride 16
-    assert out.boundary_maps[5].shape[2:] == (1, 1)   # stride 32
+    assert sorted(out.pfm_outputs) == [3, 4, 5]
+    assert out.pfm_outputs[3].boundary.shape[2:] == (4, 4)   # stride 8
+    assert out.pfm_outputs[4].boundary.shape[2:] == (2, 2)   # stride 16
+    assert out.pfm_outputs[5].boundary.shape[2:] == (1, 1)   # stride 32
 
 
 def test_disabled_pfms_match_plain_path_exactly():
@@ -191,10 +191,11 @@ def test_every_parameter_receives_gradient():
         from pfnet.learn import bce_loss
         from pfnet.tensor import add, scale
 
-        for gap in sorted(out.boundary_maps):
-            target = np.zeros(out.boundary_maps[gap].shape)
+        for gap in sorted(out.pfm_outputs):
+            boundary = out.pfm_outputs[gap].boundary
+            target = np.zeros(boundary.shape)
             target[..., 0, 0] = 1.0
-            loss = add(loss, bce_loss(out.boundary_maps[gap], target))
+            loss = add(loss, bce_loss(boundary, target))
     reverse_accumulate(tape, loss)
     for name, t in params.items():
         assert t.grad is not None, f"{name} missing gradient"
@@ -275,8 +276,8 @@ def test_training_tape_closures_hold_no_tensor():
     with Tape() as tape:
         out = pfnet_forward(image, params, net_cfg)
         loss = ce_loss(ops.bilinear_resize(out.logits, net_cfg.input_size), mask)
-        for gap in sorted(out.boundary_maps):
-            loss = add(loss, bce_loss(out.boundary_maps[gap], np.zeros(out.boundary_maps[gap].shape)))
+        for pfm in out.pfm_outputs.values():
+            loss = add(loss, bce_loss(pfm.boundary, np.zeros(pfm.boundary.shape)))
     kinds = set()
     for _, backward in tape.entries:
         kinds.add(backward.__qualname__.split(".")[0])

@@ -4,7 +4,6 @@ import types
 import numpy as np
 import pytest
 
-from pfnet.gradcheck import DEFAULT_TOL, check_gradients
 from pfnet.ops import (
     ConvParams,
     adaptive_avg_pool,
@@ -20,7 +19,9 @@ from pfnet.ops import (
     topk_select,
 )
 from pfnet import config, network, ops, pointflow
-from pfnet.tensor import Tape, Tensor, mul, reverse_accumulate, sum_all
+from pfnet.tensor import Tape, Tensor, mul, reverse_accumulate
+
+from gradcheck import DEFAULT_TOL, check_gradients, sum_all
 
 
 def rand(shape, seed, lo=-1.0, hi=1.0):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from pfnet.gradcheck import DEFAULT_TOL, check_gradients
 from pfnet.ops import ConvParams, flat_to_points, point_sample_batched, scatter_points_batched
 from pfnet.pointflow import (
     DIRECTIONS,
@@ -15,7 +14,9 @@ from pfnet.pointflow import (
     point_propagate,
     salient_match,
 )
-from pfnet.tensor import Tensor, add, mul, softmax_lastdim, sum_all
+from pfnet.tensor import Tensor, add, mul, softmax_lastdim
+
+from gradcheck import DEFAULT_TOL, check_gradients, sum_all
 
 
 def rand(shape, seed, lo=-1.0, hi=1.0):
@@ -43,7 +44,7 @@ def boundary_conv(c, seed=None, zero=False):
 
 
 def small_cfg(**kw):
-    base = dict(channels=3, salient_kernel=(2, 2), boundary_k=3)
+    base = dict(salient_kernel=(2, 2), boundary_k=3)
     base.update(kw)
     return PfmConfig(**base)
 
@@ -98,7 +99,7 @@ def test_saliency_rejects_mismatched_levels():
 def test_salient_match_zero_map_residual_identity():
     coarse, _ = levels(7)
     m = Tensor(np.zeros((1, 1, 4, 4)))
-    enhanced, points, _ = salient_match(coarse, m, small_cfg())
+    enhanced, points = salient_match(coarse, m, small_cfg())
     assert np.array_equal(enhanced.data, coarse.data)
     # tie-break: smallest flat index of each 2x2 region
     expected = flat_to_points(np.array([0, 2, 8, 10]), 4, 4)
@@ -108,7 +109,7 @@ def test_salient_match_zero_map_residual_identity():
 def test_salient_match_unit_map_doubles():
     coarse, _ = levels(8)
     m = Tensor(np.ones((1, 1, 4, 4)))
-    enhanced, _, _ = salient_match(coarse, m, small_cfg())
+    enhanced, _ = salient_match(coarse, m, small_cfg())
     assert np.allclose(enhanced.data, 2.0 * coarse.data)
 
 
@@ -123,12 +124,11 @@ def test_salient_match_quadrant_argmax_centers():
     )
     m = Tensor(vals.reshape(1, 1, 4, 4))
     coarse = Tensor(rand((1, 3, 4, 4), 9))
-    _, points, scores = salient_match(coarse, m, small_cfg())
-    # argmax per quadrant: (0,1)=0.9, (1,2)... wait quadrant 2: rows 0-1 cols 2-3 -> 0.7 at (1,3)
+    _, points = salient_match(coarse, m, small_cfg())
+    # argmax per quadrant: 0.9 at (0,1), 0.7 at (1,3), 0.8 at (2,0), 0.95 at (2,3)
     expected_cells = [(0, 1), (1, 3), (2, 0), (2, 3)]
     expected = np.array([[(r + 0.5) / 4, (c + 0.5) / 4] for r, c in expected_cells])
     assert np.allclose(points[0], expected)
-    assert np.allclose(scores[0], [0.9, 0.7, 0.8, 0.95])
 
 
 def test_salient_match_kernel_too_large():
@@ -143,8 +143,8 @@ def test_salient_match_sampling_variants(sampling):
     coarse, _ = levels(11)
     m = Tensor(rand((1, 1, 4, 4), 12, 0.01, 0.99))
     cfg = small_cfg(salient_sampling=sampling)
-    enhanced, points, scores = salient_match(coarse, m, cfg)
-    base_enhanced, _, _ = salient_match(coarse, m, small_cfg())
+    enhanced, points = salient_match(coarse, m, cfg)
+    base_enhanced, _ = salient_match(coarse, m, small_cfg())
     # the attention feature is unchanged by the index-selection variant
     assert np.array_equal(enhanced.data, base_enhanced.data)
     assert points.shape == (1, 4, 2)
@@ -157,7 +157,7 @@ def test_salient_match_attention_topk_picks_highest():
     m_vals = rand((1, 1, 4, 4), 13, 0.0, 1.0)
     m = Tensor(m_vals)
     coarse, _ = levels(14)
-    _, points, scores = salient_match(coarse, m, small_cfg(salient_sampling="attention_topk"))
+    _, points = salient_match(coarse, m, small_cfg(salient_sampling="attention_topk"))
     flat = m_vals[0, 0].ravel()
     oracle = sorted(range(16), key=lambda i: (-flat[i], i))[:4]
     got_cells = (points[0, :, 0] * 4 - 0.5).round().astype(int) * 4 + (
@@ -174,8 +174,8 @@ def test_boundary_subtraction_with_zero_saliency_equals_direct():
     coarse, _ = levels(15)
     m0 = Tensor(np.zeros((1, 1, 4, 4)))
     conv = boundary_conv(3, seed=16)
-    b_sub, _, _ = boundary_branch(coarse, m0, conv, small_cfg(edge_mode="subtraction"))
-    b_dir, _, _ = boundary_branch(coarse, m0, conv, small_cfg(edge_mode="direct"))
+    b_sub, _ = boundary_branch(coarse, m0, conv, small_cfg(edge_mode="subtraction"))
+    b_dir, _ = boundary_branch(coarse, m0, conv, small_cfg(edge_mode="direct"))
     assert np.allclose(b_sub.data, b_dir.data)
 
 
@@ -184,7 +184,7 @@ def test_boundary_subtraction_interior_cancellation():
     coarse = Tensor(np.full((1, 1, 5, 5), 2.0))
     m1 = Tensor(np.ones((1, 1, 5, 5)))
     conv = ConvParams(Tensor(np.ones((1, 1, 1, 1))), Tensor(np.zeros(1)))
-    b, _, _ = boundary_branch(coarse, m1, conv, small_cfg(boundary_k=4, channels=1))
+    b, _ = boundary_branch(coarse, m1, conv, small_cfg(boundary_k=4))
     assert np.allclose(b.data[0, 0, 2, 2], 0.5)  # sigmoid(0) inside
     assert b.data[0, 0, 0, 0] != pytest.approx(0.5)  # borders keep residue
 
@@ -193,14 +193,13 @@ def test_boundary_topk_matches_exhaustive_sort():
     coarse = Tensor(rand((1, 1, 4, 4), 17))
     m = Tensor(np.full((1, 1, 4, 4), 0.3))
     conv = ConvParams(Tensor(np.ones((1, 1, 1, 1))), Tensor(np.zeros(1)))
-    b, points, scores = boundary_branch(coarse, m, conv, small_cfg(edge_mode="direct", boundary_k=3, channels=1))
+    b, points = boundary_branch(coarse, m, conv, small_cfg(edge_mode="direct", boundary_k=3))
     flat = b.data[0, 0].ravel()
     oracle = sorted(range(16), key=lambda i: (-flat[i], i))[:3]
     cells = (points[0, :, 0] * 4 - 0.5).round().astype(int) * 4 + (
         points[0, :, 1] * 4 - 0.5
     ).round().astype(int)
     assert cells.tolist() == oracle
-    assert np.allclose(scores[0], flat[oracle])
 
 
 def test_boundary_k_too_large():
@@ -214,7 +213,7 @@ def test_boundary_addition_mode_runs():
     coarse, _ = levels(20)
     m = Tensor(rand((1, 1, 4, 4), 21, 0.0, 1.0))
     conv = boundary_conv(3, seed=22)
-    b, points, _ = boundary_branch(coarse, m, conv, small_cfg(edge_mode="addition"))
+    b, points = boundary_branch(coarse, m, conv, small_cfg(edge_mode="addition"))
     assert b.shape == (1, 1, 4, 4)
     assert points.shape == (1, 3, 2)
 
@@ -307,7 +306,7 @@ def test_pfm_full_grid_matches_dense_oracle():
     out = pfm_forward(coarse, fine, cfg, params)
 
     saliency = compute_saliency(coarse, fine, params.saliency_conv)
-    enhanced, _, _ = salient_match(coarse, saliency, cfg)
+    enhanced, _ = salient_match(coarse, saliency, cfg)
     dense = dense_affinity_reference(enhanced, fine)
     assert np.abs(out.refined.data - dense.data).max() < 1e-6
 
@@ -392,7 +391,7 @@ def check_pfm_gradients(seed, **cfg_kw):
     coarse = Tensor(rand((1, 2, 4, 4), seed + 200), requires_grad=True)
     fine = Tensor(rand((1, 2, 8, 8), seed + 201), requires_grad=True)
     params = make_params(2, seed + 202)
-    cfg = small_cfg(channels=2, salient_kernel=(2, 2), boundary_k=3, **cfg_kw)
+    cfg = small_cfg(salient_kernel=(2, 2), boundary_k=3, **cfg_kw)
     w_fine = Tensor(rand((1, 2, 8, 8), seed + 203))
     w_coarse = Tensor(rand((1, 2, 4, 4), seed + 204))
 

@@ -3,7 +3,6 @@ import weakref
 import numpy as np
 import pytest
 
-from pfnet.gradcheck import DEFAULT_TOL, check_gradients
 from pfnet.ops import ConvParams, conv2d
 from pfnet.tensor import (
     Tape,
@@ -13,7 +12,6 @@ from pfnet.tensor import (
     batched_matmul,
     channel_slice,
     concat_channels,
-    create,
     elementwise_binary,
     elementwise_unary,
     mul,
@@ -23,40 +21,13 @@ from pfnet.tensor import (
     sigmoid,
     softmax_lastdim,
     sub,
-    sum_all,
 )
+
+from gradcheck import DEFAULT_TOL, check_gradients, sum_all
 
 
 def rand(shape, seed, lo=-1.0, hi=1.0):
     return np.random.Generator(np.random.PCG64(seed)).uniform(lo, hi, shape)
-
-
-# ---------------------------------------------------------------------------
-# creation
-
-
-def test_create_zero_fill():
-    t = create([2, 2], fill=0)
-    assert t.shape == (2, 2)
-    assert np.array_equal(t.data, np.zeros((2, 2)))
-
-
-def test_create_constant_fill():
-    assert np.array_equal(create([3], fill=1).data, np.ones(3))
-
-
-def test_create_seeded_is_bitwise_deterministic():
-    a = create([4], seed=7)
-    b = create([4], seed=7)
-    assert a.data.tobytes() == b.data.tobytes()
-    c = create([4], seed=8)
-    assert a.data.tobytes() != c.data.tobytes()
-
-
-@pytest.mark.parametrize("shape", [[0], [2, 0], [-1, 3]])
-def test_create_rejects_degenerate_dims(shape):
-    with pytest.raises(ValueError):
-        create(shape)
 
 
 def test_non_finite_values_rejected():
