@@ -4,12 +4,19 @@ The grammar is deliberately tiny (sections, scalar values, comma lists,
 ``#`` comments) so parsing stays dependency free.  Unknown sections or
 keys are hard errors, and every effective value can be echoed back in
 canonical form for the run log.
+
+The ``[network]``, ``[train]`` and ``[pfm]`` sections are derived from the
+fields of ``NetworkConfig``, ``TrainConfig`` and ``PfmConfig``, which own
+their keys, types and defaults.  ``[pfm]`` sets the point-flow modes that
+every pyramid gap shares; ``[pfm.gapN]`` holds only gap N's point budget.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import math
+import typing
 from importlib import resources
 
 from .learn import TrainConfig
@@ -46,6 +53,13 @@ def _int_list(text):
 
 _PARSERS = {int: int, float: _finite_float, str: str, bool: _bool, tuple: _int_list}
 
+
+def _keys(cls, skip):
+    """Schema of the config dataclass ``cls``: field -> (type, default)."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default) for f in dataclasses.fields(cls) if f.name not in skip}
+
+
 # section -> key -> (type, default)
 SCHEMA = {
     "data": {
@@ -62,38 +76,18 @@ SCHEMA = {
         "crop_size": (int, 896),
         "crop_stride": (int, 512),
     },
-    "network": {
-        "fpn_channels": (int, 64),
-        "backbone_channels": (tuple, (16, 32, 64, 128)),
-        "ppm_bins": (tuple, (1, 2, 3, 6)),
-        "use_ppm": (bool, True),
-        "pfm_gaps": (tuple, (3, 4, 5)),
-    },
-    "train": {
-        "epochs": (int, 16),
-        "base_lr": (float, 0.01),
-        "momentum": (float, 0.9),
-        "weight_decay": (float, 0.0001),
-        "poly_power": (float, 0.9),
-        "batch_size": (int, 8),
-        "edge_radius": (int, 1),
-        "bce_weight": (float, 1.0),
-        "augment": (bool, True),
-        "checkpoint_every": (int, 0),
-    },
+    "network": _keys(NetworkConfig, skip=("input_size", "num_classes", "pfm")),
+    "train": _keys(TrainConfig, skip=("seed",)),
     "eval": {
         "boundary_thresholds": (tuple, (12, 9, 5, 3)),
     },
+    "pfm": _keys(PfmConfig, skip=("salient_kernel", "boundary_k")),
 }
 for _gap in (3, 4, 5):
     SCHEMA[f"pfm.gap{_gap}"] = {
         "salient_kh": (int, 14),
         "salient_kw": (int, 14),
         "boundary_k": (int, 128),
-        "direction": (str, "top_down"),
-        "edge_mode": (str, "subtraction"),
-        "salient_sampling": (str, "max_pool"),
-        "sampling_seed": (int, 0),
     }
 
 
@@ -212,43 +206,20 @@ def scene_config(cfg, seed):
 
 
 def network_config(cfg):
-    n = cfg["network"]
     d = cfg["data"]
     pfm = {}
     for gap in (3, 4, 5):
         g = cfg[f"pfm.gap{gap}"]
         pfm[gap] = PfmConfig(
-            salient_kernel=(g["salient_kh"], g["salient_kw"]),
-            boundary_k=g["boundary_k"],
-            direction=g["direction"],
-            edge_mode=g["edge_mode"],
-            salient_sampling=g["salient_sampling"],
-            sampling_seed=g["sampling_seed"],
+            salient_kernel=(g["salient_kh"], g["salient_kw"]), boundary_k=g["boundary_k"], **cfg["pfm"]
         )
     return NetworkConfig(
         input_size=(d["crop_size"], d["crop_size"]),
         num_classes=d["num_classes"],
-        fpn_channels=n["fpn_channels"],
-        backbone_channels=n["backbone_channels"],
-        ppm_bins=n["ppm_bins"],
-        use_ppm=n["use_ppm"],
-        pfm_enabled_gaps=n["pfm_gaps"],
         pfm=pfm,
+        **cfg["network"],
     )
 
 
 def train_config(cfg, seed):
-    t = cfg["train"]
-    return TrainConfig(
-        epochs=t["epochs"],
-        base_lr=t["base_lr"],
-        momentum=t["momentum"],
-        weight_decay=t["weight_decay"],
-        poly_power=t["poly_power"],
-        batch_size=t["batch_size"],
-        seed=seed,
-        edge_radius=t["edge_radius"],
-        bce_weight=t["bce_weight"],
-        augment=t["augment"],
-        checkpoint_every=t["checkpoint_every"],
-    )
+    return TrainConfig(seed=seed, **cfg["train"])

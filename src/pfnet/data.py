@@ -173,6 +173,8 @@ def sliding_crop(image, mask, size, stride):
     h, w = mask.shape
     if size > h or size > w:
         raise ValueError(f"crop size {size} exceeds canvas {h}x{w}")
+    if stride < 1:
+        raise ValueError(f"crop stride must be >= 1, got {stride}")
     crops = []
     for top in _window_starts(h, size, stride):
         for left in _window_starts(w, size, stride):

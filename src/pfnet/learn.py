@@ -124,7 +124,8 @@ def ce_loss(logits, mask, ignore_label=IGNORE_LABEL):
     valid = mask != ignore_label
     if not valid.any():
         raise ValueError("all pixels ignored")
-    if mask[valid].max() >= k:
+    used = mask[valid]
+    if used.min() < 0 or used.max() >= k:
         raise ValueError("mask label outside class range")
     count = int(valid.sum())
 

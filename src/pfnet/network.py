@@ -41,7 +41,7 @@ class NetworkConfig:
     backbone_channels: tuple = (16, 32, 64, 128)
     ppm_bins: tuple = (1, 2, 3, 6)
     use_ppm: bool = True
-    pfm_enabled_gaps: tuple = (3, 4, 5)
+    pfm_gaps: tuple = (3, 4, 5)
     pfm: dict = None
 
     def __post_init__(self):
@@ -54,7 +54,12 @@ class NetworkConfig:
             raise ValueError(f"input size must be divisible by 32, got {h}x{w}")
         if len(self.backbone_channels) != 4:
             raise ValueError("backbone needs 4 stage widths")
-        for gap in self.pfm_enabled_gaps:
+        if self.fpn_channels < 1:
+            raise ValueError(f"fpn_channels must be >= 1, got {self.fpn_channels}")
+        for name in ("backbone_channels", "ppm_bins"):
+            if any(v < 1 for v in getattr(self, name)):
+                raise ValueError(f"{name} entries must be >= 1, got {getattr(self, name)}")
+        for gap in self.pfm_gaps:
             if gap not in (3, 4, 5):
                 raise ValueError(f"unknown pyramid gap {gap}")
 
@@ -139,7 +144,7 @@ def init_params(cfg, seed, dtype=np.float32):
         conv("ppm.out.conv", c, levels[5] + len(bins) * c, 3)
         norm("ppm.out.norm", c)
 
-    for gap in sorted(cfg.pfm_enabled_gaps):
+    for gap in sorted(cfg.pfm_gaps):
         conv(f"pfm.gap{gap}.saliency.conv", 1, 2 * c, 3)
         conv(f"pfm.gap{gap}.boundary.conv", 1, c, 1, bias_fill=-2.0)
 
@@ -216,7 +221,7 @@ def pfnet_forward(image, params, cfg):
     pfm_outputs = {}
     for gap in (5, 4, 3):
         fine = _lateral(by_level[gap - 1], params, gap - 1)
-        if gap in cfg.pfm_enabled_gaps:
+        if gap in cfg.pfm_gaps:
             gap_cfg = cfg.effective_pfm(gap)
             gap_params = PfmParams(
                 saliency_conv=params.conv(f"pfm.gap{gap}.saliency.conv", padding=1),

@@ -213,6 +213,13 @@ def _adaptive_edges(size, bins):
     return starts, ends
 
 
+def _region_indices(size, bins):
+    """[bins, L] indices of each adaptive region, padded by repeating its last."""
+    starts, ends = np.array(_adaptive_edges(size, bins))
+    span = np.arange((ends - starts).max())
+    return np.minimum(starts[:, None] + span, ends[:, None] - 1)
+
+
 def adaptive_max_pool(x, out_hw):
     """Adaptive max pooling returning values and flat argmax indices.
 
@@ -224,18 +231,15 @@ def adaptive_max_pool(x, out_hw):
     kh, kw = int(out_hw[0]), int(out_hw[1])
     if kh > h or kw > w:
         raise ValueError(f"pool output {kh}x{kw} exceeds input {h}x{w}")
-    rs, re = _adaptive_edges(h, kh)
-    cs, ce = _adaptive_edges(w, kw)
-    pooled = np.empty((n, c, kh, kw), dtype=x.dtype)
-    indices = np.empty((n, c, kh, kw), dtype=np.int64)
-    for i in range(kh):
-        for j in range(kw):
-            region = x.data[:, :, rs[i] : re[i], cs[j] : ce[j]]
-            rw = ce[j] - cs[j]
-            flat = region.reshape(n, c, -1)
-            am = flat.argmax(axis=2)  # first max == smallest flat index
-            pooled[:, :, i, j] = np.take_along_axis(flat, am[:, :, None], axis=2)[:, :, 0]
-            indices[:, :, i, j] = (rs[i] + am // rw) * w + (cs[j] + am % rw)
+    rows = _region_indices(h, kh)  # [kh, Lr]
+    cols = _region_indices(w, kw)  # [kw, Lc]
+    # [N, C, kh, kw, Lr * Lc]; padding repeats an earlier element of the
+    # region, so the first max is still the smallest flat index
+    cells = (rows[:, None, :, None] * w + cols[None, :, None, :]).reshape(kh, kw, -1)
+    flat = x.data.reshape(n, c, h * w)[:, :, cells]
+    am = flat.argmax(axis=4)
+    pooled = np.take_along_axis(flat, am[..., None], axis=4)[..., 0]
+    indices = cells[np.arange(kh)[:, None], np.arange(kw)[None, :], am]
     out = Tensor(pooled, _op="adaptive_max_pool")
     x_slot, dtype = x.slot, x.dtype
 
@@ -477,16 +481,6 @@ def topk_select(score, k):
     return order[:, :k].astype(np.int64)
 
 
-def _winner_mask(cells_flat):
-    """Boolean mask of writes that survive later-write-wins per column [N, K]."""
-    n, k = cells_flat.shape
-    keep = np.zeros((n, k), dtype=bool)
-    for i in range(n):
-        _, last = np.unique(cells_flat[i, ::-1], return_index=True)
-        keep[i, k - 1 - last] = True
-    return keep
-
-
 def scatter_points_batched(base, pts, values):
     """Write value rows into the cells under each point; later write wins."""
     pts = np.asarray(pts, dtype=np.float64)
@@ -498,21 +492,23 @@ def scatter_points_batched(base, pts, values):
         raise ValueError(f"{k} points but {values.shape[1]} value rows")
     rows = np.clip(np.floor(pts[..., 0] * h), 0, h - 1).astype(np.int64)
     cols = np.clip(np.floor(pts[..., 1] * w), 0, w - 1).astype(np.int64)
-    cells = rows * w + cols
-    keep = _winner_mask(cells)
+    # later write wins: keep the last occurrence of each (item, cell) key
+    keys = (np.arange(n)[:, None] * (h * w) + rows * w + cols).ravel()
+    _, last = np.unique(keys[::-1], return_index=True)
+    ni, ki = np.divmod(np.sort(keys.size - 1 - last), k)
+    cell = (ni[:, None], np.arange(c)[None, :], rows[ni, ki][:, None], cols[ni, ki][:, None])
     out_data = base.data.copy()
-    ni, ki = np.nonzero(keep)
-    out_data[ni[:, None], np.arange(c)[None, :], rows[ni, ki][:, None], cols[ni, ki][:, None]] = values.data[ni, ki]
+    out_data[cell] = values.data[ni, ki]
     out = Tensor(out_data, _op="scatter_points")
     base_slot, values_slot = base.slot, values.slot
     values_shape, values_dtype = values.shape, values.dtype
 
     def backward(g):
         gbase = g.copy()
-        gbase[ni[:, None], np.arange(c)[None, :], rows[ni, ki][:, None], cols[ni, ki][:, None]] = 0.0
+        gbase[cell] = 0.0
         _accumulate(base_slot, gbase)
         gvals = np.zeros(values_shape, dtype=values_dtype)
-        gvals[ni, ki] = g[ni[:, None], np.arange(c)[None, :], rows[ni, ki][:, None], cols[ni, ki][:, None]]
+        gvals[ni, ki] = g[cell]
         _accumulate(values_slot, gvals)
 
     return _maybe_record(out, (base, values), backward)

@@ -108,19 +108,15 @@ def _uniform_region_points(saliency_data, kernel, seed):
     n = saliency_data.shape[0]
     h, w = saliency_data.shape[2:]
     kh, kw = kernel
-    rs, re = _adaptive_edges(h, kh)
-    cs, ce = _adaptive_edges(w, kw)
+    rs, re = np.array(_adaptive_edges(h, kh))
+    cs, ce = np.array(_adaptive_edges(w, kw))
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
-    flat = np.empty((n, kh * kw), dtype=np.int64)
-    for item in range(n):
-        pos = 0
-        for i in range(kh):
-            for j in range(kw):
-                r = rs[i] + rng.integers(re[i] - rs[i])
-                c = cs[j] + rng.integers(ce[j] - cs[j])
-                flat[item, pos] = r * w + c
-                pos += 1
-    return flat
+    spans = np.stack(np.broadcast_arrays((re - rs)[:, None], (ce - cs)[None, :]), axis=-1)
+    # one draw per (item, row region, column region, axis), the row first
+    pick = rng.integers(spans, size=(n, kh, kw, 2))
+    rows = rs[:, None] + pick[..., 0]
+    cols = cs[None, :] + pick[..., 1]
+    return (rows * w + cols).reshape(n, kh * kw)
 
 
 def salient_match(coarse, saliency, cfg):

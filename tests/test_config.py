@@ -30,6 +30,7 @@ from pfnet.pointflow import DIRECTIONS, EDGE_MODES, SALIENT_SAMPLING
         pytest.param("[train]\nbase_lr = nan\n", 2, id="nan-float"),
         pytest.param("[train]\nepochs = 2\nmomentum = inf\n", 3, id="inf-float"),
         pytest.param("[data]\nfg_ratio = -Infinity\n", 2, id="negative-inf-float"),
+        pytest.param("[pfm.gap3]\ndirection = bottom_up\n", 2, id="per-gap-mode"),
     ],
 )
 def test_config_errors_name_origin_and_line(text, lineno):
@@ -41,6 +42,14 @@ def test_config_errors_name_origin_and_line(text, lineno):
 def test_echo_then_parse_is_a_fixed_point(name):
     cfg = default_config() if name is None else load_config(packaged_config_path(name))
     assert parse_config_text(echo_config(cfg)) == cfg
+
+
+def test_default_cfg_names_every_key_at_its_default():
+    path = packaged_config_path("default")
+    assert load_config(path) == default_config()
+    with open(path, encoding="utf-8") as f:
+        named = parse_config_text(f.read(), cfg={sec: {} for sec in SCHEMA}, origin=path)
+    assert named == default_config()
 
 
 def test_config_file_not_utf8_names_file_and_byte(tmp_path):

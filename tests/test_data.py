@@ -103,6 +103,12 @@ def test_crop_size_exceeds_canvas():
         sliding_crop(np.zeros((3, 16, 16)), np.zeros((16, 16)), 32, 16)
 
 
+@pytest.mark.parametrize("stride", [0, -4])
+def test_crop_stride_below_one_rejected(stride):
+    with pytest.raises(ValueError, match="crop stride"):
+        sliding_crop(np.zeros((3, 16, 16)), np.zeros((16, 16)), 8, stride)
+
+
 def test_stitch_reconstructs_from_crops():
     rng = np.random.Generator(np.random.PCG64(1))
     full = rng.integers(0, 4, (48, 48)).astype(np.uint8)

@@ -167,6 +167,15 @@ def test_ce_rejects_bad_labels():
         ce_loss(Tensor(np.zeros((1, 2, 2, 2))), np.full((1, 2, 2), 5, dtype=np.int64))
 
 
+def test_ce_rejects_negative_labels():
+    logits = Tensor(np.zeros((1, 2, 2, 2)))
+    mask = np.zeros((1, 2, 2), dtype=np.int64)
+    mask[0, 1, 1] = -1
+    with pytest.raises(ValueError, match="outside class range"):
+        ce_loss(logits, mask)
+    assert float(ce_loss(logits, mask, ignore_label=-1).data) == pytest.approx(np.log(2), abs=1e-12)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_bce_gradients(seed):
     pred = Tensor(rand((2, 1, 4, 4), seed, 0.05, 0.95), requires_grad=True)
@@ -252,7 +261,7 @@ def test_train_step_builds_edge_targets_once_per_mask(monkeypatch):
 
     monkeypatch.setattr(learn, "edge_map", counting_edge_map)
     cfg = tiny_cfg()
-    assert len(cfg.pfm_enabled_gaps) == 3
+    assert len(cfg.pfm_gaps) == 3
     train_step(init_params(cfg, 0), SgdMomentum(), tiny_crops(3, 6), cfg, TrainConfig(batch_size=3), 0, 10)
     assert len(calls) == 3  # one per batch item, not one per item and gap
 

@@ -40,6 +40,21 @@ def test_config_rejects_indivisible_input():
         NetworkConfig(input_size=(48, 64)).validate()
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        pytest.param("fpn_channels", 0, id="fpn_channels-0"),
+        pytest.param("backbone_channels", (4, 0, 8, 12), id="backbone_channels-0"),
+        pytest.param("backbone_channels", (4, 6, -1, 12), id="backbone_channels-negative"),
+        pytest.param("ppm_bins", (0,), id="ppm_bins-0"),
+        pytest.param("ppm_bins", (1, -1), id="ppm_bins-negative"),
+    ],
+)
+def test_config_rejects_widths_and_bins_below_one(field, value):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        init_params(tiny_cfg(**{field: value}), 0)
+
+
 def test_backbone_stride_law():
     cfg = NetworkConfig()
     params = init_params(cfg, 0, dtype=np.float64)
@@ -141,7 +156,7 @@ def test_effective_pfm_clamps_budget():
 
 
 def test_plain_fpn_baseline_shapes():
-    cfg = tiny_cfg(pfm_enabled_gaps=(), use_ppm=False)
+    cfg = tiny_cfg(pfm_gaps=(), use_ppm=False)
     params = init_params(cfg, 10, dtype=np.float64)
     image = Tensor(rand((2, 3, 32, 32), 11))
     out = pfnet_forward(image, params, cfg)
@@ -161,8 +176,8 @@ def test_all_gaps_give_three_boundary_maps_at_right_strides():
 
 
 def test_disabled_pfms_match_plain_path_exactly():
-    cfg_a = tiny_cfg(pfm_enabled_gaps=(), use_ppm=False)
-    cfg_b = tiny_cfg(pfm_enabled_gaps=(), use_ppm=False)
+    cfg_a = tiny_cfg(pfm_gaps=(), use_ppm=False)
+    cfg_b = tiny_cfg(pfm_gaps=(), use_ppm=False)
     image_data = rand((2, 3, 32, 32), 14)
     pa = init_params(cfg_a, 15, dtype=np.float64)
     pb = init_params(cfg_b, 15, dtype=np.float64)

@@ -413,6 +413,41 @@ def test_adaptive_max_pool_regions_cover_input():
     assert seen.all()
 
 
+def adaptive_max_pool_loop(x, out_hw):
+    """Per-region reference for ``adaptive_max_pool``: values, flat argmax."""
+    n, c, h, w = x.shape
+    kh, kw = out_hw
+    rs, re = ops._adaptive_edges(h, kh)
+    cs, ce = ops._adaptive_edges(w, kw)
+    pooled = np.empty((n, c, kh, kw), dtype=x.dtype)
+    indices = np.empty((n, c, kh, kw), dtype=np.int64)
+    for i in range(kh):
+        for j in range(kw):
+            rw = ce[j] - cs[j]
+            flat = x[:, :, rs[i] : re[i], cs[j] : ce[j]].reshape(n, c, -1)
+            am = flat.argmax(axis=2)
+            pooled[:, :, i, j] = np.take_along_axis(flat, am[:, :, None], axis=2)[:, :, 0]
+            indices[:, :, i, j] = (rs[i] + am // rw) * w + (cs[j] + am % rw)
+    return pooled, indices
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adaptive_max_pool_matches_region_loop_bitwise(dtype):
+    gen = np.random.Generator(np.random.PCG64(30))
+    shapes = [(32, 32, 14, 14), (16, 16, 14, 14), (8, 8, 8, 8)]
+    for _ in range(200):
+        h, w = gen.integers(1, 17), gen.integers(1, 17)
+        shapes.append((h, w, gen.integers(1, h + 1), gen.integers(1, w + 1)))
+    for i, (h, w, kh, kw) in enumerate(shapes):
+        # odd cases draw from 3 values, so most regions hold ties
+        x = gen.integers(0, 3, (2, 3, h, w)) if i % 2 else gen.uniform(-1, 1, (2, 3, h, w))
+        x = x.astype(dtype)
+        pooled, idx = adaptive_max_pool(Tensor(x), (kh, kw))
+        want_pooled, want_idx = adaptive_max_pool_loop(x, (kh, kw))
+        assert pooled.data.dtype == dtype and pooled.data.tobytes() == want_pooled.tobytes()
+        assert idx.dtype == want_idx.dtype and np.array_equal(idx, want_idx), (h, w, kh, kw)
+
+
 def test_adaptive_max_pool_too_large():
     with pytest.raises(ValueError):
         adaptive_max_pool(Tensor(np.zeros((1, 1, 2, 2))), (3, 2))
@@ -762,6 +797,42 @@ def test_scatter_gradients(seed):
         return sum_all(mul(scatter_points_batched(base, pts, values), w))
 
     assert check_gradients(build, [base, values]) < DEFAULT_TOL
+
+
+def winner_mask_loop(cells):
+    """Per-item reference: the writes that survive later-write-wins, [N, K]."""
+    n, k = cells.shape
+    keep = np.zeros((n, k), dtype=bool)
+    for i in range(n):
+        _, last = np.unique(cells[i, ::-1], return_index=True)
+        keep[i, k - 1 - last] = True
+    return keep
+
+
+def test_scatter_winners_match_item_loop_bitwise():
+    gen = np.random.Generator(np.random.PCG64(31))
+    for _ in range(100):
+        n, c, h, w = gen.integers(1, 5), gen.integers(1, 4), gen.integers(1, 7), gen.integers(1, 7)
+        k = gen.integers(0, 2 * h * w + 1)  # from no points to many collisions
+        pts = gen.uniform(0, 1, (n, k, 2))
+        base = Tensor(gen.uniform(-1, 1, (n, c, h, w)), requires_grad=True)
+        values = Tensor(gen.uniform(-1, 1, (n, k, c)), requires_grad=True)
+        with Tape() as tape:
+            out = scatter_points_batched(base, pts, values)
+        ((_, backward),) = tape.entries
+        g = gen.uniform(-1, 1, out.shape)
+        backward(g)
+
+        rows = np.clip(np.floor(pts[..., 0] * h), 0, h - 1).astype(np.int64)
+        cols = np.clip(np.floor(pts[..., 1] * w), 0, w - 1).astype(np.int64)
+        want, want_gbase, want_gvals = base.data.copy(), g.copy(), np.zeros((n, k, c))
+        for i, j in zip(*np.nonzero(winner_mask_loop(rows * w + cols))):
+            want[i, :, rows[i, j], cols[i, j]] = values.data[i, j]
+            want_gbase[i, :, rows[i, j], cols[i, j]] = 0.0
+            want_gvals[i, j] = g[i, :, rows[i, j], cols[i, j]]
+        assert out.data.tobytes() == want.tobytes()
+        assert base.grad.tobytes() == want_gbase.tobytes()
+        assert values.grad.tobytes() == want_gvals.tobytes()
 
 
 def test_scatter_batched_matches_single():

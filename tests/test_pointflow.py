@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from pfnet.ops import ConvParams, flat_to_points, point_sample_batched, scatter_points_batched
+from pfnet.ops import ConvParams, _adaptive_edges, flat_to_points, point_sample_batched, scatter_points_batched
 from pfnet.pointflow import (
     DIRECTIONS,
     EDGE_MODES,
     PfmConfig,
     PfmParams,
+    _uniform_region_points,
     boundary_branch,
     compute_saliency,
     dense_affinity_reference,
@@ -151,6 +152,39 @@ def test_salient_match_sampling_variants(sampling):
     assert np.all(points >= 0) and np.all(points <= 1)
     again = salient_match(coarse, m, cfg)[1]
     assert np.array_equal(points, again)
+
+
+def uniform_region_points_loop(saliency_data, kernel, seed):
+    """Per-item, per-region reference for ``_uniform_region_points``."""
+    n = saliency_data.shape[0]
+    h, w = saliency_data.shape[2:]
+    kh, kw = kernel
+    rs, re = _adaptive_edges(h, kh)
+    cs, ce = _adaptive_edges(w, kw)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
+    flat = np.empty((n, kh * kw), dtype=np.int64)
+    for item in range(n):
+        pos = 0
+        for i in range(kh):
+            for j in range(kw):
+                r = rs[i] + rng.integers(re[i] - rs[i])
+                c = cs[j] + rng.integers(ce[j] - cs[j])
+                flat[item, pos] = r * w + c
+                pos += 1
+    return flat
+
+
+def test_uniform_region_points_match_region_loop_bitwise():
+    gen = np.random.Generator(np.random.PCG64(40))
+    shapes = [(8, 32, 32, 14, 14), (8, 16, 16, 14, 14), (8, 8, 8, 8, 8)]
+    for _ in range(300):
+        n, h, w = gen.integers(1, 5), gen.integers(1, 21), gen.integers(1, 21)
+        shapes.append((n, h, w, gen.integers(1, h + 1), gen.integers(1, w + 1)))
+    for i, (n, h, w, kh, kw) in enumerate(shapes):
+        saliency = np.zeros((n, 1, h, w))
+        got = _uniform_region_points(saliency, (kh, kw), i)
+        want = uniform_region_points_loop(saliency, (kh, kw), i)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (n, h, w, kh, kw)
 
 
 def test_salient_match_attention_topk_picks_highest():
