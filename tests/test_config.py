@@ -98,11 +98,24 @@ def _views(cfg):
     return scene_config(cfg, 0), network_config(cfg), train_config(cfg, 0)
 
 
+# Each gap's view also reads the shared ``[pfm]`` modes; ``pfm.gapN-<mode>``
+# checks that gap N's ``PfmConfig`` follows the ``[pfm]`` key.
+_GAP_MODES = [(f"pfm.gap{gap}", key) for gap in (3, 4, 5) for key in SCHEMA["pfm"]]
+
+
 @pytest.mark.parametrize(
-    "section,key", [(sec, key) for sec in SCHEMA for key in SCHEMA[sec]], ids=lambda v: v
+    "section,key",
+    [(sec, key) for sec in SCHEMA for key in SCHEMA[sec]] + _GAP_MODES,
+    ids=lambda v: v,
 )
 def test_every_config_key_has_a_reader(section, key):
     cfg = default_config()
+    if key not in SCHEMA[section]:
+        gap = int(section.removeprefix("pfm.gap"))
+        base = network_config(cfg).pfm[gap]
+        cfg["pfm"][key] = _other_value(key, cfg["pfm"][key])
+        assert getattr(network_config(cfg).pfm[gap], key) == cfg["pfm"][key] != getattr(base, key)
+        return
     base = _views(cfg)
     cfg[section][key] = _other_value(key, cfg[section][key])
     read = _views(cfg) != base
