@@ -32,6 +32,7 @@ CLASS_COLORS = np.array(
         [0.70, 0.35, 0.80],  # class 5
     ]
 )
+BACKGROUND_TEXTURES = ("perlin", "flat")
 
 
 @dataclass
@@ -41,8 +42,20 @@ class SceneConfig:
     objects_per_scene: tuple = (6, 60)
     object_size: tuple = (2, 8)
     target_fg_ratio: float = 0.03
-    background_texture: str = "perlin"  # or "flat"
+    background_texture: str = "perlin"  # one of BACKGROUND_TEXTURES
     seed: int = 0
+
+    def validate(self):
+        if not 2 <= self.num_classes <= len(CLASS_COLORS) + 1:
+            raise ValueError(f"num_classes must be in [2, {len(CLASS_COLORS) + 1}], got {self.num_classes}")
+        lo, hi = self.object_size
+        if not 1 <= lo <= hi:
+            raise ValueError(f"object_size must satisfy 1 <= min <= max, got {self.object_size}")
+        lo, hi = self.objects_per_scene
+        if not 0 <= lo <= hi:
+            raise ValueError(f"objects_per_scene must satisfy 0 <= min <= max, got {self.objects_per_scene}")
+        if self.background_texture not in BACKGROUND_TEXTURES:
+            raise ValueError(f"background_texture must be one of {BACKGROUND_TEXTURES}, got {self.background_texture!r}")
 
     def ratio_window(self):
         return 0.7 * self.target_fg_ratio, 1.3 * self.target_fg_ratio
@@ -124,6 +137,7 @@ def _paint_object(img, mask, rng, cfg):
 def synth_scene(cfg, index):
     """One deterministic scene for (cfg.seed, index); resamples until the
     achieved foreground ratio lands within +-30% of the target."""
+    cfg.validate()
     h, w = cfg.canvas
     lo_ratio, hi_ratio = cfg.ratio_window()
     min_obj, max_obj = cfg.objects_per_scene

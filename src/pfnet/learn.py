@@ -59,6 +59,8 @@ class TrainConfig:
             raise ValueError("poly_power must be positive")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch size and epochs must be >= 1")
+        if self.edge_radius < 0:
+            raise ValueError(f"edge_radius must be >= 0, got {self.edge_radius}")
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +131,8 @@ def ce_loss(logits, mask, ignore_label=IGNORE_LABEL):
         raise ValueError("mask label outside class range")
     count = int(valid.sum())
 
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    logp = shifted - logz  # [N, K, H, W]
+    logp = logits.data - logits.data.max(axis=1, keepdims=True)
+    logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))  # [N, K, H, W]
     labels = np.where(valid, mask, 0).astype(np.int64)
     picked = np.take_along_axis(logp, labels[:, None], axis=1)[:, 0]
     loss = float(-(picked * valid).sum() / count)
@@ -139,11 +140,14 @@ def ce_loss(logits, mask, ignore_label=IGNORE_LABEL):
     logits_slot, dtype = logits.slot, logits.dtype
 
     def backward(g):
-        softmax = np.exp(logp)
-        onehot = np.zeros_like(softmax)
-        np.put_along_axis(onehot, labels[:, None], 1.0, axis=1)
-        grad = (softmax - onehot) * valid[:, None] / count
-        _accumulate(logits_slot, (g * grad).astype(dtype))
+        # softmax minus the one-hot labels, built in the softmax buffer
+        grad = np.exp(logp)
+        at_label = np.take_along_axis(grad, labels[:, None], axis=1)
+        np.put_along_axis(grad, labels[:, None], at_label - 1.0, axis=1)
+        grad *= valid[:, None]
+        grad /= count
+        grad *= g
+        _accumulate(logits_slot, grad.astype(dtype, copy=False))
 
     return _maybe_record(out, (logits,), backward)
 

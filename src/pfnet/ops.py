@@ -162,6 +162,7 @@ def conv2d(x, p):
                     if gbuf is not None:
                         np.matmul(w_ph.T, blk, out=gbuf[ph, :, c0 : c0 + cw])
                 gw[pa::s, pb::s] = gw_ph.reshape(ta, tb, cout, cin)
+        del gpad, shifted, block, blk
         _accumulate(w_slot, np.ascontiguousarray(gw.transpose(2, 3, 0, 1)))
         _accumulate(b_slot, g.sum(axis=(0, 2, 3)))
         if gbuf is None:
@@ -185,20 +186,29 @@ def channel_norm(x, gamma, beta, eps=1e-5):
     axes = (0, 2, 3)
     mu = x.data.mean(axis=axes, keepdims=True)
     xhat = x.data - mu
-    var = (xhat ** 2).mean(axis=axes, keepdims=True)
+    sq = xhat ** 2
+    var = sq.mean(axis=axes, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
     g4 = gamma.data.reshape(1, c, 1, 1)
-    out = Tensor(g4 * xhat + beta.data.reshape(1, c, 1, 1), _op="channel_norm")
+    out_data = np.multiply(g4, xhat, out=sq)  # the squares are dead
+    out_data += beta.data.reshape(1, c, 1, 1)
+    out = Tensor(out_data, _op="channel_norm")
     x_slot, gamma_slot, beta_slot = x.slot, gamma.slot, beta.slot
 
     def backward(g):
-        _accumulate(gamma_slot, (g * xhat).sum(axis=axes))
+        # two full-size buffers: dxhat becomes the input gradient, and t
+        # holds each product that is reduced or subtracted
+        t = g * xhat
+        _accumulate(gamma_slot, t.sum(axis=axes))
         _accumulate(beta_slot, g.sum(axis=axes))
         dxhat = g * g4
         m1 = dxhat.mean(axis=axes, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=axes, keepdims=True)
-        _accumulate(x_slot, inv * (dxhat - m1 - xhat * m2))
+        m2 = np.multiply(dxhat, xhat, out=t).mean(axis=axes, keepdims=True)
+        dxhat -= m1
+        dxhat -= np.multiply(xhat, m2, out=t)
+        dxhat *= inv
+        _accumulate(x_slot, dxhat)
 
     return _maybe_record(out, (x, gamma, beta), backward)
 
@@ -387,9 +397,12 @@ def resize_conv3x3(x, weight, out_hw):
     rx = _shifted_interp(ow, w, x.dtype)
     ws = np.ascontiguousarray(weight.data.transpose(3, 0, 2, 1)).reshape(9 * cout, cin)
     xc = np.ascontiguousarray(x.data.transpose(1, 0, 3, 2)).reshape(cin, n * w * h)
+    # each GEMM result is dropped as soon as its transposed copy exists
     with np.errstate(over="ignore"):  # overflow surfaces as the finiteness error
         z = np.matmul(ws, xc).reshape(3, cout, 3, n, w, h)
-        a = np.matmul(z.transpose(0, 1, 3, 4, 2, 5).reshape(3 * cout * n * w, 3 * h), ry.T)
+        z = z.transpose(0, 1, 3, 4, 2, 5).reshape(3 * cout * n * w, 3 * h)
+        a = np.matmul(z, ry.T)
+        del z
         a = a.reshape(3, cout, n, w, oh).transpose(2, 1, 4, 0, 3).reshape(n * cout * oh, 3 * w)
         out_data = np.matmul(a, rx.T).reshape(n, cout, oh, ow)
     out = Tensor(out_data, _op="resize_conv3x3")
@@ -397,7 +410,9 @@ def resize_conv3x3(x, weight, out_hw):
 
     def backward(g):
         ga = np.matmul(g.reshape(n * cout * oh, ow), rx).reshape(n, cout, oh, 3, w)
-        gz = np.matmul(ga.transpose(3, 1, 0, 4, 2).reshape(3 * cout * n * w, oh), ry)
+        ga = ga.transpose(3, 1, 0, 4, 2).reshape(3 * cout * n * w, oh)
+        gz = np.matmul(ga, ry)
+        del ga
         gz = gz.reshape(3, cout, n, w, 3, h).transpose(0, 1, 4, 2, 3, 5).reshape(9 * cout, n * w * h)
         gws = np.matmul(gz, xc.T).reshape(3, cout, 3, cin)
         _accumulate(w_slot, np.ascontiguousarray(gws.transpose(1, 3, 2, 0)))

@@ -68,6 +68,8 @@ class PfmConfig:
             raise ValueError(f"edge_mode must be one of {EDGE_MODES}")
         if self.salient_sampling not in SALIENT_SAMPLING:
             raise ValueError(f"salient_sampling must be one of {SALIENT_SAMPLING}")
+        if self.sampling_seed < 0:
+            raise ValueError(f"sampling_seed must be >= 0, got {self.sampling_seed}")
 
 
 @dataclass

@@ -6,7 +6,9 @@ that holds its gradient and whether it wants one.  Operations executed
 while a :class:`Tape` is active record their output's slot and a backward
 closure; :func:`reverse_accumulate` replays the closures in reverse,
 visiting every recorded operation exactly once and accumulating gradients
-additively across fan-out.
+additively across fan-out.  An intermediate gradient is cleared from its
+slot as its adjoint consumes it, so it lives only until every consumer of
+its tensor has run; after the pass only leaves hold a ``.grad``.
 
 The tape never holds a tensor.  Each backward closure keeps the slots of
 its inputs and only the arrays its adjoint reads (``mul`` its operands,
@@ -40,7 +42,10 @@ def _active_tape():
 
 class GradSlot:
     """Backward-pass bookkeeping of one tensor: its gradient, and whether
-    it wants one.  Tapes and backward closures hold slots, not tensors."""
+    it wants one.  Tapes and backward closures hold slots, not tensors.
+
+    The slot of a recorded output holds its gradient only during the
+    backward pass, until its adjoint takes it; a leaf's slot keeps it."""
 
     __slots__ = ("grad", "requires_grad")
 
@@ -162,7 +167,11 @@ def reverse_accumulate(tape, loss):
     """Backpropagate ``loss`` through ``tape``.
 
     Fills ``.grad`` on every leaf that requires gradients; leaves the loss
-    does not reach get an explicit zero gradient.  The tape is consumed.
+    does not reach get an explicit zero gradient.  Each recorded output's
+    gradient is taken out of its slot just before its adjoint runs, so it
+    is freed once that adjoint drops it and every produced tensor, the
+    loss included, ends with ``.grad`` None.  The tape's entries stay until
+    the tape is dropped.  The tape is consumed.
     """
     if tape.consumed:
         raise TapeError("computation record already consumed")
@@ -173,8 +182,9 @@ def reverse_accumulate(tape, loss):
     tape.consumed = True
     loss.grad = np.ones((), dtype=loss.dtype)
     for slot, backward in reversed(tape.entries):
-        if slot.grad is not None:
-            backward(slot.grad)
+        g, slot.grad = slot.grad, None
+        if g is not None:
+            backward(g)
     for slot, shape, dtype in tape._leaves.values():
         if slot.grad is None:
             slot.grad = np.zeros(shape, dtype=dtype)

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from pfnet import config
 from pfnet.data import (
     AUGMENT_OPS,
     SceneConfig,
@@ -67,6 +68,24 @@ def test_scene_flat_texture():
     cfg = SceneConfig(canvas=(32, 32), background_texture="flat", objects_per_scene=(0, 0), target_fg_ratio=0.0)
     sample = synth_scene(cfg, 0)
     assert np.isfinite(sample.image).all()
+
+
+@pytest.mark.parametrize(
+    "override,field",
+    [
+        ("data.num_classes=1", "num_classes"),
+        ("data.num_classes=7", "num_classes"),
+        ("data.size_min=0", "object_size"),
+        ("data.size_min=9", "object_size"),
+        ("data.objects_min=-1", "objects_per_scene"),
+        ("data.objects_max=5", "objects_per_scene"),
+        ("data.texture=foo", "background_texture"),
+    ],
+)
+def test_synth_scene_rejects_bad_scene_config_by_field(override, field):
+    cfg = config.apply_overrides(config.load_config(config.packaged_config_path("desk")), [override])
+    with pytest.raises(ValueError, match=f"^{field} "):
+        synth_scene(config.scene_config(cfg, 0), 0)
 
 
 # ---------------------------------------------------------------------------

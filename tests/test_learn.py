@@ -16,7 +16,7 @@ from pfnet.learn import (
 )
 from pfnet.network import NetworkConfig, init_params
 from pfnet.pointflow import PfmConfig
-from pfnet.tensor import Tensor
+from pfnet.tensor import Tape, Tensor
 
 from gradcheck import DEFAULT_TOL, check_gradients
 
@@ -176,6 +176,44 @@ def test_ce_rejects_negative_labels():
     assert float(ce_loss(logits, mask, ignore_label=-1).data) == pytest.approx(np.log(2), abs=1e-12)
 
 
+def ce_reference(logits, mask, g):
+    """ce_loss's forward and adjoint as first written, with a one-hot array:
+    (loss, grad logits)."""
+    valid = mask != 255
+    count = int(valid.sum())
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    logp = shifted - logz
+    labels = np.where(valid, mask, 0).astype(np.int64)
+    picked = np.take_along_axis(logp, labels[:, None], axis=1)[:, 0]
+    loss = np.asarray(float(-(picked * valid).sum() / count), dtype=logits.dtype)
+    softmax = np.exp(logp)
+    onehot = np.zeros_like(softmax)
+    np.put_along_axis(onehot, labels[:, None], 1.0, axis=1)
+    grad = (softmax - onehot) * valid[:, None] / count
+    return loss, (g * grad).astype(logits.dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("shape", [(2, 3, 4, 4), (1, 2, 5, 3), (8, 6, 16, 16), (3, 7, 1, 9)])
+def test_ce_matches_reference_bitwise(shape, dtype):
+    n, k, h, w = shape
+    seed = sum(shape)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    logits_data = rand(shape, seed, -6, 6).astype(dtype)
+    mask = rng.integers(0, k, (n, h, w))
+    mask[rng.uniform(size=(n, h, w)) < 0.2] = 255
+    mask[0, 0, 0] = 0  # at least one scored pixel
+    for g in (np.ones((), dtype=dtype), np.asarray(0.37, dtype=dtype)):
+        logits = Tensor(logits_data.copy(), requires_grad=True)
+        with Tape() as tape:
+            loss = ce_loss(logits, mask)
+        ((_, backward),) = tape.entries
+        backward(g)
+        for got, want in zip((loss.data, logits.grad), ce_reference(logits_data, mask, g)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_bce_gradients(seed):
     pred = Tensor(rand((2, 1, 4, 4), seed, 0.05, 0.95), requires_grad=True)
@@ -327,3 +365,9 @@ def test_train_config_rejects_non_finite_values(field, value):
     tc = TrainConfig(epochs=1, batch_size=2, **{field: value})
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
         tc.validate()
+
+
+def test_train_config_rejects_negative_edge_radius():
+    TrainConfig(edge_radius=0).validate()
+    with pytest.raises(ValueError, match="^edge_radius "):
+        TrainConfig(edge_radius=-1).validate()

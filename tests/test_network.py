@@ -3,7 +3,6 @@ import pytest
 
 from pfnet.network import (
     NetworkConfig,
-    ParameterSet,
     backbone_forward,
     init_params,
     pfnet_forward,
@@ -11,7 +10,7 @@ from pfnet.network import (
 )
 from pfnet import config, network, ops
 from pfnet.pointflow import PfmConfig
-from pfnet.tensor import Tape, Tensor, add, concat_channels, mul, relu, reverse_accumulate
+from pfnet.tensor import Tape, Tensor, add, concat_channels, relu, reverse_accumulate
 from pfnet.learn import bce_loss, ce_loss
 
 from gradcheck import DEFAULT_TOL, check_gradients
@@ -203,9 +202,6 @@ def test_every_parameter_receives_gradient():
     with Tape() as tape:
         out = pfnet_forward(image, params, cfg)
         loss = ce_loss(out.logits, mask)
-        from pfnet.learn import bce_loss
-        from pfnet.tensor import add, scale
-
         for gap in sorted(out.pfm_outputs):
             boundary = out.pfm_outputs[gap].boundary
             target = np.zeros(boundary.shape)

@@ -372,6 +372,43 @@ def test_channel_norm_gradients(seed):
     assert check_gradients(build, [x, gamma, beta]) < DEFAULT_TOL
 
 
+def channel_norm_reference(x, gamma, beta, g, eps=1e-5):
+    """channel_norm's forward and adjoint as first written, one full-size
+    temporary per step: (out, grad x, grad gamma, grad beta)."""
+    c = x.shape[1]
+    axes = (0, 2, 3)
+    mu = x.mean(axis=axes, keepdims=True)
+    xhat = x - mu
+    var = (xhat ** 2).mean(axis=axes, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat *= inv
+    g4 = gamma.reshape(1, c, 1, 1)
+    out = g4 * xhat + beta.reshape(1, c, 1, 1)
+    dxhat = g * g4
+    m1 = dxhat.mean(axis=axes, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=axes, keepdims=True)
+    return out, inv * (dxhat - m1 - xhat * m2), (g * xhat).sum(axis=axes), g.sum(axis=axes)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("shape", [(2, 3, 4, 5), (8, 16, 8, 8), (1, 5, 3, 7), (4, 1, 2, 2), (8, 64, 16, 16)])
+def test_channel_norm_matches_reference_bitwise(shape, dtype):
+    seed = sum(shape)
+    xd = rand(shape, seed, -3, 5).astype(dtype)
+    gd = rand(shape[1:2], seed + 1, 0.5, 1.5).astype(dtype)
+    bd = rand(shape[1:2], seed + 2).astype(dtype)
+    # a transposed-layout output gradient as well as a row-major one
+    gs = [rand(shape, seed + 3).astype(dtype), rand(shape[::-1], seed + 4).astype(dtype).T]
+    for g in gs:
+        x, gamma, beta = (Tensor(a.copy(), requires_grad=True) for a in (xd, gd, bd))
+        with Tape() as tape:
+            out = channel_norm(x, gamma, beta)
+        ((_, backward),) = tape.entries
+        backward(g)
+        for got, want in zip((out.data, x.grad, gamma.grad, beta.grad), channel_norm_reference(xd, gd, bd, g)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # adaptive max pool
 
@@ -639,6 +676,31 @@ def test_resize_conv3x3_float32_matches_reference_on_desk_head_shapes(hw):
     ref, _ = resize_conv_reference(xd, wd, (16, 16))
     assert out.dtype == np.float32
     assert rel_err(out, ref) <= 1e-5
+
+
+@pytest.mark.parametrize("which", ["forward", "backward"])
+def test_resize_conv3x3_peak_bounded_at_desk_head_shape(which):
+    # level 3 of desk.cfg's fused head: 64 channels, 8x8 to 16x16, batch 8
+    n, c, h, w = 8, 64, 8, 8
+    x = Tensor(rand((n, c, h, w), 92).astype(np.float32), requires_grad=True)
+    weight = Tensor(rand((c, c, 3, 3), 93).astype(np.float32), requires_grad=True)
+    g = rand((n, c, 2 * h, 2 * w), 94).astype(np.float32)
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            resize_conv3x3(x, weight, (2 * h, 2 * w))
+        forward = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ((_, backward),) = tape.entries
+    peak = forward if which == "forward" else backward_peak(backward, g, (x, weight))
+    # the tap-mix z [9 * cout, n * w * h] in the forward, and its gradient
+    # in the backward, is the largest array; each pass may hold it and its
+    # transposed copy, plus the input's and the stacked weight's sizes and
+    # z / 16 of slack.  Keeping z (or ga, 2/3 of z) alive while the next
+    # GEMM runs exceeds that.
+    z, xsize, wsize = 9 * c * n * h * w, c * n * h * w, 9 * c * c
+    assert peak <= (2 * z + xsize + wsize + z // 16) * 4
 
 
 @pytest.mark.parametrize("out_hw", [(0, 4), (4, 0), (-2, 3)])

@@ -139,6 +139,12 @@ def test_salient_match_kernel_too_large():
         salient_match(coarse, m, small_cfg(salient_kernel=(5, 5)))
 
 
+def test_pfm_config_rejects_negative_sampling_seed():
+    PfmConfig(salient_sampling="uniform_random", sampling_seed=0).validate()
+    with pytest.raises(ValueError, match="^sampling_seed "):
+        PfmConfig(salient_sampling="uniform_random", sampling_seed=-1).validate()
+
+
 @pytest.mark.parametrize("sampling", ["uniform_random", "attention_topk"])
 def test_salient_match_sampling_variants(sampling):
     coarse, _ = levels(11)

@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -257,6 +258,68 @@ def test_leaf_created_after_freed_intermediates_is_registered():
     assert np.allclose(x.grad, 26.0)
     for leaf in late:
         assert leaf.grad is not None and np.array_equal(leaf.grad, np.zeros(2))
+
+
+def test_gradient_is_freed_before_the_next_adjoint_runs():
+    # every scale adjoint writes a fresh array, so once an adjoint has run
+    # nothing but its slot could keep its gradient alive
+    x = Tensor(rand((4, 5), 20), requires_grad=True)
+    with Tape() as tape:
+        y = x
+        for _ in range(4):
+            y = scale(y, 1.5)
+        loss = sum_all(y)
+    refs = []
+
+    def watched(backward):
+        def run(g):
+            assert [r() for r in refs] == [None] * len(refs)
+            refs.append(weakref.ref(g))
+            backward(g)
+
+        return run
+
+    tape.entries = [(slot, watched(backward)) for slot, backward in tape.entries]
+    reverse_accumulate(tape, loss)
+    assert len(refs) == 5  # the sum's adjoint gets the loss's ones, then each scale's runs
+    assert np.array_equal(x.grad, np.full((4, 5), 1.5 ** 4))
+
+
+def test_only_leaves_keep_gradients_after_backward():
+    x = Tensor(rand((3, 4), 21), requires_grad=True)
+    w = Tensor(rand((3, 4), 22), requires_grad=True)
+    unreached = Tensor(rand((2,), 23), requires_grad=True)
+    with Tape() as tape:
+        a = mul(x, w)
+        b = relu(add(a, x))
+        side = scale(unreached, 2.0)
+        loss = sum_all(sub(b, scale(a, 0.5)))
+    reverse_accumulate(tape, loss)
+    for produced in (a, b, side, loss):
+        assert produced.grad is None
+    for leaf in (x, w):
+        assert leaf.grad is not None and leaf.grad.shape == (3, 4)
+    assert np.array_equal(unreached.grad, np.zeros(2))
+
+
+def test_backward_peak_holds_a_few_gradients_across_a_chain():
+    # 20 same-shape elementwise ops: an intermediate gradient lives only
+    # until its adjoint has run, so the backward never holds more than a
+    # few gradient-sized arrays at once, not one per op
+    x = Tensor(rand((64, 512), 24), requires_grad=True)
+    with Tape() as tape:
+        y = x
+        for k in range(20):
+            y = scale(y, 1.01) if k % 2 else relu(y)
+        loss = sum_all(y)
+    del y
+    tracemalloc.start()
+    try:
+        reverse_accumulate(tape, loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * x.data.nbytes
 
 
 def test_loss_must_be_scalar():
