@@ -1,18 +1,16 @@
-"""Synthetic aerial-style scenes, preprocessing, and bit-exact file formats.
+"""Synthetic aerial-style scenes, preprocessing, and a bit-exact checkpoint.
 
 Scenes are textured backgrounds scattered with tiny colored objects (2-8 px
 rectangles and ellipses) until a target foreground ratio is met, mimicking
 the extreme foreground/background imbalance of aerial imagery.  Everything
 is integer-seeded PCG64, so bytes reproduce across platforms.
 
-File formats: PFT1 (binary tensor container), PGM/PPM for human inspection,
-a tab-separated dataset manifest, and a PFC1 checkpoint container holding
-named parameters with a (name, shape, offset) manifest.
+The one file format is PFC1, a checkpoint container holding named
+parameters with a (name, shape, offset) manifest.
 """
 
 from __future__ import annotations
 
-import re
 import struct
 from dataclasses import dataclass
 
@@ -51,6 +49,10 @@ class SceneConfig:
         lo, hi = self.object_size
         if not 1 <= lo <= hi:
             raise ValueError(f"object_size must satisfy 1 <= min <= max, got {self.object_size}")
+        if hi > min(self.canvas):
+            raise ValueError(f"object_size max must fit the canvas {self.canvas}, got {self.object_size}")
+        if not 0 <= self.target_fg_ratio <= 1:
+            raise ValueError(f"target_fg_ratio must be in [0, 1], got {self.target_fg_ratio}")
         lo, hi = self.objects_per_scene
         if not 0 <= lo <= hi:
             raise ValueError(f"objects_per_scene must satisfy 0 <= min <= max, got {self.objects_per_scene}")
@@ -245,11 +247,11 @@ def augment(image, mask, op):
 
 
 # ---------------------------------------------------------------------------
-# tensor container (PFT1)
+# checkpoint container (PFC1)
 
 
-def _stored(arr, what=""):
-    """Little-endian copy of ``arr`` and its PFT1/PFC1 dtype code."""
+def _stored(arr, what):
+    """Little-endian copy of ``arr`` and its PFC1 dtype code."""
     arr = np.asarray(arr)
     if arr.dtype not in (np.float32, np.float64, np.uint8):
         raise ValueError(f"unsupported dtype {arr.dtype}{what}")
@@ -276,111 +278,6 @@ def _take_text(raw, pos, size, label):
         return chunk.decode(), end
     except UnicodeDecodeError as exc:
         raise ValueError(f"bad UTF-8 text in {label} at byte {pos + exc.start}") from None
-
-
-def write_tensor(arr, path):
-    arr, code = _stored(arr)
-    with open(path, "wb") as f:
-        f.write(b"PFT1")
-        f.write(struct.pack("<BB", code, arr.ndim))
-        for d in arr.shape:
-            f.write(struct.pack("<I", d))
-        f.write(arr.tobytes())
-
-
-def read_tensor(path):
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != b"PFT1":
-        raise ValueError(f"bad magic in {path} at byte 0")
-    header = f"header in {path}"
-    (code, ndim), pos = _unpack("<BB", raw, 4, header)
-    if code not in _CODE_DTYPES:
-        raise ValueError(f"unknown dtype code {code} in {path} at byte 4")
-    dims, pos = _unpack(f"<{ndim}I", raw, pos, header)
-    dtype = _CODE_DTYPES[code]
-    payload, _ = _take(raw, pos, int(np.prod(dims)) * dtype.itemsize, f"payload in {path}")
-    return np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
-
-
-# ---------------------------------------------------------------------------
-# portable images
-
-
-def write_pgm(mask, path):
-    mask = np.asarray(mask, dtype=np.uint8)
-    with open(path, "wb") as f:
-        f.write(f"P5\n{mask.shape[1]} {mask.shape[0]}\n255\n".encode())
-        f.write(mask.tobytes())
-
-
-# a header token, after whitespace and "#" comment lines, and the one
-# whitespace byte that ends it
-_PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*\n)*(\S+)\s")
-
-
-def read_pgm(path):
-    with open(path, "rb") as f:
-        raw = f.read()
-    fields, pos = [], 0
-    for name in ("magic", "width", "height", "maxval"):
-        m = _PGM_TOKEN.match(raw, pos)
-        if m is None:
-            raise ValueError(f"bad or truncated PGM header in {path} at byte {pos}: no {name}")
-        if name != "magic" and not m.group(1).isdigit():
-            raise ValueError(f"bad PGM {name} in {path} at byte {m.start(1)}")
-        fields.append(m.group(1))
-        pos = m.end()
-    if fields[0] != b"P5":
-        raise ValueError(f"not a binary PGM: {path} at byte 0")
-    w, h, maxval = (int(t) for t in fields[1:])
-    if maxval != 255:
-        raise ValueError(f"unsupported PGM maxval {maxval} in {path}; only 255 is read")
-    data, _ = _take(raw, pos, h * w, f"PGM payload in {path}")
-    return np.frombuffer(data, dtype=np.uint8).reshape(h, w).copy()
-
-
-def write_ppm(image, path):
-    """image: [3, H, W] floats in [0, 1] or uint8."""
-    image = np.asarray(image)
-    if image.dtype != np.uint8:
-        image = np.clip(np.round(image * 255.0), 0, 255).astype(np.uint8)
-    h, w = image.shape[1:]
-    inter = np.transpose(image, (1, 2, 0))  # H, W, 3
-    with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode())
-        f.write(inter.tobytes())
-
-
-# ---------------------------------------------------------------------------
-# manifest
-
-
-def write_manifest(entries, path):
-    with open(path, "w") as f:
-        for image_path, mask_path, split in entries:
-            f.write(f"{image_path}\t{mask_path}\t{split}\n")
-
-
-def read_manifest(path):
-    entries = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
-            image_path, mask_path, split = fields
-            if split not in ("train", "val"):
-                raise ValueError(f"{path}:{lineno}: bad split {split!r}")
-            entries.append((image_path, mask_path, split))
-    return entries
-
-
-# ---------------------------------------------------------------------------
-# checkpoint container (PFC1)
 
 
 def write_checkpoint(path, named_arrays, config_text=""):

@@ -57,34 +57,30 @@ class ClasswiseResult:
     excluded: int
 
 
-def miou(cm):
-    """Per-class IoU = tp / (tp + fp + fn); zero-union classes excluded."""
+def _classwise(cm, tp_weight):
+    """Per-class w*tp / (w*tp + fp + fn) with w = ``tp_weight``; classes
+    with a zero denominator are excluded."""
     if cm.total == 0:
         raise ValueError("empty confusion matrix")
     tp = np.diag(cm.counts).astype(np.float64)
     fp = cm.counts.sum(axis=0) - tp
     fn = cm.counts.sum(axis=1) - tp
-    union = tp + fp + fn
+    denom = tp_weight * tp + fp + fn
     per_class = np.full(cm.num_classes, np.nan)
-    present = union > 0
-    per_class[present] = tp[present] / union[present]
+    present = denom > 0
+    per_class[present] = tp_weight * tp[present] / denom[present]
     excluded = int((~present).sum())
     return ClasswiseResult(per_class, float(per_class[present].mean()), excluded)
+
+
+def miou(cm):
+    """Per-class IoU = tp / (tp + fp + fn); zero-union classes excluded."""
+    return _classwise(cm, 1)
 
 
 def class_f1(cm):
     """Per-class F1 = 2tp / (2tp + fp + fn) over classes present."""
-    if cm.total == 0:
-        raise ValueError("empty confusion matrix")
-    tp = np.diag(cm.counts).astype(np.float64)
-    fp = cm.counts.sum(axis=0) - tp
-    fn = cm.counts.sum(axis=1) - tp
-    denom = 2 * tp + fp + fn
-    per_class = np.full(cm.num_classes, np.nan)
-    present = denom > 0
-    per_class[present] = 2 * tp[present] / denom[present]
-    excluded = int((~present).sum())
-    return ClasswiseResult(per_class, float(per_class[present].mean()), excluded)
+    return _classwise(cm, 2)
 
 
 # ---------------------------------------------------------------------------

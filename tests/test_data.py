@@ -9,17 +9,10 @@ from pfnet.data import (
     SceneConfig,
     augment,
     read_checkpoint,
-    read_manifest,
-    read_pgm,
-    read_tensor,
     sliding_crop,
     stitch_label_votes,
     synth_scene,
     write_checkpoint,
-    write_manifest,
-    write_pgm,
-    write_ppm,
-    write_tensor,
 )
 
 
@@ -77,6 +70,9 @@ def test_scene_flat_texture():
         ("data.num_classes=7", "num_classes"),
         ("data.size_min=0", "object_size"),
         ("data.size_min=9", "object_size"),
+        ("data.size_max=200", "object_size"),
+        ("data.fg_ratio=-0.5", "target_fg_ratio"),
+        ("data.fg_ratio=1.5", "target_fg_ratio"),
         ("data.objects_min=-1", "objects_per_scene"),
         ("data.objects_max=5", "objects_per_scene"),
         ("data.texture=foo", "background_texture"),
@@ -195,7 +191,7 @@ def test_all_ops_preserve_alignment():
 
 
 # ---------------------------------------------------------------------------
-# tensor files
+# checkpoint container
 
 
 def assert_every_truncation_rejected(path, read):
@@ -211,129 +207,6 @@ def assert_every_truncation_rejected(path, read):
         assert str(path) in message, message
         offset = re.search(r"at byte (\d+)", message)
         assert offset is not None and int(offset.group(1)) <= n, message
-
-
-def test_tensor_roundtrip_f32(tmp_path):
-    arr = np.random.Generator(np.random.PCG64(3)).random((2, 3, 4)).astype(np.float32)
-    path = tmp_path / "t.pft"
-    write_tensor(arr, path)
-    back = read_tensor(path)
-    assert back.dtype == np.float32
-    assert back.tobytes() == arr.tobytes()
-
-
-def test_tensor_roundtrip_f64_and_u8(tmp_path):
-    arr = np.random.Generator(np.random.PCG64(4)).random((5,))
-    write_tensor(arr, tmp_path / "a.pft")
-    assert read_tensor(tmp_path / "a.pft").tobytes() == arr.tobytes()
-    mask = np.random.Generator(np.random.PCG64(5)).integers(0, 6, (16, 16)).astype(np.uint8)
-    write_tensor(mask, tmp_path / "m.pft")
-    back = read_tensor(tmp_path / "m.pft")
-    assert np.array_equal(np.bincount(back.ravel()), np.bincount(mask.ravel()))
-    assert back.tobytes() == mask.tobytes()
-
-
-def test_tensor_bad_magic(tmp_path):
-    path = tmp_path / "bad.pft"
-    path.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(ValueError, match="bad magic"):
-        read_tensor(path)
-
-
-def test_tensor_truncated(tmp_path):
-    arr = np.ones((4, 4), dtype=np.float32)
-    path = tmp_path / "t.pft"
-    write_tensor(arr, path)
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-8])
-    with pytest.raises(ValueError, match="truncated"):
-        read_tensor(path)
-
-
-def test_tensor_every_truncation_rejected(tmp_path):
-    path = tmp_path / "t.pft"
-    write_tensor(np.arange(6, dtype=np.float32).reshape(2, 3), path)
-    assert_every_truncation_rejected(path, read_tensor)
-
-
-def test_tensor_unknown_dtype_rejected(tmp_path):
-    with pytest.raises(ValueError):
-        write_tensor(np.ones((2, 2), dtype=np.int32), tmp_path / "x.pft")
-
-
-# ---------------------------------------------------------------------------
-# pgm/ppm and manifest
-
-
-def test_pgm_roundtrip(tmp_path):
-    mask = np.random.Generator(np.random.PCG64(6)).integers(0, 6, (20, 30)).astype(np.uint8)
-    write_pgm(mask, tmp_path / "m.pgm")
-    assert np.array_equal(read_pgm(tmp_path / "m.pgm"), mask)
-
-
-def test_pgm_every_truncation_rejected(tmp_path):
-    path = tmp_path / "m.pgm"
-    write_pgm(np.arange(12, dtype=np.uint8).reshape(3, 4), path)
-    assert_every_truncation_rejected(path, read_pgm)
-
-
-def test_pgm_header_comments_skipped(tmp_path):
-    mask = np.arange(6, dtype=np.uint8).reshape(2, 3)
-    path = tmp_path / "c.pgm"
-    path.write_bytes(b"P5\n# written by hand\n3 # width\n2\n255\n" + mask.tobytes())
-    assert np.array_equal(read_pgm(path), mask)
-
-
-def test_pgm_rejects_other_maxval_and_bad_fields(tmp_path):
-    path = tmp_path / "w.pgm"
-    path.write_bytes(b"P5\n2 2\n65535\n" + b"\x00" * 8)
-    with pytest.raises(ValueError, match="maxval 65535"):
-        read_pgm(path)
-    path.write_bytes(b"P5\nx 2\n255\n" + b"\x00" * 4)
-    with pytest.raises(ValueError, match="width .* at byte 3"):
-        read_pgm(path)
-    path.write_bytes(b"P6\n2 2\n255\n" + b"\x00" * 12)
-    with pytest.raises(ValueError, match="not a binary PGM"):
-        read_pgm(path)
-
-
-def test_ppm_writes_valid_header(tmp_path):
-    img = np.random.Generator(np.random.PCG64(7)).random((3, 5, 7)).astype(np.float32)
-    write_ppm(img, tmp_path / "i.ppm")
-    raw = (tmp_path / "i.ppm").read_bytes()
-    assert raw.startswith(b"P6\n7 5\n255\n")
-    assert len(raw) == len(b"P6\n7 5\n255\n") + 3 * 5 * 7
-
-
-def test_manifest_roundtrip(tmp_path):
-    entries = [("img0.pft", "mask0.pgm", "train"), ("img1.pft", "mask1.pgm", "val")]
-    write_manifest(entries, tmp_path / "manifest.tsv")
-    assert read_manifest(tmp_path / "manifest.tsv") == entries
-
-
-def test_manifest_bad_split(tmp_path):
-    (tmp_path / "manifest.tsv").write_text("a\tb\ttest\n")
-    with pytest.raises(ValueError):
-        read_manifest(tmp_path / "manifest.tsv")
-
-
-@pytest.mark.parametrize(
-    "bad_line",
-    [
-        pytest.param("img1.pft\tmask1.pgm", id="two-fields"),
-        pytest.param("img1.pft\tmask1.pgm\ttrain\textra", id="four-fields"),
-        pytest.param("img1.pft\tmask1.pgm\ttest", id="bad-split"),
-    ],
-)
-def test_manifest_errors_name_file_and_line(tmp_path, bad_line):
-    path = tmp_path / "manifest.tsv"
-    path.write_text(f"img0.pft\tmask0.pgm\ttrain\n\n{bad_line}\n")
-    with pytest.raises(ValueError, match=re.escape(f"{path}:3:")):
-        read_manifest(path)
-
-
-# ---------------------------------------------------------------------------
-# checkpoint container
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -364,6 +237,11 @@ def test_checkpoint_bad_magic(tmp_path):
     (tmp_path / "x.ckpt").write_bytes(b"XXXX" + b"\x00" * 30)
     with pytest.raises(ValueError, match="bad magic"):
         read_checkpoint(tmp_path / "x.ckpt")
+
+
+def test_checkpoint_unsupported_dtype_rejected(tmp_path):
+    with pytest.raises(ValueError, match="unsupported dtype int32 for a.weight"):
+        write_checkpoint(tmp_path / "c.ckpt", {"a.weight": np.ones((2, 2), dtype=np.int32)})
 
 
 def test_checkpoint_every_truncation_rejected(tmp_path):
