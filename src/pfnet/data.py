@@ -56,6 +56,13 @@ class SceneConfig:
         lo, hi = self.objects_per_scene
         if not 0 <= lo <= hi:
             raise ValueError(f"objects_per_scene must satisfy 0 <= min <= max, got {self.objects_per_scene}")
+        floor_px = self.ratio_window()[0] * self.canvas[0] * self.canvas[1]
+        cover_px = hi * self.object_size[1] ** 2
+        if hi > 0 and floor_px > cover_px:
+            raise ValueError(
+                f"target_fg_ratio {self.target_fg_ratio} needs {floor_px:.0f} foreground px, "
+                f"more than the {cover_px} that {hi} objects of at most {self.object_size[1]} px can cover"
+            )
         if self.background_texture not in BACKGROUND_TEXTURES:
             raise ValueError(f"background_texture must be one of {BACKGROUND_TEXTURES}, got {self.background_texture!r}")
 
@@ -187,6 +194,8 @@ def _window_starts(extent, size, stride):
 def sliding_crop(image, mask, size, stride):
     """Windows at stride steps; the remainder gets a border-flushed window."""
     h, w = mask.shape
+    if size < 1:
+        raise ValueError(f"crop size must be >= 1, got {size}")
     if size > h or size > w:
         raise ValueError(f"crop size {size} exceeds canvas {h}x{w}")
     if stride < 1:

@@ -6,9 +6,9 @@ where training needs them.  Index selections (top-K, pooling argmax, scatter
 cells) are hard and carry no gradient; gradients flow through sampled values
 only.
 
-Point coordinates use the normalized grid convention: pixel (i, j) of an
-H x W map sits at ((i + 0.5) / H, (j + 0.5) / W), so coordinates are
-resolution independent.
+Points are ``[N, K]`` int64 flat cell indices of an h x w grid.  Only
+``flat_to_points`` turns them into normalized coordinates, for the
+point-flow outputs: cell (i, j) sits at ((i + 0.5) / h, (j + 0.5) / w).
 """
 
 from __future__ import annotations
@@ -423,52 +423,45 @@ def resize_conv3x3(x, weight, out_hw):
     return _maybe_record(out, (x, weight), backward)
 
 
-def _point_weights(pts, h, w):
-    """4-neighbor indices and weights for [N, K, 2] normalized points."""
-    u, v = pts[..., 0], pts[..., 1]
-    y = np.clip(u * h - 0.5, 0.0, h - 1.0)
-    x_ = np.clip(v * w - 0.5, 0.0, w - 1.0)
-    y0 = np.floor(y).astype(np.int64)
-    x0 = np.floor(x_).astype(np.int64)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    wy = y - y0
-    wx = x_ - x0
-    return (y0, x0, y1, x1), (wy, wx)
+def point_sample_batched(x, cells, grid_hw):
+    """Read [N, K] cells of an h x w grid from [N, C, H, W] -> [N, K, C].
 
-
-def point_sample_batched(x, pts):
-    """Bilinear point sampling: [N, C, H, W] with [N, K, 2] -> [N, K, C]."""
-    pts = np.asarray(pts, dtype=np.float64)
-    if pts.ndim != 3 or pts.shape[2] != 2 or pts.shape[0] != x.shape[0]:
-        raise ValueError(f"expected [N, K, 2] points, got {pts.shape}")
-    if pts.size and (pts.min() < 0.0 or pts.max() > 1.0):
-        raise ValueError("point coordinates must lie in [0, 1]")
-    n, c, h, w = x.shape
-    k = pts.shape[1]
-    if k < 1:
+    A map the size of the grid is read by gather; a map twice its size
+    reads the mean of each cell's 2x2 block, the bilinear value at the
+    cell's center.
+    """
+    n, c, hx, wx = x.shape
+    h, w = grid_hw
+    if cells.ndim != 2 or cells.shape[0] != n:
+        raise ValueError(f"expected [{n}, K] cells, got {cells.shape}")
+    if cells.shape[1] < 1:
         raise ValueError("need at least one point")
-    (y0, x0, y1, x1), (wy, wx) = _point_weights(pts, h, w)
+    if cells.min() < 0 or cells.max() >= h * w:
+        raise ValueError(f"cells must lie on the {h}x{w} grid")
+    if (hx, wx) == (h, w):
+        taps = [cells]
+    elif (hx, wx) == (2 * h, 2 * w):
+        rows, cols = np.divmod(cells, w)
+        taps = [(2 * rows + a) * wx + 2 * cols + b for a in (0, 1) for b in (0, 1)]
+    else:
+        raise ValueError(f"map {hx}x{wx} is neither 1x nor 2x the {h}x{w} grid")
+    scale = 1.0 / len(taps)
+    flat = x.data.reshape(n, c, hx * wx)
     nn = np.arange(n)[:, None]
-    v00 = x.data[nn, :, y0, x0]  # [N, K, C]
-    v01 = x.data[nn, :, y0, x1]
-    v10 = x.data[nn, :, y1, x0]
-    v11 = x.data[nn, :, y1, x1]
-    w00 = ((1 - wy) * (1 - wx))[..., None].astype(x.dtype)
-    w01 = ((1 - wy) * wx)[..., None].astype(x.dtype)
-    w10 = (wy * (1 - wx))[..., None].astype(x.dtype)
-    w11 = (wy * wx)[..., None].astype(x.dtype)
-    out = Tensor(w00 * v00 + w01 * v01 + w10 * v10 + w11 * v11, _op="point_sample")
+    out_data = scale * flat[nn, :, taps[0]]
+    for t in taps[1:]:
+        out_data += scale * flat[nn, :, t]
+    out = Tensor(out_data, _op="point_sample")
     x_slot, dtype = x.slot, x.dtype
 
     def backward(g):
-        gx = np.zeros((n, c, h * w), dtype=dtype)
+        gx = np.zeros((n, c, hx * wx), dtype=dtype)
         base = np.arange(n)[:, None, None] * c + np.arange(c)[None, :, None]  # [N, C, 1]
-        for yy, xx, ww in ((y0, x0, w00), (y0, x1, w01), (y1, x0, w10), (y1, x1, w11)):
-            flat = (yy * w + xx)[:, None, :]  # [N, 1, K]
-            idx = base * (h * w) + flat  # [N, C, K]
-            np.add.at(gx.reshape(-1), idx.ravel(), (ww * g).transpose(0, 2, 1).ravel())
-        _accumulate(x_slot, gx.reshape(n, c, h, w))
+        gs = (scale * g).transpose(0, 2, 1).ravel()
+        for t in taps:
+            idx = base * (hx * wx) + t[:, None, :]  # [N, C, K]
+            np.add.at(gx.reshape(-1), idx.ravel(), gs)
+        _accumulate(x_slot, gx.reshape(n, c, hx, wx))
 
     return _maybe_record(out, (x,), backward)
 
@@ -496,34 +489,31 @@ def topk_select(score, k):
     return order[:, :k].astype(np.int64)
 
 
-def scatter_points_batched(base, pts, values):
-    """Write value rows into the cells under each point; later write wins."""
-    pts = np.asarray(pts, dtype=np.float64)
+def scatter_points_batched(base, cells, values):
+    """Write value rows into [N, K] flat cells of ``base``; later write wins."""
     n, c, h, w = base.shape
-    if pts.shape[0] != n or values.shape[0] != n:
+    if cells.shape[0] != n or values.shape[0] != n:
         raise ValueError("batch sizes disagree")
-    k = pts.shape[1]
+    k = cells.shape[1]
     if values.shape[1] != k:
         raise ValueError(f"{k} points but {values.shape[1]} value rows")
-    rows = np.clip(np.floor(pts[..., 0] * h), 0, h - 1).astype(np.int64)
-    cols = np.clip(np.floor(pts[..., 1] * w), 0, w - 1).astype(np.int64)
     # later write wins: keep the last occurrence of each (item, cell) key
-    keys = (np.arange(n)[:, None] * (h * w) + rows * w + cols).ravel()
+    keys = (np.arange(n)[:, None] * (h * w) + cells).ravel()
     _, last = np.unique(keys[::-1], return_index=True)
     ni, ki = np.divmod(np.sort(keys.size - 1 - last), k)
-    cell = (ni[:, None], np.arange(c)[None, :], rows[ni, ki][:, None], cols[ni, ki][:, None])
+    cell = (ni[:, None], np.arange(c)[None, :], cells[ni, ki][:, None])
     out_data = base.data.copy()
-    out_data[cell] = values.data[ni, ki]
+    out_data.reshape(n, c, h * w)[cell] = values.data[ni, ki]
     out = Tensor(out_data, _op="scatter_points")
     base_slot, values_slot = base.slot, values.slot
     values_shape, values_dtype = values.shape, values.dtype
 
     def backward(g):
         gbase = g.copy()
-        gbase[cell] = 0.0
+        gbase.reshape(n, c, h * w)[cell] = 0.0
         _accumulate(base_slot, gbase)
         gvals = np.zeros(values_shape, dtype=values_dtype)
-        gvals[ni, ki] = g[cell]
+        gvals[ni, ki] = g.reshape(n, c, h * w)[cell]
         _accumulate(values_slot, gvals)
 
     return _maybe_record(out, (base, values), backward)

@@ -9,13 +9,15 @@ a fine level (stride s, high resolution).  It has two stages:
   over the saliency map) and boundary points (top-K over a boundary map
   predicted from an edge-sharpened feature);
 * dual region propagation samples point features from both levels at the
-  selected points, forms a point-wise affinity (row-softmax of the query/key
+  selected coarse cells (a fine-level read is the mean of the cell's 2x2
+  block), forms a point-wise affinity (row-softmax of the query/key
   product) per flow, mixes the coarse values through it with a residual
   query add, and scatters the refined rows back into the fine level.
 
 Salient rows are written first and boundary rows second, so a boundary
-point wins a cell collision.  Cells no point maps to keep the fine level's
-values bitwise.
+point wins a cell collision.  Coarse cell (i, j) writes fine cell
+(2i + 1, 2j + 1), the one holding its center's floor.  Cells no point maps
+to keep the fine level's values bitwise.
 """
 
 from __future__ import annotations
@@ -44,7 +46,9 @@ DIRECTIONS = ("top_down", "bottom_up", "td_then_bu")
 EDGE_MODES = ("subtraction", "direct", "addition")
 SALIENT_SAMPLING = ("max_pool", "uniform_random", "attention_topk")
 
-DENSE_POINT_LIMIT = 4096
+# Most points one item may flow: the [K, K] affinity of 4096 points is
+# 64 MiB in float32, and the softmax and backward hold a few more.
+_MAX_POINTS = 4096
 
 
 @dataclass
@@ -126,9 +130,9 @@ def salient_match(coarse, saliency, cfg):
 
     Returns the attention-enhanced coarse feature (pooled saliency is
     upsampled back to the grid before the residual multiply) plus the
-    selected salient points.  The sampling variants only
-    change the index selection; the enhanced feature always comes from the
-    max-pooled attention path.
+    [N, P] flat indices of the selected salient cells.  The sampling
+    variants only change the index selection; the enhanced feature always
+    comes from the max-pooled attention path.
     """
     n, _, h, w = coarse.shape
     if saliency.shape != (n, 1, h, w):
@@ -147,11 +151,11 @@ def salient_match(coarse, saliency, cfg):
         flat = _uniform_region_points(saliency.data, (kh, kw), cfg.sampling_seed)
     else:  # attention_topk
         flat = topk_select(saliency, kh * kw)
-    return enhanced, flat_to_points(flat, h, w)
+    return enhanced, flat
 
 
 def boundary_branch(coarse, saliency, params, cfg):
-    """Boundary map prediction and top-K boundary point selection.
+    """Boundary map prediction and the [N, K] flat indices of its top-K cells.
 
     ``subtraction`` sharpens the feature by removing its locally smoothed
     saliency-weighted content before the 1x1 prediction conv; ``direct``
@@ -178,38 +182,46 @@ def boundary_branch(coarse, saliency, params, cfg):
     boundary = tt.sigmoid(conv2d(sharpened, params))
 
     if k == 0:
-        return boundary, np.zeros((n, 0, 2))
-    return boundary, flat_to_points(topk_select(boundary, k), h, w)
+        return boundary, np.zeros((n, 0), dtype=np.int64)
+    return boundary, topk_select(boundary, k)
 
 
-def point_propagate(src, dst, pts):
-    """Affinity-weighted propagation for [N, K, 2] point sets -> [N, K, C].
+def point_propagate(src, dst, cells, grid_hw):
+    """Affinity-weighted propagation for [N, K] cells of the grid -> [N, K, C].
 
     Queries and the residual come from ``dst``, keys and values from
     ``src``; each row of the query/key dot-product affinity is
     softmax-normalized, with no temperature.
     """
-    if pts.shape[1] < 1:
+    k = cells.shape[1]
+    if k < 1:
         raise ValueError("empty point list")
-    queries = point_sample_batched(dst, pts)
-    keys = point_sample_batched(src, pts)
+    if k > _MAX_POINTS:
+        h, w = grid_hw
+        raise ValueError(f"{k} points on the {h}x{w} grid exceed the {_MAX_POINTS} one item may flow")
+    queries = point_sample_batched(dst, cells, grid_hw)
+    keys = point_sample_batched(src, cells, grid_hw)
     affinity = tt.batched_matmul(queries, keys, transpose_b=True)
     weights = tt.softmax_lastdim(affinity)
     return tt.add(tt.batched_matmul(weights, keys), queries)
 
 
-def _flow(value_srcs, dst, out):
+def _flow(value_srcs, dst, cells, grid_hw):
     """Propagate the salient then the boundary flow and scatter into ``dst``.
 
-    ``value_srcs`` holds the (salient, boundary) sources of keys and values;
-    queries always come from the unrefined ``dst``.  Empty point sets are
-    skipped.
+    ``value_srcs`` holds the (salient, boundary) sources of keys and values
+    and ``cells`` their points on the coarse grid; queries always come from
+    the unrefined ``dst``.  Empty point sets are skipped.
     """
+    h, w = grid_hw
     refined = dst
-    for src, pts in zip(value_srcs, (out.salient_points, out.boundary_points)):
-        if pts.shape[1] > 0:
-            rows = point_propagate(src, dst, pts)
-            refined = scatter_points_batched(refined, pts, rows)
+    for src, flat in zip(value_srcs, cells):
+        if flat.shape[1] > 0:
+            rows = point_propagate(src, dst, flat, grid_hw)
+            if dst.shape[2] != h:
+                i, j = np.divmod(flat, w)
+                flat = (2 * i + 1) * (2 * w) + 2 * j + 1
+            refined = scatter_points_batched(refined, flat, rows)
     return refined
 
 
@@ -223,40 +235,24 @@ def pfm_forward(coarse, fine, cfg, params):
     refined fine level.
     """
     cfg.validate()
+    grid = coarse.shape[2:]
     saliency = compute_saliency(coarse, fine, params.saliency_conv)
-    enhanced, s_points = salient_match(coarse, saliency, cfg)
-    boundary, b_points = boundary_branch(coarse, saliency, params.boundary_conv, cfg)
+    enhanced, s_cells = salient_match(coarse, saliency, cfg)
+    boundary, b_cells = boundary_branch(coarse, saliency, params.boundary_conv, cfg)
+    cells = (s_cells, b_cells)
     out = PfmOutput(
         refined=None,
         boundary=boundary,
         saliency=saliency,
-        salient_points=s_points,
-        boundary_points=b_points,
+        salient_points=flat_to_points(s_cells, *grid),
+        boundary_points=flat_to_points(b_cells, *grid),
     )
     if cfg.direction == "top_down":
-        out.refined = _flow((enhanced, coarse), fine, out)
+        out.refined = _flow((enhanced, coarse), fine, cells, grid)
     elif cfg.direction == "bottom_up":
-        out.refined_coarse = _flow((fine, fine), coarse, out)
+        out.refined_coarse = _flow((fine, fine), coarse, cells, grid)
     else:  # td_then_bu
-        out.refined = _flow((enhanced, coarse), fine, out)
-        out.refined_coarse = _flow((out.refined, out.refined), coarse, out)
+        out.refined = _flow((enhanced, coarse), fine, cells, grid)
+        out.refined_coarse = _flow((out.refined, out.refined), coarse, cells, grid)
     return out
 
-
-def dense_affinity_reference(src, dst):
-    """Brute-force arm: every grid center of ``src`` is a selected point.
-
-    Serves as the oracle for sparse propagation and as the dense-affinity
-    comparison run.  Refuses grids beyond DENSE_POINT_LIMIT points to keep
-    the quadratic cost bounded.
-    """
-    if src.shape[1] != dst.shape[1]:
-        raise ValueError("channel counts differ")
-    if src.shape[0] != dst.shape[0]:
-        raise ValueError("batch sizes differ")
-    h, w = src.shape[2:]
-    if h * w > DENSE_POINT_LIMIT:
-        raise ValueError(f"{h * w} points exceeds the dense limit {DENSE_POINT_LIMIT}")
-    pts = np.broadcast_to(flat_to_points(np.arange(h * w), h, w), (src.shape[0], h * w, 2))
-    rows = point_propagate(src, dst, pts)
-    return scatter_points_batched(dst, pts, rows)

@@ -15,10 +15,9 @@ its inputs and only the arrays its adjoint reads (``mul`` its operands,
 ``relu`` its own output, a conv its padded input), so an intermediate
 value that no adjoint reads is freed as soon as the forward drops it.
 
-Broadcasting is deliberately restricted to the two patterns the network
-needs: a per-channel vector ``[1, C, 1, 1]`` against a feature map
-``[N, C, H, W]``, and a single-channel spatial map ``[N, 1, H, W]``
-broadcast over channels.  Anything else is rejected.
+Broadcasting is deliberately restricted to the one pattern the network
+needs: a single-channel spatial map ``[N, 1, H, W]`` broadcast over the
+channels of a feature map ``[N, C, H, W]``.  Anything else is rejected.
 """
 
 from __future__ import annotations
@@ -242,13 +241,11 @@ def sigmoid(x):
 
 
 def _broadcast_axes(a_shape, b_shape):
-    """Return reduction axes for gradients of ``b`` under the allowed patterns."""
+    """Return reduction axes for gradients of ``b`` under the allowed pattern."""
     if a_shape == b_shape:
         return None
     if len(a_shape) == 4 and len(b_shape) == 4:
-        n, c, h, w = a_shape
-        if b_shape == (1, c, 1, 1):
-            return (0, 2, 3)
+        n, _, h, w = a_shape
         if b_shape == (n, 1, h, w):
             return (1,)
     raise ValueError(f"incompatible shapes for broadcast: {a_shape} vs {b_shape}")

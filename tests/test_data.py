@@ -73,6 +73,7 @@ def test_scene_flat_texture():
         ("data.size_max=200", "object_size"),
         ("data.fg_ratio=-0.5", "target_fg_ratio"),
         ("data.fg_ratio=1.5", "target_fg_ratio"),
+        ("data.fg_ratio=0.9", "target_fg_ratio"),
         ("data.objects_min=-1", "objects_per_scene"),
         ("data.objects_max=5", "objects_per_scene"),
         ("data.texture=foo", "background_texture"),
@@ -122,6 +123,12 @@ def test_crop_size_exceeds_canvas():
 def test_crop_stride_below_one_rejected(stride):
     with pytest.raises(ValueError, match="crop stride"):
         sliding_crop(np.zeros((3, 16, 16)), np.zeros((16, 16)), 8, stride)
+
+
+@pytest.mark.parametrize("size", [0, -3])
+def test_crop_size_below_one_rejected(size):
+    with pytest.raises(ValueError, match=f"crop size must be >= 1, got {size}"):
+        sliding_crop(np.zeros((3, 16, 16)), np.zeros((16, 16)), size, 8)
 
 
 def test_stitch_reconstructs_from_crops():

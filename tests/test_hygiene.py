@@ -28,7 +28,6 @@ AWAITING_CALLER = {
     "echo_config": "the run driver records its effective config (ROADMAP item 1)",
     "read_checkpoint": "bit-exact resume (ROADMAP item 6)",
     "write_checkpoint": "bit-exact resume (ROADMAP item 6)",
-    "dense_affinity_reference": "the dense-affinity arm (ROADMAP item 3)",
 }
 
 

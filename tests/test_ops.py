@@ -718,35 +718,97 @@ def test_resize_conv3x3_rejects_bad_weight():
 
 
 # ---------------------------------------------------------------------------
-# bilinear point sampling
+# point sampling
+
+
+def four_neighbour_sample(x, pts):
+    """Four-neighbour bilinear sampling of [N, K, 2] normalized points, the
+    oracle for cell reads: values [N, K, C] and a function from an output
+    gradient to the input gradient, summing taps in the order 00, 01, 10, 11."""
+    n, c, h, w = x.shape
+    u, v = pts[..., 0], pts[..., 1]
+    y = np.clip(u * h - 0.5, 0.0, h - 1.0)
+    x_ = np.clip(v * w - 0.5, 0.0, w - 1.0)
+    y0, x0 = np.floor(y).astype(np.int64), np.floor(x_).astype(np.int64)
+    y1, x1 = np.minimum(y0 + 1, h - 1), np.minimum(x0 + 1, w - 1)
+    wy, wx = y - y0, x_ - x0
+    taps = [
+        (y0, x0, (1 - wy) * (1 - wx)),
+        (y0, x1, (1 - wy) * wx),
+        (y1, x0, wy * (1 - wx)),
+        (y1, x1, wy * wx),
+    ]
+    taps = [(yy, xx, ww[..., None].astype(x.dtype)) for yy, xx, ww in taps]
+    nn = np.arange(n)[:, None]
+    v00, v01, v10, v11 = (ww * x[nn, :, yy, xx] for yy, xx, ww in taps)
+    values = v00 + v01 + v10 + v11
+
+    def backward(g):
+        gx = np.zeros((n, c, h * w), dtype=x.dtype)
+        base = np.arange(n)[:, None, None] * c + np.arange(c)[None, :, None]
+        for yy, xx, ww in taps:
+            idx = base * (h * w) + (yy * w + xx)[:, None, :]
+            np.add.at(gx.reshape(-1), idx.ravel(), (ww * g).transpose(0, 2, 1).ravel())
+        return gx.reshape(n, c, h, w)
+
+    return values, backward
+
+
+def sample_with_gradient(x, cells, grid_hw, g):
+    """Values of ``point_sample_batched`` and the input gradient of ``g``."""
+    xt = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        out = point_sample_batched(xt, cells, grid_hw)
+    ((_, backward),) = tape.entries
+    backward(g)
+    return out.data, xt.grad
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("scale", [1, 2])
+@pytest.mark.parametrize("size", [2, 4, 8, 32])
+def test_point_sample_matches_four_neighbour_oracle_bitwise(size, scale, dtype):
+    gen = np.random.Generator(np.random.PCG64(size * 10 + scale))
+    n, c, k = 3, 4, 2 * size * size  # duplicate cells too
+    x = gen.uniform(-1, 1, (n, c, scale * size, scale * size)).astype(dtype)
+    cells = gen.integers(0, size * size, (n, k))
+    g = gen.uniform(-1, 1, (n, k, c)).astype(dtype)
+    got, got_grad = sample_with_gradient(x, cells, (size, size), g)
+    want, want_backward = four_neighbour_sample(x, flat_to_points(cells, size, size))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert got_grad.tobytes() == want_backward(g).tobytes()
 
 
 def test_point_sample_at_pixel_centers_is_exact():
     x = Tensor(rand((2, 3, 4, 5), 13))
-    pts = np.broadcast_to(flat_to_points(np.arange(20), 4, 5), (2, 20, 2))
-    out = point_sample_batched(x, pts).data
+    cells = np.broadcast_to(np.arange(20), (2, 20))
+    out = point_sample_batched(x, cells, (4, 5)).data
     expected = x.data.reshape(2, 3, 20).transpose(0, 2, 1)
     assert np.array_equal(out, expected)  # bitwise
 
 
 def test_point_sample_constant_map():
-    x = Tensor(np.full((1, 2, 3, 3), 1.25))
-    pts = np.array([[[0.0, 0.0], [1.0, 1.0], [0.37, 0.91]]])
-    assert np.allclose(point_sample_batched(x, pts).data, 1.25)
+    for hw in ((3, 3), (6, 6)):
+        x = Tensor(np.full((1, 2) + hw, 1.25))
+        out = point_sample_batched(x, np.array([[0, 8, 5]]), (3, 3)).data
+        assert np.array_equal(out, np.full((1, 3, 2), 1.25))
 
 
 def test_point_sample_center_mean():
     x = Tensor(np.array([[0.0, 1.0], [2.0, 3.0]]).reshape(1, 1, 2, 2))
-    out = point_sample_batched(x, np.array([[[0.5, 0.5]]])).data
-    assert out[0, 0, 0] == pytest.approx(1.5)
+    out = point_sample_batched(x, np.array([[0]]), (1, 1)).data
+    assert out[0, 0, 0] == 1.5
 
 
 def test_point_sample_rejects_outside_coordinates():
     x = Tensor(np.zeros((1, 1, 2, 2)))
-    with pytest.raises(ValueError):
-        point_sample_batched(x, np.array([[[0.5, 1.2]]]))
-    with pytest.raises(ValueError):  # [K, 2] without the batch axis
-        point_sample_batched(x, np.array([[0.5, 0.5]]))
+    for cells in ([[4]], [[-1]]):
+        with pytest.raises(ValueError, match="2x2 grid"):
+            point_sample_batched(x, np.array(cells), (2, 2))
+    with pytest.raises(ValueError):  # [K] without the batch axis
+        point_sample_batched(x, np.array([0]), (2, 2))
+    with pytest.raises(ValueError, match="neither 1x nor 2x"):
+        point_sample_batched(Tensor(np.zeros((1, 1, 3, 3))), np.array([[0]]), (2, 2))
 
 
 def test_flat_to_points_are_row_major_cell_centers():
@@ -758,14 +820,15 @@ def test_flat_to_points_are_row_major_cell_centers():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_point_sample_gradients(seed):
-    x = Tensor(rand((2, 3, 5, 5), seed), requires_grad=True)
-    pts = np.random.Generator(np.random.PCG64(seed + 40)).uniform(0.05, 0.95, (2, 6, 2))
+    cells = np.random.Generator(np.random.PCG64(seed + 40)).integers(0, 25, (2, 6))
     w = Tensor(rand((2, 6, 3), seed + 50))
+    for scale in (1, 2):
+        x = Tensor(rand((2, 3, 5 * scale, 5 * scale), seed), requires_grad=True)
 
-    def build():
-        return sum_all(mul(point_sample_batched(x, pts), w))
+        def build():
+            return sum_all(mul(point_sample_batched(x, cells, (5, 5)), w))
 
-    assert check_gradients(build, [x]) < DEFAULT_TOL
+        assert check_gradients(build, [x]) < DEFAULT_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -810,14 +873,13 @@ def test_topk_k_too_large():
 
 def test_scatter_empty_points_is_identity():
     base = Tensor(rand((2, 2, 3, 3), 17))
-    out = scatter_points_batched(base, np.zeros((2, 0, 2)), Tensor(np.zeros((2, 0, 2))))
+    out = scatter_points_batched(base, np.zeros((2, 0), dtype=np.int64), Tensor(np.zeros((2, 0, 2))))
     assert np.array_equal(out.data, base.data)
 
 
 def test_scatter_single_cell():
     base = Tensor(np.zeros((1, 2, 3, 3)))
-    pts = flat_to_points(np.array([[4]]), 3, 3)  # center of cell (1, 1)
-    out = scatter_points_batched(base, pts, Tensor(np.array([[[5.0, 6.0]]])))
+    out = scatter_points_batched(base, np.array([[4]]), Tensor(np.array([[[5.0, 6.0]]])))  # cell (1, 1)
     expected = np.zeros((1, 2, 3, 3))
     expected[0, :, 1, 1] = [5.0, 6.0]
     assert np.array_equal(out.data, expected)
@@ -825,26 +887,25 @@ def test_scatter_single_cell():
 
 def test_scatter_collision_last_write_wins():
     base = Tensor(np.zeros((1, 1, 2, 2)))
-    pts = np.array([[[0.2, 0.2], [0.05, 0.05]]])  # both map to cell (0, 0)
-    out = scatter_points_batched(base, pts, Tensor(np.array([[[1.0], [2.0]]])))
+    out = scatter_points_batched(base, np.array([[0, 0]]), Tensor(np.array([[[1.0], [2.0]]])))
     assert out.data[0, 0, 0, 0] == 2.0
 
 
 def test_scatter_row_count_mismatch():
     base = Tensor(np.zeros((1, 1, 2, 2)))
     with pytest.raises(ValueError):
-        scatter_points_batched(base, np.array([[[0.5, 0.5]]]), Tensor(np.zeros((1, 2, 1))))
+        scatter_points_batched(base, np.array([[3]]), Tensor(np.zeros((1, 2, 1))))
     with pytest.raises(ValueError):  # batch sizes disagree
-        scatter_points_batched(base, np.zeros((2, 1, 2)), Tensor(np.zeros((2, 1, 1))))
+        scatter_points_batched(base, np.zeros((2, 1), dtype=np.int64), Tensor(np.zeros((2, 1, 1))))
 
 
 def test_scatter_then_sample_roundtrip():
-    # distinct cells, points at those cells' centers: read back exactly
+    # distinct cells read back exactly
     base = Tensor(rand((1, 3, 4, 4), 18))
-    pts = np.array([[[0.125, 0.125], [0.625, 0.375], [0.875, 0.875]]])
+    cells = np.array([[0, 9, 15]])
     values = Tensor(rand((1, 3, 3), 19))
-    out = scatter_points_batched(base, pts, values)
-    back = point_sample_batched(out, pts)
+    out = scatter_points_batched(base, cells, values)
+    back = point_sample_batched(out, cells, (4, 4))
     assert np.array_equal(back.data, values.data)
 
 
@@ -852,11 +913,11 @@ def test_scatter_then_sample_roundtrip():
 def test_scatter_gradients(seed):
     base = Tensor(rand((1, 2, 4, 4), seed), requires_grad=True)
     values = Tensor(rand((1, 3, 2), seed + 5), requires_grad=True)
-    pts = np.array([[[0.1, 0.1], [0.6, 0.6], [0.6, 0.62]]])  # last two collide
+    cells = np.array([[0, 10, 10]])  # last two collide
     w = Tensor(rand((1, 2, 4, 4), seed + 9))
 
     def build():
-        return sum_all(mul(scatter_points_batched(base, pts, values), w))
+        return sum_all(mul(scatter_points_batched(base, cells, values), w))
 
     assert check_gradients(build, [base, values]) < DEFAULT_TOL
 
@@ -876,19 +937,18 @@ def test_scatter_winners_match_item_loop_bitwise():
     for _ in range(100):
         n, c, h, w = gen.integers(1, 5), gen.integers(1, 4), gen.integers(1, 7), gen.integers(1, 7)
         k = gen.integers(0, 2 * h * w + 1)  # from no points to many collisions
-        pts = gen.uniform(0, 1, (n, k, 2))
+        cells = gen.integers(0, h * w, (n, k))
         base = Tensor(gen.uniform(-1, 1, (n, c, h, w)), requires_grad=True)
         values = Tensor(gen.uniform(-1, 1, (n, k, c)), requires_grad=True)
         with Tape() as tape:
-            out = scatter_points_batched(base, pts, values)
+            out = scatter_points_batched(base, cells, values)
         ((_, backward),) = tape.entries
         g = gen.uniform(-1, 1, out.shape)
         backward(g)
 
-        rows = np.clip(np.floor(pts[..., 0] * h), 0, h - 1).astype(np.int64)
-        cols = np.clip(np.floor(pts[..., 1] * w), 0, w - 1).astype(np.int64)
+        rows, cols = np.divmod(cells, w)
         want, want_gbase, want_gvals = base.data.copy(), g.copy(), np.zeros((n, k, c))
-        for i, j in zip(*np.nonzero(winner_mask_loop(rows * w + cols))):
+        for i, j in zip(*np.nonzero(winner_mask_loop(cells))):
             want[i, :, rows[i, j], cols[i, j]] = values.data[i, j]
             want_gbase[i, :, rows[i, j], cols[i, j]] = 0.0
             want_gvals[i, j] = g[i, :, rows[i, j], cols[i, j]]
@@ -900,12 +960,11 @@ def test_scatter_winners_match_item_loop_bitwise():
 def test_scatter_batched_matches_single():
     # each row of a batched scatter equals the scatter of its batch-of-1 slice
     base2 = Tensor(rand((2, 2, 4, 4), 20))
-    pts2 = np.random.Generator(np.random.PCG64(21)).uniform(0, 1, (2, 3, 2))
-    pts2[1, 2] = pts2[1, 0]  # a collision in one item only
+    cells2 = np.array([[3, 12, 5], [7, 1, 7]])  # a collision in one item only
     vals2 = Tensor(rand((2, 3, 2), 22))
-    out = scatter_points_batched(base2, pts2, vals2)
+    out = scatter_points_batched(base2, cells2, vals2)
     for n in range(2):
         single = scatter_points_batched(
-            Tensor(base2.data[n : n + 1]), pts2[n : n + 1], Tensor(vals2.data[n : n + 1])
+            Tensor(base2.data[n : n + 1]), cells2[n : n + 1], Tensor(vals2.data[n : n + 1])
         )
         assert np.array_equal(out.data[n], single.data[0])

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from pfnet.ops import ConvParams, _adaptive_edges, flat_to_points, point_sample_batched, scatter_points_batched
+from pfnet.ops import ConvParams, _adaptive_edges, point_sample_batched, scatter_points_batched
 from pfnet.pointflow import (
     DIRECTIONS,
     EDGE_MODES,
     PfmConfig,
     PfmParams,
+    _flow,
     _uniform_region_points,
     boundary_branch,
     compute_saliency,
-    dense_affinity_reference,
     pfm_forward,
     point_propagate,
     salient_match,
@@ -100,11 +100,10 @@ def test_saliency_rejects_mismatched_levels():
 def test_salient_match_zero_map_residual_identity():
     coarse, _ = levels(7)
     m = Tensor(np.zeros((1, 1, 4, 4)))
-    enhanced, points = salient_match(coarse, m, small_cfg())
+    enhanced, cells = salient_match(coarse, m, small_cfg())
     assert np.array_equal(enhanced.data, coarse.data)
     # tie-break: smallest flat index of each 2x2 region
-    expected = flat_to_points(np.array([0, 2, 8, 10]), 4, 4)
-    assert np.allclose(points[0], expected)
+    assert cells[0].tolist() == [0, 2, 8, 10]
 
 
 def test_salient_match_unit_map_doubles():
@@ -125,11 +124,9 @@ def test_salient_match_quadrant_argmax_centers():
     )
     m = Tensor(vals.reshape(1, 1, 4, 4))
     coarse = Tensor(rand((1, 3, 4, 4), 9))
-    _, points = salient_match(coarse, m, small_cfg())
+    _, cells = salient_match(coarse, m, small_cfg())
     # argmax per quadrant: 0.9 at (0,1), 0.7 at (1,3), 0.8 at (2,0), 0.95 at (2,3)
-    expected_cells = [(0, 1), (1, 3), (2, 0), (2, 3)]
-    expected = np.array([[(r + 0.5) / 4, (c + 0.5) / 4] for r, c in expected_cells])
-    assert np.allclose(points[0], expected)
+    assert cells[0].tolist() == [1, 7, 8, 11]
 
 
 def test_salient_match_kernel_too_large():
@@ -150,14 +147,14 @@ def test_salient_match_sampling_variants(sampling):
     coarse, _ = levels(11)
     m = Tensor(rand((1, 1, 4, 4), 12, 0.01, 0.99))
     cfg = small_cfg(salient_sampling=sampling)
-    enhanced, points = salient_match(coarse, m, cfg)
+    enhanced, cells = salient_match(coarse, m, cfg)
     base_enhanced, _ = salient_match(coarse, m, small_cfg())
     # the attention feature is unchanged by the index-selection variant
     assert np.array_equal(enhanced.data, base_enhanced.data)
-    assert points.shape == (1, 4, 2)
-    assert np.all(points >= 0) and np.all(points <= 1)
+    assert cells.shape == (1, 4) and cells.dtype == np.int64
+    assert np.all(cells >= 0) and np.all(cells < 16)
     again = salient_match(coarse, m, cfg)[1]
-    assert np.array_equal(points, again)
+    assert np.array_equal(cells, again)
 
 
 def uniform_region_points_loop(saliency_data, kernel, seed):
@@ -197,13 +194,10 @@ def test_salient_match_attention_topk_picks_highest():
     m_vals = rand((1, 1, 4, 4), 13, 0.0, 1.0)
     m = Tensor(m_vals)
     coarse, _ = levels(14)
-    _, points = salient_match(coarse, m, small_cfg(salient_sampling="attention_topk"))
+    _, cells = salient_match(coarse, m, small_cfg(salient_sampling="attention_topk"))
     flat = m_vals[0, 0].ravel()
     oracle = sorted(range(16), key=lambda i: (-flat[i], i))[:4]
-    got_cells = (points[0, :, 0] * 4 - 0.5).round().astype(int) * 4 + (
-        points[0, :, 1] * 4 - 0.5
-    ).round().astype(int)
-    assert got_cells.tolist() == oracle
+    assert cells[0].tolist() == oracle
 
 
 # ---------------------------------------------------------------------------
@@ -233,13 +227,10 @@ def test_boundary_topk_matches_exhaustive_sort():
     coarse = Tensor(rand((1, 1, 4, 4), 17))
     m = Tensor(np.full((1, 1, 4, 4), 0.3))
     conv = ConvParams(Tensor(np.ones((1, 1, 1, 1))), Tensor(np.zeros(1)))
-    b, points = boundary_branch(coarse, m, conv, small_cfg(edge_mode="direct", boundary_k=3))
+    b, cells = boundary_branch(coarse, m, conv, small_cfg(edge_mode="direct", boundary_k=3))
     flat = b.data[0, 0].ravel()
     oracle = sorted(range(16), key=lambda i: (-flat[i], i))[:3]
-    cells = (points[0, :, 0] * 4 - 0.5).round().astype(int) * 4 + (
-        points[0, :, 1] * 4 - 0.5
-    ).round().astype(int)
-    assert cells.tolist() == oracle
+    assert cells[0].tolist() == oracle
 
 
 def test_boundary_k_too_large():
@@ -253,9 +244,9 @@ def test_boundary_addition_mode_runs():
     coarse, _ = levels(20)
     m = Tensor(rand((1, 1, 4, 4), 21, 0.0, 1.0))
     conv = boundary_conv(3, seed=22)
-    b, points = boundary_branch(coarse, m, conv, small_cfg(edge_mode="addition"))
+    b, cells = boundary_branch(coarse, m, conv, small_cfg(edge_mode="addition"))
     assert b.shape == (1, 1, 4, 4)
-    assert points.shape == (1, 3, 2)
+    assert cells.shape == (1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -265,19 +256,19 @@ def test_boundary_addition_mode_runs():
 def test_propagate_single_point_is_sum():
     src = Tensor(rand((1, 2, 4, 4), 23))
     dst = Tensor(rand((1, 2, 8, 8), 24))
-    pts = np.array([[[0.4, 0.7]]])
-    rows = point_propagate(src, dst, pts)
-    q = point_sample_batched(dst, pts).data
-    kv = point_sample_batched(src, pts).data
+    cells = np.array([[6]])
+    rows = point_propagate(src, dst, cells, (4, 4))
+    q = point_sample_batched(dst, cells, (4, 4)).data
+    kv = point_sample_batched(src, cells, (4, 4)).data
     assert np.allclose(rows.data, q + kv, atol=1e-12)
 
 
 def test_propagate_constant_source_reduces_to_shift():
     src = Tensor(np.full((1, 2, 4, 4), 3.5))
     dst = Tensor(rand((1, 2, 8, 8), 25))
-    pts = rand((5, 2), 26, 0.1, 0.9)[None]
-    rows = point_propagate(src, dst, pts)
-    q = point_sample_batched(dst, pts).data
+    cells = np.array([[0, 5, 9, 14, 15]])
+    rows = point_propagate(src, dst, cells, (4, 4))
+    q = point_sample_batched(dst, cells, (4, 4)).data
     assert np.allclose(rows.data, q + 3.5, atol=1e-12)
 
 
@@ -289,8 +280,8 @@ def test_propagate_two_point_hand_case():
     dst_vals = np.zeros((1, 2, 2, 2))
     dst_vals[0, :, 0, 0] = [0.5, 0.25]
     dst_vals[0, :, 0, 1] = [-0.5, 1.0]
-    pts = np.array([[[0.25, 0.25], [0.25, 0.75]]])  # centers of cells (0,0), (0,1)
-    rows = point_propagate(Tensor(src_vals), Tensor(dst_vals), pts).data[0]
+    cells = np.array([[0, 1]])  # cells (0,0), (0,1)
+    rows = point_propagate(Tensor(src_vals), Tensor(dst_vals), cells, (2, 2)).data[0]
 
     q = np.array([[0.5, 0.25], [-0.5, 1.0]])
     kv = np.array([[1.0, 2.0], [3.0, -1.0]])
@@ -303,27 +294,27 @@ def test_propagate_two_point_hand_case():
 def test_propagate_residual_guarantee_zero_source():
     src = Tensor(np.zeros((1, 3, 4, 4)))
     dst = Tensor(rand((1, 3, 8, 8), 27))
-    pts = rand((6, 2), 28, 0.0, 1.0)[None]
-    rows = point_propagate(src, dst, pts)
-    q = point_sample_batched(dst, pts).data
+    cells = np.array([[0, 3, 6, 10, 12, 15]])
+    rows = point_propagate(src, dst, cells, (4, 4))
+    q = point_sample_batched(dst, cells, (4, 4)).data
     assert np.array_equal(rows.data, q)  # bitwise
 
 
 def test_propagate_empty_points_rejected():
     src = Tensor(rand((1, 2, 4, 4), 29))
     with pytest.raises(ValueError):
-        point_propagate(src, src, np.zeros((1, 0, 2)))
+        point_propagate(src, src, np.zeros((1, 0), dtype=np.int64), (4, 4))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_propagate_gradients(seed):
     src = Tensor(rand((2, 2, 4, 4), seed), requires_grad=True)
     dst = Tensor(rand((2, 2, 8, 8), seed + 1), requires_grad=True)
-    pts = rand((2, 4, 2), seed + 2, 0.05, 0.95)
+    cells = np.random.Generator(np.random.PCG64(seed + 2)).integers(0, 16, (2, 4))
     w = Tensor(rand((2, 4, 2), seed + 3))
 
     def build():
-        return sum_all(mul(point_propagate(src, dst, pts), w))
+        return sum_all(mul(point_propagate(src, dst, cells, (4, 4)), w))
 
     assert check_gradients(build, [src, dst]) < DEFAULT_TOL
 
@@ -365,9 +356,8 @@ def test_pfm_untouched_cells_bitwise_unchanged():
     h, w = fine.shape[2:]
     hit = np.zeros((h, w), dtype=bool)
     for pts in (out.salient_points, out.boundary_points):
-        rows = np.clip(np.floor(pts[0, :, 0] * h), 0, h - 1).astype(int)
-        cols = np.clip(np.floor(pts[0, :, 1] * w), 0, w - 1).astype(int)
-        hit[rows, cols] = True
+        i, j = np.divmod(point_cells(pts, h // 2, w // 2)[0], w // 2)
+        hit[2 * i + 1, 2 * j + 1] = True
     assert not hit.all()
     assert np.array_equal(out.refined.data[0][:, ~hit], fine.data[0][:, ~hit])
 
@@ -385,11 +375,18 @@ def test_pfm_determinism():
     assert run() == run()
 
 
+def point_cells(pts, h, w):
+    """Flat cells of an h x w grid under [N, K, 2] cell centers."""
+    return (np.floor(pts[..., 0] * h) * w + np.floor(pts[..., 1] * w)).astype(np.int64)
+
+
 def flow_oracle(srcs, dst, out):
-    """Salient then boundary rows, queried from the unrefined ``dst``."""
+    """Salient then boundary rows into the coarse ``dst``, queried from it unrefined."""
+    grid = dst.shape[2:]
     refined = dst
     for src, pts in zip(srcs, (out.salient_points, out.boundary_points)):
-        refined = scatter_points_batched(refined, pts, point_propagate(src, dst, pts))
+        cells = point_cells(pts, *grid)
+        refined = scatter_points_batched(refined, cells, point_propagate(src, dst, cells, grid))
     return refined
 
 
@@ -465,6 +462,17 @@ def test_pfm_end_to_end_gradients_every_mode(direction, edge_mode):
 # dense reference
 
 
+def dense_affinity_reference(src, dst):
+    """Dense-affinity oracle: every cell of ``src``'s grid is a point, and
+    each writes the ``dst`` cell that holds the floor of its center."""
+    n, _, h, w = src.shape
+    cells = np.broadcast_to(np.arange(h * w), (n, h * w))
+    rows = point_propagate(src, dst, cells, (h, w))
+    s = dst.shape[2] // h
+    i, j = np.divmod(cells, w)
+    return scatter_points_batched(dst, (s * i + s // 2) * (s * w) + s * j + s // 2, rows)
+
+
 def test_dense_reference_single_point():
     src = Tensor(rand((1, 3, 1, 1), 41))
     dst = Tensor(rand((1, 3, 1, 1), 42))
@@ -485,16 +493,36 @@ def test_dense_equals_full_grid_sparse(seed, size):
     src = Tensor(rand((1, 3, size, size), 100 + seed))
     dst = Tensor(rand((1, 3, size, size), 200 + seed))
     dense = dense_affinity_reference(src, dst)
-    pts = flat_to_points(np.arange(size * size), size, size)[None]
-    rows = point_propagate(src, dst, pts)
+    rows = point_propagate(src, dst, np.arange(size * size)[None], (size, size))
     scattered = rows.data[0].T.reshape(1, 3, size, size)
     assert np.abs(dense.data - scattered).max() < 1e-6
 
 
 def test_dense_reference_point_limit():
+    # refused before any [N, K, K] affinity exists
     big = Tensor(np.zeros((1, 1, 65, 65)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^4225 points on the 65x65 grid"):
         dense_affinity_reference(big, big)
+
+
+def test_cells_read_and_write_their_own_cells_on_a_112_grid():
+    # 112 = 896 / 8, where normalized centers do not round-trip exactly
+    h = w = 112
+    coarse = Tensor(rand((1, 2, h, w), 50))
+    every = np.arange(h * w)[None]
+    read = point_sample_batched(coarse, every, (h, w)).data[0]
+    assert np.array_equal(read, coarse.data[0].reshape(2, -1).T)
+
+    i = np.arange(h)
+    cells = np.concatenate([i * w + i, i * w + w - 1 - i])[None]  # both diagonals: every row and column
+    ones, fine = Tensor(np.ones((1, 2, h, w))), Tensor(np.zeros((1, 2, 2 * h, 2 * w)))
+    empty = np.zeros((1, 0), dtype=np.int64)
+    # keys are all ones and queries zero, so every written row is about 1
+    written = _flow((ones, ones), fine, (cells, empty), (h, w)).data[0, 0] != 0
+    want = np.zeros((2 * h, 2 * w), dtype=bool)
+    ci, cj = np.divmod(cells[0], w)
+    want[2 * ci + 1, 2 * cj + 1] = True
+    assert np.array_equal(written, want)
 
 
 def test_affinity_rows_sum_to_one_many_sizes():

@@ -85,13 +85,7 @@ def test_mul_broadcasts_single_channel_map_over_channels():
     assert np.array_equal(out, f.data * expanded)
 
 
-def test_mul_broadcasts_per_channel_vector():
-    f = Tensor(rand((2, 3, 4, 4), 4))
-    v = Tensor(rand((1, 3, 1, 1), 5))
-    assert np.allclose(mul(f, v).data, f.data * v.data)
-
-
-@pytest.mark.parametrize("b_shape", [(2, 2), (1, 2, 2), (2, 1, 1, 1), (1, 2, 3, 1)])
+@pytest.mark.parametrize("b_shape", [(2, 2), (1, 2, 2), (2, 1, 1, 1), (1, 2, 3, 1), (1, 2, 1, 1)])
 def test_binary_rejects_general_broadcast(b_shape):
     a = Tensor(rand((1, 2, 2, 2), 6))
     with pytest.raises(ValueError):
@@ -381,7 +375,7 @@ def test_unary_gradients(kind, seed):
 
 
 @pytest.mark.parametrize("kind", ["add", "sub", "mul"])
-@pytest.mark.parametrize("b_shape", [(2, 3, 4, 4), (1, 3, 1, 1), (2, 1, 4, 4)])
+@pytest.mark.parametrize("b_shape", [(2, 3, 4, 4), (2, 1, 4, 4)], ids=["b_shape0", "b_shape2"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_binary_gradients(kind, b_shape, seed):
     a = Tensor(rand((2, 3, 4, 4), seed), requires_grad=True)
