@@ -22,7 +22,7 @@ from . import tensor as tt
 from .data import AUGMENT_OPS, augment
 from .metrics import IGNORE_LABEL, label_boundaries
 from .network import ParameterSet, init_params, pfnet_forward
-from .ops import bilinear_resize
+from .ops import _item_spans, bilinear_resize
 from .tensor import Tape, Tensor, _accumulate, _maybe_record, reverse_accumulate
 
 EDGE_STRIDES = (8, 16, 32)
@@ -118,7 +118,14 @@ def bce_loss(pred, target):
 
 
 def ce_loss(logits, mask, ignore_label=IGNORE_LABEL):
-    """Mean cross-entropy over non-ignored pixels of an integer mask."""
+    """Mean cross-entropy over non-ignored pixels of an integer mask.
+
+    The log-softmax and its gradient are computed over chunks of batch
+    items (``ops._item_spans``), so the exponentials are never held for
+    the whole batch at once.  The loss sum stays one sum over the whole
+    ``[N, H, W]`` array: numpy sums pairwise, so summing by chunks would
+    change its bits.
+    """
     mask = np.asarray(mask)
     n, k, h, w = logits.shape
     if mask.shape != (n, h, w):
@@ -131,19 +138,26 @@ def ce_loss(logits, mask, ignore_label=IGNORE_LABEL):
         raise ValueError("mask label outside class range")
     count = int(valid.sum())
 
-    logp = logits.data - logits.data.max(axis=1, keepdims=True)
-    logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))  # [N, K, H, W]
-    labels = np.where(valid, mask, 0).astype(np.int64)
-    picked = np.take_along_axis(logp, labels[:, None], axis=1)[:, 0]
+    spans = _item_spans(n, k * h * w)
+    labels = np.where(valid, mask, 0)[:, None]  # [N, 1, H, W], the mask's dtype
+    logp = np.empty_like(logits.data)
+    picked = np.empty((n, h, w), dtype=logits.dtype)
+    for n0, n1 in spans:
+        x, lp = logits.data[n0:n1], logp[n0:n1]
+        np.subtract(x, x.max(axis=1, keepdims=True), out=lp)
+        lp -= np.log(np.exp(lp).sum(axis=1, keepdims=True))
+        picked[n0:n1] = np.take_along_axis(lp, labels[n0:n1], axis=1)[:, 0]
     loss = float(-(picked * valid).sum() / count)
     out = Tensor(np.asarray(loss, dtype=logits.dtype), _op="ce_loss")
     logits_slot, dtype = logits.slot, logits.dtype
 
     def backward(g):
         # softmax minus the one-hot labels, built in the softmax buffer
-        grad = np.exp(logp)
-        at_label = np.take_along_axis(grad, labels[:, None], axis=1)
-        np.put_along_axis(grad, labels[:, None], at_label - 1.0, axis=1)
+        grad = np.empty_like(logp)
+        classes = np.arange(k)[:, None, None]
+        for n0, n1 in spans:
+            np.exp(logp[n0:n1], out=grad[n0:n1])
+            grad[n0:n1] -= labels[n0:n1] == classes
         grad *= valid[:, None]
         grad /= count
         grad *= g

@@ -33,9 +33,10 @@ class ConfusionMatrix:
         valid = gt != ignore_label
         gt = gt[valid].astype(np.int64)
         pred = pred[valid].astype(np.int64)
-        if gt.size and (gt.max() >= self.num_classes or pred.max() >= self.num_classes):
-            raise ValueError("label outside class range")
         k = self.num_classes
+        for name, labels in (("gt", gt), ("pred", pred)):
+            if labels.size and (labels.min() < 0 or labels.max() >= k):
+                raise ValueError(f"{name} label outside class range [0, {k})")
         self.counts += np.bincount(gt * k + pred, minlength=k * k).reshape(k, k)
         return self
 

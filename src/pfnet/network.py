@@ -50,8 +50,8 @@ class NetworkConfig:
 
     def validate(self):
         h, w = self.input_size
-        if h % 32 or w % 32:
-            raise ValueError(f"input size must be divisible by 32, got {h}x{w}")
+        if min(h, w) < 32 or h % 32 or w % 32:
+            raise ValueError(f"input_size sides must be positive multiples of 32, got {h}x{w}")
         if len(self.backbone_channels) != 4:
             raise ValueError("backbone needs 4 stage widths")
         if self.fpn_channels < 1:

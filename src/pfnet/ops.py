@@ -41,11 +41,32 @@ def flat_to_points(flat_idx, h, w):
 # ---------------------------------------------------------------------------
 # convolution
 
-# Most elements in one column tile of the stacked output-gradient block
-# that conv2d's backward builds (512 KiB in float32).  Conv backward time
-# was within noise from 2**17 to 2**20 at desk and 256 px shapes, while the
-# largest per-conv backward transient grew with the block.
+# The tile budget for large kernel temporaries, in elements (512 KiB in
+# float32): the most in one column tile of the stacked output-gradient block
+# that conv2d's backward builds, and of the tap sum that its forward
+# accumulates.  Conv backward time was within noise from 2**17 to 2**20 at
+# desk and 256 px shapes, while the largest per-conv backward transient
+# grew with the block.  Kernels that split a batch into items
+# (``_item_spans``) allow eight tiles per chunk.  Every split runs along an
+# axis that no GEMM or reduction sums over, so results keep their bits.
 _BLOCK = 1 << 17
+
+
+def _spans(total, most):
+    """``range(total)`` cut into ceil(total / most) near-equal (start, stop)
+    spans, each at most ``most`` wide (one at least).  Equal cuts leave no
+    short remainder: BLAS may take another kernel for a small GEMM, whose
+    rounding differs."""
+    parts = -(-total // max(most, 1))
+    return [(total * i // parts, total * (i + 1) // parts) for i in range(parts)]
+
+
+def _item_spans(n, per_item):
+    """Spans of a batch of n items for a kernel whose largest temporaries hold
+    ``per_item`` elements per item: whole up to eight tiles, which keeps
+    every desk-scale batch one GEMM chain (a per-item GEMM on a 2x2 map
+    changed bits), else the fewest equal chunks within eight tiles."""
+    return _spans(n, 8 * _BLOCK // per_item)
 
 
 def conv2d(x, p):
@@ -59,11 +80,15 @@ def conv2d(x, p):
     ``[s*s, C, N*hq*wq]`` holding one polyphase component per stride phase
     (a single one at stride 1), where hq x wq is the padded map divided by
     the stride s.  Tap (i, j) reads phase (i % s, j % s) at flat offset
-    ``(i // s) * wq + j // s``, so each tap is one 2-D GEMM over the whole
+    ``(i // s) * wq + j // s``, so each tap is a 2-D GEMM over the whole
     batch, added into an extended output whose cells beyond oh x ow are
-    dropped.  The tape keeps that 1x buffer and the tap-major weight, not
-    a kh*kw-fold column matrix (the memory argument of MEC, arXiv
-    1706.06873).
+    dropped.  The taps run over equal column tiles of that output
+    (``_spans``), each summed through a scratch tile of at most ``_BLOCK``
+    elements, sized to the widest tile; a column is one output cell, so
+    every cell keeps its bits.  The tape keeps the 1x buffer and the
+    tap-major weight, not a kh*kw-fold column matrix (the memory argument
+    of MEC, arXiv 1706.06873), and the tap sum needs no scratch wider than
+    a tile.
 
     Backward stacks, per stride phase, the output gradient shifted by each
     of the phase's taps into one block ``G [taps * cout, cols]``, a column
@@ -116,13 +141,16 @@ def conv2d(x, p):
     m = lq - taps[-1][3]
     wt = np.ascontiguousarray(p.weight.data.transpose(2, 3, 0, 1))  # [kh, kw, cout, cin]
 
+    spans = _spans(m, _BLOCK // cout)
     ext = np.empty((cout, lq), dtype=x.dtype)
-    acc, tmp = ext[:, :m], np.empty((cout, m), dtype=x.dtype)
+    tmp = np.empty((cout, max(c1 - c0 for c0, c1 in spans)), dtype=x.dtype)
     with np.errstate(over="ignore"):  # overflow surfaces as the finiteness error
-        for t, (i, j, ph, d) in enumerate(taps):
-            np.matmul(wt[i, j], buf[ph, :, d : d + m], out=tmp if t else acc)
-            if t:
-                acc += tmp
+        for c0, c1 in spans:
+            acc, part = ext[:, c0:c1], tmp[:, : c1 - c0]
+            for t, (i, j, ph, d) in enumerate(taps):
+                np.matmul(wt[i, j], buf[ph, :, d + c0 : d + c1], out=part if t else acc)
+                if t:
+                    acc += part
         out_data = np.empty((n, cout, oh, ow), dtype=x.dtype)
         kept = ext.reshape(cout, n, hq, wq)[:, :, :oh, :ow].transpose(1, 0, 2, 3)
         np.add(kept, p.bias.data[:, None, None], out=out_data)
@@ -383,6 +411,13 @@ def resize_conv3x3(x, weight, out_hw):
     one transpose-copy before each of the last two.  Backward runs the
     same GEMMs transposed.  The tape keeps the channel-major input,
     the stacked weight and the two small matrices.
+
+    Both passes run over chunks of batch items (``_item_spans``), so the
+    tap-mix and the Ry3 product exist for one chunk at a time.  In the
+    backward the tap-mix gradient ``gz [9 * cout, n * w * h]`` stays whole:
+    the weight gradient ``gz @ xc.T`` sums over (n, x, y), and summing it
+    by chunks would change its bits.  Only its Rx3 product and each
+    chunk's block of ``gz`` are computed chunk by chunk.
     """
     n, cin, h, w = x.shape
     cout, cin_w, kh, kw = weight.shape
@@ -397,23 +432,38 @@ def resize_conv3x3(x, weight, out_hw):
     rx = _shifted_interp(ow, w, x.dtype)
     ws = np.ascontiguousarray(weight.data.transpose(3, 0, 2, 1)).reshape(9 * cout, cin)
     xc = np.ascontiguousarray(x.data.transpose(1, 0, 3, 2)).reshape(cin, n * w * h)
-    # each GEMM result is dropped as soon as its transposed copy exists
+    spans = _item_spans(n, 3 * cout * w * max(3 * h, oh))
+    # each GEMM result is dropped as soon as its transposed copy exists, and
+    # the whole-batch result is made only once the first chunk's tap-mix is
+    # gone, so an unsplit batch peaks as low as one unchunked GEMM chain
+    out_data = None
     with np.errstate(over="ignore"):  # overflow surfaces as the finiteness error
-        z = np.matmul(ws, xc).reshape(3, cout, 3, n, w, h)
-        z = z.transpose(0, 1, 3, 4, 2, 5).reshape(3 * cout * n * w, 3 * h)
-        a = np.matmul(z, ry.T)
-        del z
-        a = a.reshape(3, cout, n, w, oh).transpose(2, 1, 4, 0, 3).reshape(n * cout * oh, 3 * w)
-        out_data = np.matmul(a, rx.T).reshape(n, cout, oh, ow)
+        for n0, n1 in spans:
+            k = n1 - n0
+            z = np.matmul(ws, xc[:, n0 * w * h : n1 * w * h]).reshape(3, cout, 3, k, w, h)
+            z = z.transpose(0, 1, 3, 4, 2, 5).reshape(3 * cout * k * w, 3 * h)
+            a = np.matmul(z, ry.T)
+            del z
+            a = a.reshape(3, cout, k, w, oh).transpose(2, 1, 4, 0, 3).reshape(k * cout * oh, 3 * w)
+            if out_data is None:
+                out_data = np.empty((n, cout, oh, ow), dtype=x.dtype)
+            np.matmul(a, rx.T, out=out_data[n0:n1].reshape(k * cout * oh, ow))
+            del a
     out = Tensor(out_data, _op="resize_conv3x3")
     x_slot, w_slot = x.slot, weight.slot
 
     def backward(g):
-        ga = np.matmul(g.reshape(n * cout * oh, ow), rx).reshape(n, cout, oh, 3, w)
-        ga = ga.transpose(3, 1, 0, 4, 2).reshape(3 * cout * n * w, oh)
-        gz = np.matmul(ga, ry)
-        del ga
-        gz = gz.reshape(3, cout, n, w, 3, h).transpose(0, 1, 4, 2, 3, 5).reshape(9 * cout, n * w * h)
+        gz = None
+        for n0, n1 in spans:
+            k = n1 - n0
+            ga = np.matmul(g[n0:n1].reshape(k * cout * oh, ow), rx).reshape(k, cout, oh, 3, w)
+            ga = ga.transpose(3, 1, 0, 4, 2).reshape(3 * cout * k * w, oh)
+            gzk = np.matmul(ga, ry).reshape(3, cout, k, w, 3, h)
+            del ga
+            if gz is None:  # made late, like the forward's output
+                gz = np.empty((9 * cout, n * w * h), dtype=g.dtype)
+            gz.reshape(3, cout, 3, n, w, h)[:, :, :, n0:n1] = gzk.transpose(0, 1, 4, 2, 3, 5)
+            del gzk
         gws = np.matmul(gz, xc.T).reshape(3, cout, 3, cin)
         _accumulate(w_slot, np.ascontiguousarray(gws.transpose(1, 3, 2, 0)))
         if x_slot.requires_grad:

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from pfnet import learn
+from pfnet import learn, ops
 from pfnet.learn import (
     SgdMomentum,
     TrainConfig,
@@ -195,7 +197,12 @@ def ce_reference(logits, mask, g):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
-@pytest.mark.parametrize("shape", [(2, 3, 4, 4), (1, 2, 5, 3), (8, 6, 16, 16), (3, 7, 1, 9)])
+@pytest.mark.parametrize(
+    "shape",
+    # the last three are the batch-8 training shapes at 64, 128 and 256 px,
+    # which ce_loss splits into item chunks
+    [(2, 3, 4, 4), (1, 2, 5, 3), (8, 6, 16, 16), (3, 7, 1, 9), (8, 6, 64, 64), (8, 6, 128, 128), (8, 6, 256, 256)],
+)
 def test_ce_matches_reference_bitwise(shape, dtype):
     n, k, h, w = shape
     seed = sum(shape)
@@ -204,14 +211,37 @@ def test_ce_matches_reference_bitwise(shape, dtype):
     mask = rng.integers(0, k, (n, h, w))
     mask[rng.uniform(size=(n, h, w)) < 0.2] = 255
     mask[0, 0, 0] = 0  # at least one scored pixel
-    for g in (np.ones((), dtype=dtype), np.asarray(0.37, dtype=dtype)):
-        logits = Tensor(logits_data.copy(), requires_grad=True)
+    gs = (np.ones((), dtype=dtype), np.asarray(0.37, dtype=dtype))
+    want = [(g, ce_reference(logits_data, mask, g)) for g in gs]
+    for m in (mask, mask.astype(np.uint8)):  # training masks are uint8
+        for g, expected in want:
+            logits = Tensor(logits_data.copy(), requires_grad=True)
+            with Tape() as tape:
+                loss = ce_loss(logits, m)
+            ((_, backward),) = tape.entries
+            backward(g)
+            for got, ref in zip((loss.data, logits.grad), expected):
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+def test_ce_peak_bounded_at_paper_shape():
+    # train_paper256's loss: 6 classes at 256 px, batch 8, a uint8 mask
+    shape = n, k, h, w = 8, 6, 256, 256
+    logits = Tensor(rand(shape, 40).astype(np.float32), requires_grad=True)
+    mask = np.random.Generator(np.random.PCG64(41)).integers(0, k, (n, h, w)).astype(np.uint8)
+    tracemalloc.start()
+    try:
         with Tape() as tape:
-            loss = ce_loss(logits, mask)
+            ce_loss(logits, mask)
         ((_, backward),) = tape.entries
-        backward(g)
-        for got, want in zip((loss.data, logits.grad), ce_reference(logits_data, mask, g)):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        backward(np.ones((), dtype=np.float32))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the log-softmax the tape keeps and the gradient, the kept valid mask
+    # and labels (a byte per pixel each), and one chunk of eight tiles;
+    # whole-batch exponentials or int64 labels exceed that
+    assert peak <= 2 * logits.data.nbytes + 2 * n * h * w + 8 * 4 * ops._BLOCK
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

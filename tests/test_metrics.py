@@ -123,6 +123,21 @@ def test_confusion_matrix_rejects_out_of_range():
         ConfusionMatrix(2).update(np.array([3]), np.array([0]))
 
 
+@pytest.mark.parametrize(
+    "gt,pred,name",
+    [
+        pytest.param([1, 2], [-1, 0], "pred", id="negative-pred"),
+        pytest.param([-1, 0], [1, 2], "gt", id="negative-gt"),
+        pytest.param([0, 1], [3, 0], "pred", id="pred-at-K"),
+    ],
+)
+def test_confusion_matrix_rejects_labels_outside_range_naming_side(gt, pred, name):
+    cm = ConfusionMatrix(3)
+    with pytest.raises(ValueError, match=f"^{name} label outside class range"):
+        cm.update(gt, pred)
+    assert cm.total == 0
+
+
 def test_metrics_match_bruteforce_oracle_many_cases():
     rng = np.random.Generator(np.random.PCG64(1))
     for _ in range(100):

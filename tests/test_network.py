@@ -39,6 +39,14 @@ def test_config_rejects_indivisible_input():
         NetworkConfig(input_size=(48, 64)).validate()
 
 
+@pytest.mark.parametrize("side", [0, -32])
+def test_config_rejects_input_size_below_32(side):
+    cfg = config.load_config(config.packaged_config_path("desk"))
+    net_cfg = config.network_config(config.apply_overrides(cfg, [f"data.crop_size={side}"]))
+    with pytest.raises(ValueError, match="^input_size "):
+        net_cfg.validate()
+
+
 @pytest.mark.parametrize(
     "field,value",
     [

@@ -330,6 +330,67 @@ def test_conv_backward_peak_bounded_at_desk_head_shape(monkeypatch):
     assert backward_peak(backward, g, (x, p.weight, p.bias)) > bound
 
 
+def untiled_conv2d(xd, wd, bd, s, padding):
+    """conv2d's forward for a 3x3 or strided conv as it was before column
+    tiles: each tap one GEMM over every column of the extended output."""
+    n, cin, h, w = xd.shape
+    cout, _, kh, kw = wd.shape
+    oh = (h + 2 * padding - kh) // s + 1
+    ow = (w + 2 * padding - kw) // s + 1
+    hq = -(-(h + 2 * padding) // s)
+    wq = -(-(w + 2 * padding) // s)
+    lq = n * hq * wq
+    xp = np.zeros((cin, n, s * hq, s * wq), dtype=xd.dtype)
+    xp[:, :, padding : padding + h, padding : padding + w] = xd.transpose(1, 0, 2, 3)
+    buf = xp.reshape(cin, n, hq, s, wq, s).transpose(3, 5, 0, 1, 2, 4).reshape(s * s, cin, lq)
+    taps = [(i, j, (i % s) * s + j % s, (i // s) * wq + j // s) for i in range(kh) for j in range(kw)]
+    m = lq - taps[-1][3]
+    wt = np.ascontiguousarray(wd.transpose(2, 3, 0, 1))
+    ext = np.empty((cout, lq), dtype=xd.dtype)
+    acc, tmp = ext[:, :m], np.empty((cout, m), dtype=xd.dtype)
+    for t, (i, j, ph, d) in enumerate(taps):
+        np.matmul(wt[i, j], buf[ph, :, d : d + m], out=tmp if t else acc)
+        if t:
+            acc += tmp
+    out = np.empty((n, cout, oh, ow), dtype=xd.dtype)
+    np.add(ext.reshape(cout, n, hq, wq)[:, :, :oh, :ow].transpose(1, 0, 2, 3), bd[:, None, None], out=out)
+    return out
+
+
+def assert_conv_matches_untiled(x_shape, w_shape, stride, padding, seed):
+    xd = rand(x_shape, seed).astype(np.float32)
+    wd = rand(w_shape, seed + 1).astype(np.float32)
+    bd = rand(w_shape[:1], seed + 2).astype(np.float32)
+    got = conv2d(Tensor(xd), ConvParams(Tensor(wd), Tensor(bd), stride, padding)).data
+    assert got.tobytes() == untiled_conv2d(xd, wd, bd, stride, padding).tobytes(), (x_shape, w_shape, stride)
+
+
+def test_conv_forward_matches_untiled_bitwise_at_stage3_256px():
+    # 2294 extended columns: a 2048-column tile would leave a 246-column
+    # remainder, small enough for BLAS to take another kernel
+    assert_conv_matches_untiled((8, 32, 32, 32), (64, 32, 3, 3), 2, 1, 110)
+
+
+def test_conv_forward_peak_bounded_at_paper_head_shape():
+    # the fused head's level-2 conv at 256 px: 64 channels on 64x64, batch 8
+    n, c, h, w = 8, 64, 64, 64
+    x = Tensor(rand((n, c, h, w), 111).astype(np.float32), requires_grad=True)
+    p = ConvParams(Tensor(rand((c, c, 3, 3), 112).astype(np.float32), requires_grad=True), Tensor(np.zeros(c, np.float32)), padding=1)
+    tracemalloc.start()
+    try:
+        with Tape():
+            conv2d(x, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the padded input the tape keeps, the extended output, the output and
+    # its finiteness mask, plus four tiles; a tap sum as wide as the
+    # extended output exceeds that
+    padded = ext = c * n * (h + 2) * (w + 2) * 4
+    out = n * c * h * w * 4
+    assert peak <= padded + ext + out + out // 4 + 4 * 4 * ops._BLOCK
+
+
 # ---------------------------------------------------------------------------
 # channel_norm
 
@@ -701,6 +762,123 @@ def test_resize_conv3x3_peak_bounded_at_desk_head_shape(which):
     # GEMM runs exceeds that.
     z, xsize, wsize = 9 * c * n * h * w, c * n * h * w, 9 * c * c
     assert peak <= (2 * z + xsize + wsize + z // 16) * 4
+
+
+def untiled_resize_conv3x3(xd, wd, out_hw):
+    """resize_conv3x3 as it was before item chunks, each GEMM over the whole
+    batch: the output, and a function from an output gradient to the
+    weight and input gradients."""
+    n, cin, h, w = xd.shape
+    cout = wd.shape[0]
+    oh, ow = out_hw
+    ry = ops._shifted_interp(oh, h, xd.dtype)
+    rx = ops._shifted_interp(ow, w, xd.dtype)
+    ws = np.ascontiguousarray(wd.transpose(3, 0, 2, 1)).reshape(9 * cout, cin)
+    xc = np.ascontiguousarray(xd.transpose(1, 0, 3, 2)).reshape(cin, n * w * h)
+    z = np.matmul(ws, xc).reshape(3, cout, 3, n, w, h)
+    z = z.transpose(0, 1, 3, 4, 2, 5).reshape(3 * cout * n * w, 3 * h)
+    a = np.matmul(z, ry.T).reshape(3, cout, n, w, oh).transpose(2, 1, 4, 0, 3).reshape(n * cout * oh, 3 * w)
+    out = np.matmul(a, rx.T).reshape(n, cout, oh, ow)
+
+    def grads(g):
+        ga = np.matmul(g.reshape(n * cout * oh, ow), rx).reshape(n, cout, oh, 3, w)
+        ga = ga.transpose(3, 1, 0, 4, 2).reshape(3 * cout * n * w, oh)
+        gz = np.matmul(ga, ry)
+        gz = gz.reshape(3, cout, n, w, 3, h).transpose(0, 1, 4, 2, 3, 5).reshape(9 * cout, n * w * h)
+        gws = np.matmul(gz, xc.T).reshape(3, cout, 3, cin)
+        gx = np.matmul(ws.T, gz).reshape(cin, n, w, h).transpose(1, 0, 3, 2)
+        return np.ascontiguousarray(gws.transpose(1, 3, 2, 0)), np.ascontiguousarray(gx)
+
+    return out, grads
+
+
+def assert_resize_conv3x3_matches_untiled(x_shape, cout, out_hw, seed):
+    xd = rand(x_shape, seed).astype(np.float32)
+    wd = rand((cout, x_shape[1], 3, 3), seed + 1).astype(np.float32)
+    x, weight = Tensor(xd, requires_grad=True), Tensor(wd, requires_grad=True)
+    with Tape() as tape:
+        out = resize_conv3x3(x, weight, out_hw).data
+    g = rand(out.shape, seed + 2).astype(np.float32)
+    ((_, backward),) = tape.entries
+    backward(g)
+    want, grads = untiled_resize_conv3x3(xd, wd, out_hw)
+    for name, got, ref in zip(("output", "weight", "input"), (out, weight.grad, x.grad), (want,) + grads(g)):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), (name, x_shape, out_hw)
+
+
+def test_resize_conv3x3_matches_untiled_bitwise_at_desk_level5():
+    # one GEMM per item here is small enough for BLAS to take another
+    # kernel, so the batch must stay whole
+    assert_resize_conv3x3_matches_untiled((8, 64, 2, 2), 64, (16, 16), 113)
+
+
+@pytest.mark.parametrize("which", ["forward", "backward"])
+def test_resize_conv3x3_peak_bounded_at_paper_head_shape(which):
+    # level 3 of train_paper256's fused head: 64 channels, 32x32 to 64x64
+    n, c, h, w, oh, ow = 8, 64, 32, 32, 64, 64
+    x = Tensor(rand((n, c, h, w), 114).astype(np.float32), requires_grad=True)
+    weight = Tensor(rand((c, c, 3, 3), 115).astype(np.float32), requires_grad=True)
+    g = rand((n, c, oh, ow), 116).astype(np.float32)
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            resize_conv3x3(x, weight, (oh, ow))
+        forward = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ((_, backward),) = tape.entries
+    # two chunks' worth of temporaries (a GEMM result and its transposed
+    # copy), each within eight tiles
+    chunks = 2 * 8 * ops._BLOCK * 4
+    xsize, out = n * c * h * w * 4, n * c * oh * ow * 4
+    if which == "forward":
+        # the channel-major input the tape keeps, the output and its
+        # finiteness mask; the whole-batch tap-mix (18 MiB) and its copy
+        # exceed that
+        assert forward <= xsize + out + out // 4 + chunks
+    else:
+        # the whole tap-mix gradient, which the weight gradient sums over,
+        # and the input gradient with its NCHW copy; the whole-batch
+        # gradient's transposed copy exceeds that
+        gz = 9 * c * n * h * w * 4
+        assert backward_peak(backward, g, (x, weight)) <= gz + 2 * xsize + chunks
+
+
+NETWORK_RUNS = {
+    "desk64-batch8": ("desk", (), 8),
+    "desk64-batch9": ("desk", (), 9),  # a held-out desk scene's nine crops
+    "desk128-batch8": ("desk", ("data.crop_size=128",), 8),
+    "paper256-batch8": ("default", ("data.canvas=512", "data.crop_size=256", "data.crop_stride=128"), 8),
+}
+
+
+@pytest.mark.parametrize("run", NETWORK_RUNS)
+def test_tiled_kernels_match_untiled_bitwise_on_network_shapes(monkeypatch, run):
+    base, overrides, batch = NETWORK_RUNS[run]
+    cfg = config.apply_overrides(config.load_config(config.packaged_config_path(base)), overrides)
+    net_cfg = config.network_config(cfg)
+    convs, folds = set(), set()
+
+    def recording_conv2d(x, p):
+        if (p.weight.shape[2:], p.stride) != ((1, 1), 1):  # not the one-matmul path
+            convs.add((x.shape, p.weight.shape, p.stride, p.padding))
+        return conv2d(x, p)
+
+    def recording_resize_conv3x3(x, weight, out_hw):
+        folds.add((x.shape, weight.shape[0], out_hw))
+        return resize_conv3x3(x, weight, out_hw)
+
+    monkeypatch.setattr(network, "conv2d", recording_conv2d)
+    monkeypatch.setattr(pointflow, "conv2d", recording_conv2d)
+    monkeypatch.setattr(network, "resize_conv3x3", recording_resize_conv3x3)
+    image = Tensor(rand((batch, 3) + tuple(net_cfg.input_size), 117).astype(np.float32))
+    network.pfnet_forward(image, network.init_params(net_cfg, 0), net_cfg)
+    monkeypatch.undo()
+    assert convs and len(folds) == 3
+    for k, args in enumerate(sorted(convs)):
+        assert_conv_matches_untiled(*args, seed=120 + 3 * k)
+    for k, args in enumerate(sorted(folds)):
+        assert_resize_conv3x3_matches_untiled(*args, seed=180 + 3 * k)
 
 
 @pytest.mark.parametrize("out_hw", [(0, 4), (4, 0), (-2, 3)])
