@@ -59,8 +59,11 @@ class TrainConfig:
             raise ValueError("poly_power must be positive")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch size and epochs must be >= 1")
-        if self.edge_radius < 0:
-            raise ValueError(f"edge_radius must be >= 0, got {self.edge_radius}")
+        for name in ("edge_radius", "bce_weight", "weight_decay", "checkpoint_every"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,8 @@ class NetworkConfig:
         h, w = self.input_size
         if min(h, w) < 32 or h % 32 or w % 32:
             raise ValueError(f"input_size sides must be positive multiples of 32, got {h}x{w}")
+        if self.num_classes < 2:
+            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
         if len(self.backbone_channels) != 4:
             raise ValueError("backbone needs 4 stage widths")
         if self.fpn_channels < 1:
@@ -62,6 +64,10 @@ class NetworkConfig:
         for gap in self.pfm_gaps:
             if gap not in (3, 4, 5):
                 raise ValueError(f"unknown pyramid gap {gap}")
+            try:
+                self.pfm[gap].validate()
+            except ValueError as e:
+                raise ValueError(f"pfm.gap{gap}.{e}") from None
 
     def level_size(self, level):
         h, w = self.input_size

@@ -1,14 +1,17 @@
-"""Neural-network kernels: convolution, normalization, pooling, bilinear
-resampling, point sampling, top-K selection, and point scatter.
+"""Neural-network kernels: convolution, normalization, pooling, fixed
+linear resampling, point reads, top-K selection, and point scatter.
 
 All kernels are pure functions over immutable tensors and are differentiable
 where training needs them.  Index selections (top-K, pooling argmax, scatter
 cells) are hard and carry no gradient; gradients flow through sampled values
 only.
 
-Points are ``[N, K]`` int64 flat cell indices of an h x w grid.  Only
-``flat_to_points`` turns them into normalized coordinates, for the
-point-flow outputs: cell (i, j) sits at ((i + 0.5) / h, (j + 0.5) / w).
+Each fixed linear resampling (average pools, bilinear resize) is
+``Ry @ x @ Rx.T`` with backward ``Ry.T @ g @ Rx``.  Points are ``[N, K]``
+int64 flat cell indices of an h x w grid, read by gather from a map on
+that grid.  Only ``flat_to_points`` turns them into normalized
+coordinates, for the point-flow outputs: cell (i, j) sits at
+((i + 0.5) / h, (j + 0.5) / w).
 """
 
 from __future__ import annotations
@@ -292,63 +295,60 @@ def adaptive_max_pool(x, out_hw):
     return out, indices
 
 
+# ---------------------------------------------------------------------------
+# fixed linear resampling: Ry @ x @ Rx.T
+
+
+def _resample(a, ry, rx):
+    """``ry @ a @ rx.T`` over the last two axes; its adjoint is ``_resample(g, ry.T, rx.T)``."""
+    return np.matmul(ry, np.matmul(a, rx.T))
+
+
+def _region_means(size, bins, dtype):
+    """[bins, size] matrix whose row i averages adaptive region i."""
+    starts, ends = np.array(_adaptive_edges(size, bins))
+    span = np.arange(size)
+    inside = (span >= starts[:, None]) & (span < ends[:, None])
+    return (inside / (ends - starts)[:, None]).astype(dtype)
+
+
 def adaptive_avg_pool(x, out_hw):
     """Adaptive average pooling under the same region rule as the max pool."""
     n, c, h, w = x.shape
     kh, kw = int(out_hw[0]), int(out_hw[1])
     if kh > h or kw > w:
         raise ValueError(f"pool output {kh}x{kw} exceeds input {h}x{w}")
-    rs, re = _adaptive_edges(h, kh)
-    cs, ce = _adaptive_edges(w, kw)
-    pooled = np.empty((n, c, kh, kw), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            pooled[:, :, i, j] = x.data[:, :, rs[i] : re[i], cs[j] : ce[j]].mean(axis=(2, 3))
-    out = Tensor(pooled, _op="adaptive_avg_pool")
-    x_slot, dtype = x.slot, x.dtype
-
-    def backward(g):
-        gx = np.zeros((n, c, h, w), dtype=dtype)
-        for i in range(kh):
-            for j in range(kw):
-                area = (re[i] - rs[i]) * (ce[j] - cs[j])
-                gx[:, :, rs[i] : re[i], cs[j] : ce[j]] += g[:, :, i : i + 1, j : j + 1] / area
-        _accumulate(x_slot, gx)
-
-    return _maybe_record(out, (x,), backward)
-
-
-def box_avg_pool(x, k):
-    """Stride-1 zero-padded k x k mean with divisor k^2 everywhere."""
-    if k % 2 == 0:
-        raise ValueError("box filter size must be odd")
-    if k not in (3, 5):
-        raise ValueError("box filter size limited to 3 or 5")
-    n, c, h, w = x.shape
-    if k > min(h, w):
-        raise ValueError(f"box filter {k} exceeds map {h}x{w}")
-
-    def box(arr):
-        p = k // 2
-        ap = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=arr.dtype)
-        ap[:, :, p : p + h, p : p + w] = arr
-        acc = np.zeros((n, c, h, w), dtype=arr.dtype)
-        for i in range(k):
-            for j in range(k):
-                acc += ap[:, :, i : i + h, j : j + w]
-        return acc / (k * k)
-
-    out = Tensor(box(x.data), _op="box_avg_pool")
+    ry, rx = _region_means(h, kh, x.dtype), _region_means(w, kw, x.dtype)
+    out = Tensor(_resample(x.data, ry, rx), _op="adaptive_avg_pool")
     x_slot = x.slot
 
     def backward(g):
-        _accumulate(x_slot, box(g))  # zero-padded box sum is self-adjoint
+        _accumulate(x_slot, _resample(g, ry.T, rx.T))
 
     return _maybe_record(out, (x,), backward)
 
 
-# ---------------------------------------------------------------------------
-# bilinear resampling
+def _box_band(size, dtype):
+    """[size, size] matrix of 1/3 on |i - j| <= 1: a zero-padded 3-tap mean."""
+    span = np.arange(size)
+    return (np.abs(span[:, None] - span[None, :]) <= 1).astype(dtype) / 3
+
+
+def box_avg_pool(x):
+    """Stride-1 zero-padded 3x3 mean with divisor 9 everywhere, on maps of
+    at least 3x3: ``B_h @ x @ B_w.T`` with the banded ``_box_band`` per
+    axis.  B is symmetric, so the backward is the same product of g."""
+    n, c, h, w = x.shape
+    if min(h, w) < 3:
+        raise ValueError(f"3x3 box filter exceeds map {h}x{w}")
+    by, bx = _box_band(h, x.dtype), _box_band(w, x.dtype)
+    out = Tensor(_resample(x.data, by, bx), _op="box_avg_pool")
+    x_slot = x.slot
+
+    def backward(g):
+        _accumulate(x_slot, _resample(g, by, bx))
+
+    return _maybe_record(out, (x,), backward)
 
 
 def _interp_matrix(out_size, in_size, dtype):
@@ -376,11 +376,11 @@ def bilinear_resize(x, out_hw):
         return x
     ry = _interp_matrix(oh, h, x.dtype)
     rx = _interp_matrix(ow, w, x.dtype)
-    out = Tensor(np.matmul(ry, np.matmul(x.data, rx.T)), _op="bilinear_resize")
+    out = Tensor(_resample(x.data, ry, rx), _op="bilinear_resize")
     x_slot = x.slot
 
     def backward(g):
-        _accumulate(x_slot, np.matmul(ry.T, np.matmul(g, rx)))
+        _accumulate(x_slot, _resample(g, ry.T, rx.T))
 
     return _maybe_record(out, (x,), backward)
 
@@ -473,45 +473,28 @@ def resize_conv3x3(x, weight, out_hw):
     return _maybe_record(out, (x, weight), backward)
 
 
-def point_sample_batched(x, cells, grid_hw):
-    """Read [N, K] cells of an h x w grid from [N, C, H, W] -> [N, K, C].
+def point_sample_batched(x, cells):
+    """Read [N, K] flat cells of x's own h x w grid: [N, C, h, w] -> [N, K, C].
 
-    A map the size of the grid is read by gather; a map twice its size
-    reads the mean of each cell's 2x2 block, the bilinear value at the
-    cell's center.
+    A finer map is read at a grid cell's center through ``bilinear_resize``
+    to the grid first; at 2x that is the mean of the cell's 2x2 block.
     """
-    n, c, hx, wx = x.shape
-    h, w = grid_hw
+    n, c, h, w = x.shape
     if cells.ndim != 2 or cells.shape[0] != n:
         raise ValueError(f"expected [{n}, K] cells, got {cells.shape}")
     if cells.shape[1] < 1:
         raise ValueError("need at least one point")
     if cells.min() < 0 or cells.max() >= h * w:
         raise ValueError(f"cells must lie on the {h}x{w} grid")
-    if (hx, wx) == (h, w):
-        taps = [cells]
-    elif (hx, wx) == (2 * h, 2 * w):
-        rows, cols = np.divmod(cells, w)
-        taps = [(2 * rows + a) * wx + 2 * cols + b for a in (0, 1) for b in (0, 1)]
-    else:
-        raise ValueError(f"map {hx}x{wx} is neither 1x nor 2x the {h}x{w} grid")
-    scale = 1.0 / len(taps)
-    flat = x.data.reshape(n, c, hx * wx)
-    nn = np.arange(n)[:, None]
-    out_data = scale * flat[nn, :, taps[0]]
-    for t in taps[1:]:
-        out_data += scale * flat[nn, :, t]
-    out = Tensor(out_data, _op="point_sample")
+    out = Tensor(x.data.reshape(n, c, h * w)[np.arange(n)[:, None], :, cells], _op="point_sample")
     x_slot, dtype = x.slot, x.dtype
 
     def backward(g):
-        gx = np.zeros((n, c, hx * wx), dtype=dtype)
+        gx = np.zeros(n * c * h * w, dtype=dtype)
         base = np.arange(n)[:, None, None] * c + np.arange(c)[None, :, None]  # [N, C, 1]
-        gs = (scale * g).transpose(0, 2, 1).ravel()
-        for t in taps:
-            idx = base * (hx * wx) + t[:, None, :]  # [N, C, K]
-            np.add.at(gx.reshape(-1), idx.ravel(), gs)
-        _accumulate(x_slot, gx.reshape(n, c, hx, wx))
+        idx = base * (h * w) + cells[:, None, :]  # [N, C, K]
+        np.add.at(gx, idx.ravel(), g.transpose(0, 2, 1).ravel())
+        _accumulate(x_slot, gx.reshape(n, c, h, w))
 
     return _maybe_record(out, (x,), backward)
 

@@ -8,11 +8,12 @@ a fine level (stride s, high resolution).  It has two stages:
   concatenated levels, then selects salient points (adaptive max pooling
   over the saliency map) and boundary points (top-K over a boundary map
   predicted from an edge-sharpened feature);
-* dual region propagation samples point features from both levels at the
-  selected coarse cells (a fine-level read is the mean of the cell's 2x2
-  block), forms a point-wise affinity (row-softmax of the query/key
-  product) per flow, mixes the coarse values through it with a residual
-  query add, and scatters the refined rows back into the fine level.
+* dual region propagation reads point features from both levels at the
+  selected coarse cells, the fine level through the 2x downsample that
+  the saliency map uses too (each cell's 2x2 block mean), forms a
+  point-wise affinity (row-softmax of the query/key product) per flow,
+  mixes the values through it with a residual query add, and scatters
+  the refined rows back into the level the flow refines.
 
 Salient rows are written first and boundary rows second, so a boundary
 point wins a cell collision.  Coarse cell (i, j) writes fine cell
@@ -62,8 +63,8 @@ class PfmConfig:
 
     def validate(self):
         kh, kw = self.salient_kernel
-        if kh * kw < 1:
-            raise ValueError("salient kernel must cover at least one point")
+        if min(kh, kw) < 1:
+            raise ValueError(f"salient_kernel sides must be >= 1, got {kh}x{kw}")
         if self.boundary_k < 0:
             raise ValueError("boundary_k must be >= 0")
         if self.direction not in DIRECTIONS:
@@ -94,18 +95,13 @@ class PfmOutput:
     refined_coarse: Optional[Tensor] = None  # bottom-up flows only
 
 
-def compute_saliency(coarse, fine, params):
-    """Saliency map: sigmoid of a 3x3 conv over concat(coarse, resized fine)."""
-    n, c, h, w = coarse.shape
-    nf, cf, hf, wf = fine.shape
-    if nf != n or cf != c:
-        raise ValueError("coarse and fine levels must share batch and channels")
-    if (hf, wf) != (2 * h, 2 * w):
-        raise ValueError(f"fine level must be 2x the coarse resolution, got {hf}x{wf} vs {h}x{w}")
+def compute_saliency(coarse, fine_down, params):
+    """Saliency map: sigmoid of a 3x3 conv over concat(coarse, fine_down),
+    where ``fine_down`` is the fine level resized to the coarse grid."""
+    c = coarse.shape[1]
     if params.weight.shape != (1, 2 * c, 3, 3):
         raise ValueError(f"saliency conv weight must be [1, {2 * c}, 3, 3]")
-    resized = bilinear_resize(fine, (h, w))
-    stacked = tt.concat_channels([coarse, resized])
+    stacked = tt.concat_channels([coarse, fine_down])
     return tt.sigmoid(conv2d(stacked, params))
 
 
@@ -173,7 +169,7 @@ def boundary_branch(coarse, saliency, params, cfg):
     if cfg.edge_mode == "direct":
         sharpened = coarse
     else:
-        smoothed = box_avg_pool(saliency, 3) if min(h, w) >= 3 else saliency
+        smoothed = box_avg_pool(saliency) if min(h, w) >= 3 else saliency
         weighted = tt.mul(coarse, smoothed)
         if cfg.edge_mode == "subtraction":
             sharpened = tt.sub(coarse, weighted)
@@ -186,38 +182,41 @@ def boundary_branch(coarse, saliency, params, cfg):
     return boundary, topk_select(boundary, k)
 
 
-def point_propagate(src, dst, cells, grid_hw):
-    """Affinity-weighted propagation for [N, K] cells of the grid -> [N, K, C].
+def point_propagate(src, dst, cells):
+    """Affinity-weighted propagation for [N, K] cells -> [N, K, C].
 
-    Queries and the residual come from ``dst``, keys and values from
-    ``src``; each row of the query/key dot-product affinity is
-    softmax-normalized, with no temperature.
+    ``src`` and ``dst`` both lie on the grid the cells index.  Queries and
+    the residual come from ``dst``, keys and values from ``src``; each row
+    of the query/key dot-product affinity is softmax-normalized, with no
+    temperature.
     """
+    h, w = dst.shape[2:]
+    if src.shape[2:] != (h, w):
+        raise ValueError(f"source map {src.shape[2:]} is not on the {h}x{w} grid")
     k = cells.shape[1]
     if k < 1:
         raise ValueError("empty point list")
     if k > _MAX_POINTS:
-        h, w = grid_hw
         raise ValueError(f"{k} points on the {h}x{w} grid exceed the {_MAX_POINTS} one item may flow")
-    queries = point_sample_batched(dst, cells, grid_hw)
-    keys = point_sample_batched(src, cells, grid_hw)
+    queries = point_sample_batched(dst, cells)
+    keys = point_sample_batched(src, cells)
     affinity = tt.batched_matmul(queries, keys, transpose_b=True)
     weights = tt.softmax_lastdim(affinity)
     return tt.add(tt.batched_matmul(weights, keys), queries)
 
 
-def _flow(value_srcs, dst, cells, grid_hw):
+def _flow(value_srcs, queries, dst, cells):
     """Propagate the salient then the boundary flow and scatter into ``dst``.
 
-    ``value_srcs`` holds the (salient, boundary) sources of keys and values
-    and ``cells`` their points on the coarse grid; queries always come from
-    the unrefined ``dst``.  Empty point sets are skipped.
+    ``value_srcs`` holds the (salient, boundary) sources of keys and values,
+    ``queries`` the unrefined ``dst`` on the coarse grid that the ``cells``
+    index; ``dst`` may be twice that grid.  Empty point sets are skipped.
     """
-    h, w = grid_hw
+    h, w = queries.shape[2:]
     refined = dst
     for src, flat in zip(value_srcs, cells):
         if flat.shape[1] > 0:
-            rows = point_propagate(src, dst, flat, grid_hw)
+            rows = point_propagate(src, queries, flat)
             if dst.shape[2] != h:
                 i, j = np.divmod(flat, w)
                 flat = (2 * i + 1) * (2 * w) + 2 * j + 1
@@ -229,14 +228,18 @@ def pfm_forward(coarse, fine, cfg, params):
     """Full point-flow module over one pyramid gap.
 
     Top-down (the default) refines the fine level.  Bottom-up swaps the
-    roles: both flows sample values from the fine level and write refined
-    rows into the coarse level, leaving the fine level untouched.
+    roles: both flows take keys and values from the fine level and write
+    refined rows into the coarse level, leaving the fine level untouched.
     ``td_then_bu`` applies top-down first, then bottom-up against the
     refined fine level.
     """
     cfg.validate()
-    grid = coarse.shape[2:]
-    saliency = compute_saliency(coarse, fine, params.saliency_conv)
+    n, c, h, w = coarse.shape
+    if fine.shape != (n, c, 2 * h, 2 * w):
+        raise ValueError(f"fine level must be 2x the coarse level {coarse.shape}, got {fine.shape}")
+    grid = (h, w)
+    fine_down = bilinear_resize(fine, grid)
+    saliency = compute_saliency(coarse, fine_down, params.saliency_conv)
     enhanced, s_cells = salient_match(coarse, saliency, cfg)
     boundary, b_cells = boundary_branch(coarse, saliency, params.boundary_conv, cfg)
     cells = (s_cells, b_cells)
@@ -247,12 +250,10 @@ def pfm_forward(coarse, fine, cfg, params):
         salient_points=flat_to_points(s_cells, *grid),
         boundary_points=flat_to_points(b_cells, *grid),
     )
-    if cfg.direction == "top_down":
-        out.refined = _flow((enhanced, coarse), fine, cells, grid)
-    elif cfg.direction == "bottom_up":
-        out.refined_coarse = _flow((fine, fine), coarse, cells, grid)
-    else:  # td_then_bu
-        out.refined = _flow((enhanced, coarse), fine, cells, grid)
-        out.refined_coarse = _flow((out.refined, out.refined), coarse, cells, grid)
+    if cfg.direction != "bottom_up":
+        out.refined = _flow((enhanced, coarse), fine_down, fine, cells)
+        if cfg.direction == "td_then_bu":
+            fine_down = bilinear_resize(out.refined, grid)
+    if cfg.direction != "top_down":
+        out.refined_coarse = _flow((fine_down, fine_down), coarse, coarse, cells)
     return out
-

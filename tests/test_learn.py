@@ -397,6 +397,16 @@ def test_train_config_rejects_non_finite_values(field, value):
         tc.validate()
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("bce_weight", -0.1), ("weight_decay", -1e-4), ("checkpoint_every", -1), ("momentum", -0.1), ("momentum", 1.0)],
+)
+def test_train_config_rejects_out_of_range_values(field, value):
+    TrainConfig(**{field: 0}).validate()
+    with pytest.raises(ValueError, match=f"^{field} "):
+        TrainConfig(**{field: value}).validate()
+
+
 def test_train_config_rejects_negative_edge_radius():
     TrainConfig(edge_radius=0).validate()
     with pytest.raises(ValueError, match="^edge_radius "):

@@ -47,6 +47,23 @@ def test_config_rejects_input_size_below_32(side):
         net_cfg.validate()
 
 
+@pytest.mark.parametrize("kh,kw", [(-2, -2), (0, 3), (3, -1)])
+def test_config_rejects_salient_kernel_sides_below_one(kh, kw):
+    cfg = config.load_config(config.packaged_config_path("desk"))
+    overrides = [f"pfm.gap3.salient_kh={kh}", f"pfm.gap3.salient_kw={kw}"]
+    net_cfg = config.network_config(config.apply_overrides(cfg, overrides))
+    with pytest.raises(ValueError, match="^pfm.gap3.salient_kernel "):
+        net_cfg.validate()
+    net_cfg.pfm_gaps = (4, 5)  # only enabled gaps are checked
+    net_cfg.validate()
+
+
+@pytest.mark.parametrize("num_classes", [1, 0, -1])
+def test_config_rejects_fewer_than_two_classes(num_classes):
+    with pytest.raises(ValueError, match="^num_classes "):
+        tiny_cfg(num_classes=num_classes).validate()
+
+
 @pytest.mark.parametrize(
     "field,value",
     [

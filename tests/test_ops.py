@@ -585,50 +585,120 @@ def test_adaptive_avg_pool_quadrant_means():
     assert np.array_equal(out[0, 0], [[1.0, 2.0], [3.0, 4.0]])
 
 
+def values_and_grad(op, x, g):
+    """Values of ``op(Tensor(x))`` and the input gradient of the output gradient ``g``."""
+    xt = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        out = op(xt)
+    out.grad = g
+    for slot, backward in reversed(tape.entries):
+        backward(slot.grad)
+    return out.data, xt.grad
+
+
+def assert_within_rounding(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.abs(got - want).max() <= 8 * np.finfo(want.dtype).eps * max(np.abs(want).max(), 1.0)
+
+
+def adaptive_avg_pool_loop(x, out_hw, g):
+    """Per-region reference for ``adaptive_avg_pool``: values and the input
+    gradient of the output gradient ``g``."""
+    n, c, h, w = x.shape
+    kh, kw = out_hw
+    rs, re = ops._adaptive_edges(h, kh)
+    cs, ce = ops._adaptive_edges(w, kw)
+    pooled = np.empty((n, c, kh, kw), dtype=x.dtype)
+    gx = np.zeros_like(x)
+    for i in range(kh):
+        for j in range(kw):
+            pooled[:, :, i, j] = x[:, :, rs[i] : re[i], cs[j] : ce[j]].mean(axis=(2, 3))
+            area = (re[i] - rs[i]) * (ce[j] - cs[j])
+            gx[:, :, rs[i] : re[i], cs[j] : ce[j]] += g[:, :, i : i + 1, j : j + 1] / area
+    return pooled, gx
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adaptive_avg_pool_matches_region_loop(dtype):
+    gen = np.random.Generator(np.random.PCG64(31))
+    # the paper-scale context head: bins 1, 2, 3 and 6 of an 8x8 deepest level
+    cases = [((8, 128, 8, 8), (b, b)) for b in (1, 2, 3, 6)]
+    cases += [((2, 3, 7, 5), (3, 2)), ((1, 2, 5, 6), (5, 4)), ((2, 1, 4, 9), (1, 9))]
+    for shape, out_hw in cases:
+        x = gen.uniform(-1, 1, shape).astype(dtype)
+        g = gen.uniform(-1, 1, shape[:2] + out_hw).astype(dtype)
+        got, got_grad = values_and_grad(lambda t: adaptive_avg_pool(t, out_hw), x, g)
+        want, want_grad = adaptive_avg_pool_loop(x, out_hw, g)
+        assert_within_rounding(got, want)
+        assert_within_rounding(got_grad, want_grad)
+
+
 # ---------------------------------------------------------------------------
 # box average pool
 
 
 def test_box_avg_constant_interior():
     x = Tensor(np.full((1, 1, 5, 5), 3.0))
-    out = box_avg_pool(x, 3).data
+    out = box_avg_pool(x).data
     assert out[0, 0, 2, 2] == pytest.approx(3.0)
-    # borders divide by k^2 with zero padding
+    # borders divide by 9 with zero padding
     assert out[0, 0, 0, 0] == pytest.approx(3.0 * 4 / 9)
 
 
 def test_box_avg_single_center_impulse():
     x = np.zeros((1, 1, 3, 3))
     x[0, 0, 1, 1] = 1.0
-    out = box_avg_pool(Tensor(x), 3).data
+    out = box_avg_pool(Tensor(x)).data
     assert out[0, 0, 1, 1] == pytest.approx(1.0 / 9.0)
 
 
 def test_box_avg_zeros():
-    out = box_avg_pool(Tensor(np.zeros((1, 2, 4, 4))), 3).data
+    out = box_avg_pool(Tensor(np.zeros((1, 2, 4, 4)))).data
     assert np.array_equal(out, np.zeros((1, 2, 4, 4)))
 
 
-def test_box_avg_even_k_rejected():
-    with pytest.raises(ValueError):
-        box_avg_pool(Tensor(np.zeros((1, 1, 4, 4))), 4)
-
-
 def test_box_avg_k_exceeding_map_rejected():
-    with pytest.raises(ValueError):
-        box_avg_pool(Tensor(np.zeros((1, 1, 2, 2))), 3)
+    for hw in ((2, 2), (2, 5), (5, 1)):
+        with pytest.raises(ValueError, match="exceeds map"):
+            box_avg_pool(Tensor(np.zeros((1, 1) + hw)))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("k", [3, 5])
-def test_box_avg_gradients(seed, k):
-    x = Tensor(rand((1, 2, 6, 6), seed), requires_grad=True)
-    w = Tensor(rand((1, 2, 6, 6), seed + 5))
+@pytest.mark.parametrize("size", [3, 5])  # the smallest map the box takes, and one with an interior
+def test_box_avg_gradients(seed, size):
+    x = Tensor(rand((1, 2, size, size + 1), seed), requires_grad=True)
+    w = Tensor(rand((1, 2, size, size + 1), seed + 5))
 
     def build():
-        return sum_all(mul(box_avg_pool(x, k), w))
+        return sum_all(mul(box_avg_pool(x), w))
 
     assert check_gradients(build, [x]) < DEFAULT_TOL
+
+
+def box_shifted_sum(a):
+    """Shifted-sum reference for ``box_avg_pool``: the nine shifts of the
+    zero-padded map, summed and divided by 9.  It is self-adjoint, so it is
+    the reference gradient too."""
+    n, c, h, w = a.shape
+    ap = np.zeros((n, c, h + 2, w + 2), dtype=a.dtype)
+    ap[:, :, 1 : h + 1, 1 : w + 1] = a
+    acc = np.zeros_like(a)
+    for i in range(3):
+        for j in range(3):
+            acc += ap[:, :, i : i + h, j : j + w]
+    return acc / 9
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_box_avg_matches_shifted_sum(dtype):
+    gen = np.random.Generator(np.random.PCG64(32))
+    # the desk and 256 px gap-3 saliency grids, and small odd ones
+    for shape in ((8, 1, 8, 8), (8, 1, 32, 32), (2, 3, 3, 3), (1, 2, 5, 7)):
+        x = gen.uniform(0, 1, shape).astype(dtype)
+        g = gen.uniform(-1, 1, shape).astype(dtype)
+        got, got_grad = values_and_grad(box_avg_pool, x, g)
+        assert_within_rounding(got, box_shifted_sum(x))
+        assert_within_rounding(got_grad, box_shifted_sum(g))
 
 
 # ---------------------------------------------------------------------------
@@ -902,7 +972,9 @@ def test_resize_conv3x3_rejects_bad_weight():
 def four_neighbour_sample(x, pts):
     """Four-neighbour bilinear sampling of [N, K, 2] normalized points, the
     oracle for cell reads: values [N, K, C] and a function from an output
-    gradient to the input gradient, summing taps in the order 00, 01, 10, 11."""
+    gradient to the input gradient.  Values sum each row's two taps first,
+    (00 + 01) + (10 + 11), the order of a separable resize; the gradient
+    adds the taps in the order 00, 01, 10, 11."""
     n, c, h, w = x.shape
     u, v = pts[..., 0], pts[..., 1]
     y = np.clip(u * h - 0.5, 0.0, h - 1.0)
@@ -919,7 +991,7 @@ def four_neighbour_sample(x, pts):
     taps = [(yy, xx, ww[..., None].astype(x.dtype)) for yy, xx, ww in taps]
     nn = np.arange(n)[:, None]
     v00, v01, v10, v11 = (ww * x[nn, :, yy, xx] for yy, xx, ww in taps)
-    values = v00 + v01 + v10 + v11
+    values = (v00 + v01) + (v10 + v11)
 
     def backward(g):
         gx = np.zeros((n, c, h * w), dtype=x.dtype)
@@ -933,13 +1005,9 @@ def four_neighbour_sample(x, pts):
 
 
 def sample_with_gradient(x, cells, grid_hw, g):
-    """Values of ``point_sample_batched`` and the input gradient of ``g``."""
-    xt = Tensor(x, requires_grad=True)
-    with Tape() as tape:
-        out = point_sample_batched(xt, cells, grid_hw)
-    ((_, backward),) = tape.entries
-    backward(g)
-    return out.data, xt.grad
+    """Values of the cell read of ``x``, through ``bilinear_resize`` to the
+    grid, and the input gradient of ``g``."""
+    return values_and_grad(lambda t: point_sample_batched(bilinear_resize(t, grid_hw), cells), x, g)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -960,7 +1028,7 @@ def test_point_sample_matches_four_neighbour_oracle_bitwise(size, scale, dtype):
 def test_point_sample_at_pixel_centers_is_exact():
     x = Tensor(rand((2, 3, 4, 5), 13))
     cells = np.broadcast_to(np.arange(20), (2, 20))
-    out = point_sample_batched(x, cells, (4, 5)).data
+    out = point_sample_batched(x, cells).data
     expected = x.data.reshape(2, 3, 20).transpose(0, 2, 1)
     assert np.array_equal(out, expected)  # bitwise
 
@@ -968,13 +1036,13 @@ def test_point_sample_at_pixel_centers_is_exact():
 def test_point_sample_constant_map():
     for hw in ((3, 3), (6, 6)):
         x = Tensor(np.full((1, 2) + hw, 1.25))
-        out = point_sample_batched(x, np.array([[0, 8, 5]]), (3, 3)).data
+        out = point_sample_batched(bilinear_resize(x, (3, 3)), np.array([[0, 8, 5]])).data
         assert np.array_equal(out, np.full((1, 3, 2), 1.25))
 
 
 def test_point_sample_center_mean():
     x = Tensor(np.array([[0.0, 1.0], [2.0, 3.0]]).reshape(1, 1, 2, 2))
-    out = point_sample_batched(x, np.array([[0]]), (1, 1)).data
+    out = point_sample_batched(bilinear_resize(x, (1, 1)), np.array([[0]])).data
     assert out[0, 0, 0] == 1.5
 
 
@@ -982,11 +1050,41 @@ def test_point_sample_rejects_outside_coordinates():
     x = Tensor(np.zeros((1, 1, 2, 2)))
     for cells in ([[4]], [[-1]]):
         with pytest.raises(ValueError, match="2x2 grid"):
-            point_sample_batched(x, np.array(cells), (2, 2))
+            point_sample_batched(x, np.array(cells))
     with pytest.raises(ValueError):  # [K] without the batch axis
-        point_sample_batched(x, np.array([0]), (2, 2))
-    with pytest.raises(ValueError, match="neither 1x nor 2x"):
-        point_sample_batched(Tensor(np.zeros((1, 1, 3, 3))), np.array([[0]]), (2, 2))
+        point_sample_batched(x, np.array([0]))
+
+
+def block_mean_read(x, cells, g):
+    """2x2-block-mean reference for reading [N, K] cells of the half-size
+    grid from x: values [N, K, C] and the input gradient of ``g``."""
+    n, c, hx, wx = x.shape
+    rows, cols = np.divmod(cells, wx // 2)
+    taps = [(2 * rows + a) * wx + 2 * cols + b for a in (0, 1) for b in (0, 1)]
+    flat = x.reshape(n, c, hx * wx)
+    nn = np.arange(n)[:, None]
+    values = 0.25 * flat[nn, :, taps[0]]
+    for t in taps[1:]:
+        values += 0.25 * flat[nn, :, t]
+    gx = np.zeros(n * c * hx * wx, dtype=x.dtype)
+    base = np.arange(n)[:, None, None] * c + np.arange(c)[None, :, None]
+    for t in taps:
+        np.add.at(gx, (base * (hx * wx) + t[:, None, :]).ravel(), (0.25 * g).transpose(0, 2, 1).ravel())
+    return values, gx.reshape(x.shape)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fine_read_through_resize_matches_block_mean(dtype):
+    gen = np.random.Generator(np.random.PCG64(33))
+    # 196 = 14 x 14 salient points of a 256 px gap-3 fine level, and a desk one
+    for (n, c, h), k in (((8, 64, 64), 196), ((8, 64, 16), 32)):
+        x = gen.uniform(-1, 1, (n, c, h, h)).astype(dtype)
+        cells = gen.integers(0, (h // 2) ** 2, (n, k))
+        g = gen.uniform(-1, 1, (n, k, c)).astype(dtype)
+        got, got_grad = sample_with_gradient(x, cells, (h // 2, h // 2), g)
+        want, want_grad = block_mean_read(x, cells, g)
+        assert_within_rounding(got, want)
+        assert_within_rounding(got_grad, want_grad)
 
 
 def test_flat_to_points_are_row_major_cell_centers():
@@ -1004,7 +1102,7 @@ def test_point_sample_gradients(seed):
         x = Tensor(rand((2, 3, 5 * scale, 5 * scale), seed), requires_grad=True)
 
         def build():
-            return sum_all(mul(point_sample_batched(x, cells, (5, 5)), w))
+            return sum_all(mul(point_sample_batched(bilinear_resize(x, (5, 5)), cells), w))
 
         assert check_gradients(build, [x]) < DEFAULT_TOL
 
@@ -1083,7 +1181,7 @@ def test_scatter_then_sample_roundtrip():
     cells = np.array([[0, 9, 15]])
     values = Tensor(rand((1, 3, 3), 19))
     out = scatter_points_batched(base, cells, values)
-    back = point_sample_batched(out, cells, (4, 4))
+    back = point_sample_batched(out, cells)
     assert np.array_equal(back.data, values.data)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pfnet.ops import ConvParams, _adaptive_edges, point_sample_batched, scatter_points_batched
+from pfnet.ops import ConvParams, _adaptive_edges, bilinear_resize, point_sample_batched, scatter_points_batched
 from pfnet.pointflow import (
     DIRECTIONS,
     EDGE_MODES,
@@ -56,19 +56,24 @@ def levels(seed, n=1, c=3, h=4):
     return coarse, fine
 
 
+def resized_saliency(coarse, fine, params):
+    """``compute_saliency`` of the fine level resized to the coarse grid, as ``pfm_forward`` calls it."""
+    return compute_saliency(coarse, bilinear_resize(fine, coarse.shape[2:]), params)
+
+
 # ---------------------------------------------------------------------------
 # saliency
 
 
 def test_saliency_zero_conv_gives_half_everywhere():
     coarse, fine = levels(0)
-    m = compute_saliency(coarse, fine, saliency_conv(3, zero=True))
+    m = resized_saliency(coarse, fine, saliency_conv(3, zero=True))
     assert np.allclose(m.data, 0.5)
 
 
 def test_saliency_shape_law():
     coarse, fine = levels(1, n=2, c=4, h=5)
-    m = compute_saliency(coarse, fine, saliency_conv(4, seed=2))
+    m = resized_saliency(coarse, fine, saliency_conv(4, seed=2))
     assert m.shape == (2, 1, 5, 5)
     assert np.all(m.data > 0) and np.all(m.data < 1)
 
@@ -80,17 +85,21 @@ def test_saliency_hand_computed_single_channel():
     w = np.zeros((1, 2, 3, 3))
     w[0, 0, 1, 1] = 1.0  # identity on the coarse channel
     params = ConvParams(Tensor(w), Tensor(np.zeros(1)), padding=1)
-    m = compute_saliency(coarse, fine, params)
+    m = resized_saliency(coarse, fine, params)
     expected = 1.0 / (1.0 + np.exp(-coarse.data))
     assert np.allclose(m.data[:, 0], expected[:, 0])
 
 
 def test_saliency_rejects_mismatched_levels():
     coarse = Tensor(rand((1, 3, 4, 4), 4))
+    cfg, params = small_cfg(), make_params(3, 0, zero=True)
+    for bad in ((1, 3, 7, 8), (1, 2, 8, 8), (2, 3, 8, 8), (1, 3, 4, 4)):
+        with pytest.raises(ValueError, match="^fine level must be 2x"):
+            pfm_forward(coarse, Tensor(rand(bad, 5)), cfg, params)
     with pytest.raises(ValueError):
-        compute_saliency(coarse, Tensor(rand((1, 3, 7, 8), 5)), saliency_conv(3, zero=True))
+        compute_saliency(coarse, Tensor(rand((1, 3, 3, 4), 5)), saliency_conv(3, zero=True))
     with pytest.raises(ValueError):
-        compute_saliency(coarse, Tensor(rand((1, 2, 8, 8), 6)), saliency_conv(3, zero=True))
+        compute_saliency(coarse, Tensor(rand((1, 2, 4, 4), 6)), saliency_conv(3, zero=True))
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +143,12 @@ def test_salient_match_kernel_too_large():
     m = Tensor(np.full((1, 1, 4, 4), 0.5))
     with pytest.raises(ValueError):
         salient_match(coarse, m, small_cfg(salient_kernel=(5, 5)))
+
+
+@pytest.mark.parametrize("kernel", [(-2, -2), (0, 3), (3, -1)])
+def test_pfm_config_rejects_salient_kernel_sides_below_one(kernel):
+    with pytest.raises(ValueError, match="^salient_kernel sides must be >= 1"):
+        PfmConfig(salient_kernel=kernel).validate()
 
 
 def test_pfm_config_rejects_negative_sampling_seed():
@@ -255,20 +270,20 @@ def test_boundary_addition_mode_runs():
 
 def test_propagate_single_point_is_sum():
     src = Tensor(rand((1, 2, 4, 4), 23))
-    dst = Tensor(rand((1, 2, 8, 8), 24))
+    dst = Tensor(rand((1, 2, 4, 4), 24))
     cells = np.array([[6]])
-    rows = point_propagate(src, dst, cells, (4, 4))
-    q = point_sample_batched(dst, cells, (4, 4)).data
-    kv = point_sample_batched(src, cells, (4, 4)).data
+    rows = point_propagate(src, dst, cells)
+    q = point_sample_batched(dst, cells).data
+    kv = point_sample_batched(src, cells).data
     assert np.allclose(rows.data, q + kv, atol=1e-12)
 
 
 def test_propagate_constant_source_reduces_to_shift():
     src = Tensor(np.full((1, 2, 4, 4), 3.5))
-    dst = Tensor(rand((1, 2, 8, 8), 25))
+    dst = Tensor(rand((1, 2, 4, 4), 25))
     cells = np.array([[0, 5, 9, 14, 15]])
-    rows = point_propagate(src, dst, cells, (4, 4))
-    q = point_sample_batched(dst, cells, (4, 4)).data
+    rows = point_propagate(src, dst, cells)
+    q = point_sample_batched(dst, cells).data
     assert np.allclose(rows.data, q + 3.5, atol=1e-12)
 
 
@@ -281,7 +296,7 @@ def test_propagate_two_point_hand_case():
     dst_vals[0, :, 0, 0] = [0.5, 0.25]
     dst_vals[0, :, 0, 1] = [-0.5, 1.0]
     cells = np.array([[0, 1]])  # cells (0,0), (0,1)
-    rows = point_propagate(Tensor(src_vals), Tensor(dst_vals), cells, (2, 2)).data[0]
+    rows = point_propagate(Tensor(src_vals), Tensor(dst_vals), cells).data[0]
 
     q = np.array([[0.5, 0.25], [-0.5, 1.0]])
     kv = np.array([[1.0, 2.0], [3.0, -1.0]])
@@ -293,28 +308,36 @@ def test_propagate_two_point_hand_case():
 
 def test_propagate_residual_guarantee_zero_source():
     src = Tensor(np.zeros((1, 3, 4, 4)))
-    dst = Tensor(rand((1, 3, 8, 8), 27))
+    dst = Tensor(rand((1, 3, 4, 4), 27))
     cells = np.array([[0, 3, 6, 10, 12, 15]])
-    rows = point_propagate(src, dst, cells, (4, 4))
-    q = point_sample_batched(dst, cells, (4, 4)).data
+    rows = point_propagate(src, dst, cells)
+    q = point_sample_batched(dst, cells).data
     assert np.array_equal(rows.data, q)  # bitwise
 
 
 def test_propagate_empty_points_rejected():
     src = Tensor(rand((1, 2, 4, 4), 29))
     with pytest.raises(ValueError):
-        point_propagate(src, src, np.zeros((1, 0), dtype=np.int64), (4, 4))
+        point_propagate(src, src, np.zeros((1, 0), dtype=np.int64))
+
+
+def test_propagate_rejects_maps_off_the_grid():
+    src = Tensor(rand((1, 2, 4, 4), 30))
+    with pytest.raises(ValueError, match="not on the 4x4 grid"):
+        point_propagate(Tensor(rand((1, 2, 8, 8), 31)), src, np.array([[0]]))
+    with pytest.raises(ValueError, match="not on the 8x8 grid"):
+        point_propagate(src, Tensor(rand((1, 2, 8, 8), 31)), np.array([[0]]))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_propagate_gradients(seed):
     src = Tensor(rand((2, 2, 4, 4), seed), requires_grad=True)
-    dst = Tensor(rand((2, 2, 8, 8), seed + 1), requires_grad=True)
+    dst = Tensor(rand((2, 2, 4, 4), seed + 1), requires_grad=True)
     cells = np.random.Generator(np.random.PCG64(seed + 2)).integers(0, 16, (2, 4))
     w = Tensor(rand((2, 4, 2), seed + 3))
 
     def build():
-        return sum_all(mul(point_propagate(src, dst, cells, (4, 4)), w))
+        return sum_all(mul(point_propagate(src, dst, cells), w))
 
     assert check_gradients(build, [src, dst]) < DEFAULT_TOL
 
@@ -336,8 +359,7 @@ def test_pfm_full_grid_matches_dense_oracle():
     params = make_params(3, 31)
     out = pfm_forward(coarse, fine, cfg, params)
 
-    saliency = compute_saliency(coarse, fine, params.saliency_conv)
-    enhanced, _ = salient_match(coarse, saliency, cfg)
+    enhanced, _ = salient_match(coarse, resized_saliency(coarse, fine, params.saliency_conv), cfg)
     dense = dense_affinity_reference(enhanced, fine)
     assert np.abs(out.refined.data - dense.data).max() < 1e-6
 
@@ -380,13 +402,15 @@ def point_cells(pts, h, w):
     return (np.floor(pts[..., 0] * h) * w + np.floor(pts[..., 1] * w)).astype(np.int64)
 
 
-def flow_oracle(srcs, dst, out):
-    """Salient then boundary rows into the coarse ``dst``, queried from it unrefined."""
+def flow_oracle(src, dst, out):
+    """Salient then boundary rows into the coarse ``dst``, queried from it
+    unrefined, with keys and values from the fine ``src`` resized to its grid."""
     grid = dst.shape[2:]
+    src = bilinear_resize(src, grid)
     refined = dst
-    for src, pts in zip(srcs, (out.salient_points, out.boundary_points)):
+    for pts in (out.salient_points, out.boundary_points):
         cells = point_cells(pts, *grid)
-        refined = scatter_points_batched(refined, cells, point_propagate(src, dst, cells, grid))
+        refined = scatter_points_batched(refined, cells, point_propagate(src, dst, cells))
     return refined
 
 
@@ -409,7 +433,7 @@ def test_pfm_td_then_bu_produces_both():
 def test_pfm_bottom_up_values():
     coarse, fine = levels(45, n=2)
     out = pfm_forward(coarse, fine, small_cfg(direction="bottom_up"), make_params(3, 46))
-    expected = flow_oracle((fine, fine), coarse, out)
+    expected = flow_oracle(fine, coarse, out)
     assert np.array_equal(out.refined_coarse.data, expected.data)  # bitwise
 
 
@@ -419,7 +443,7 @@ def test_pfm_td_then_bu_values():
     td = pfm_forward(coarse, fine, small_cfg(direction="top_down"), params)
     out = pfm_forward(coarse, fine, small_cfg(direction="td_then_bu"), params)
     assert np.array_equal(out.refined.data, td.refined.data)
-    expected = flow_oracle((out.refined, out.refined), coarse, out)
+    expected = flow_oracle(out.refined, coarse, out)
     assert np.array_equal(out.refined_coarse.data, expected.data)
     assert not np.array_equal(out.refined_coarse.data, coarse.data)
 
@@ -463,11 +487,12 @@ def test_pfm_end_to_end_gradients_every_mode(direction, edge_mode):
 
 
 def dense_affinity_reference(src, dst):
-    """Dense-affinity oracle: every cell of ``src``'s grid is a point, and
-    each writes the ``dst`` cell that holds the floor of its center."""
+    """Dense-affinity oracle: every cell of ``src``'s grid is a point,
+    queried from ``dst`` resized to that grid, and each writes the ``dst``
+    cell that holds the floor of its center."""
     n, _, h, w = src.shape
     cells = np.broadcast_to(np.arange(h * w), (n, h * w))
-    rows = point_propagate(src, dst, cells, (h, w))
+    rows = point_propagate(src, bilinear_resize(dst, (h, w)), cells)
     s = dst.shape[2] // h
     i, j = np.divmod(cells, w)
     return scatter_points_batched(dst, (s * i + s // 2) * (s * w) + s * j + s // 2, rows)
@@ -493,7 +518,7 @@ def test_dense_equals_full_grid_sparse(seed, size):
     src = Tensor(rand((1, 3, size, size), 100 + seed))
     dst = Tensor(rand((1, 3, size, size), 200 + seed))
     dense = dense_affinity_reference(src, dst)
-    rows = point_propagate(src, dst, np.arange(size * size)[None], (size, size))
+    rows = point_propagate(src, dst, np.arange(size * size)[None])
     scattered = rows.data[0].T.reshape(1, 3, size, size)
     assert np.abs(dense.data - scattered).max() < 1e-6
 
@@ -510,15 +535,16 @@ def test_cells_read_and_write_their_own_cells_on_a_112_grid():
     h = w = 112
     coarse = Tensor(rand((1, 2, h, w), 50))
     every = np.arange(h * w)[None]
-    read = point_sample_batched(coarse, every, (h, w)).data[0]
+    read = point_sample_batched(coarse, every).data[0]
     assert np.array_equal(read, coarse.data[0].reshape(2, -1).T)
 
     i = np.arange(h)
     cells = np.concatenate([i * w + i, i * w + w - 1 - i])[None]  # both diagonals: every row and column
-    ones, fine = Tensor(np.ones((1, 2, h, w))), Tensor(np.zeros((1, 2, 2 * h, 2 * w)))
+    ones, zeros = Tensor(np.ones((1, 2, h, w))), Tensor(np.zeros((1, 2, h, w)))
+    fine = Tensor(np.zeros((1, 2, 2 * h, 2 * w)))
     empty = np.zeros((1, 0), dtype=np.int64)
     # keys are all ones and queries zero, so every written row is about 1
-    written = _flow((ones, ones), fine, (cells, empty), (h, w)).data[0, 0] != 0
+    written = _flow((ones, ones), zeros, fine, (cells, empty)).data[0, 0] != 0
     want = np.zeros((2 * h, 2 * w), dtype=bool)
     ci, cj = np.divmod(cells[0], w)
     want[2 * ci + 1, 2 * cj + 1] = True
