@@ -328,19 +328,26 @@ def read_checkpoint(path):
     (cfg_len,), pos = _unpack("<I", raw, 4, header)
     config_text, pos = _take_text(raw, pos, cfg_len, header)
     (count,), pos = _unpack("<I", raw, pos, header)
-    manifest = []
+    manifest = {}
     for _ in range(count):
         (name_len,), pos = _unpack("<H", raw, pos, header)
+        name_at = pos
         name, pos = _take_text(raw, pos, name_len, header)
+        if name in manifest:
+            raise ValueError(f"duplicate parameter {name} in {path} at byte {name_at}")
         (code, ndim), pos = _unpack("<BB", raw, pos, header)
         if code not in _CODE_DTYPES:
             raise ValueError(f"unknown dtype code {code} for {name} in {path} at byte {pos - 2}")
         dims, pos = _unpack(f"<{ndim}I", raw, pos, header)
         (offset,), pos = _unpack("<Q", raw, pos, header)
-        manifest.append((name, _CODE_DTYPES[code], dims, offset))
+        manifest[name] = (_CODE_DTYPES[code], dims, offset)
     arrays = {}
-    for name, dtype, dims, offset in manifest:
+    end = pos
+    for name, (dtype, dims, offset) in manifest.items():
         nbytes = int(np.prod(dims)) * dtype.itemsize
-        payload, _ = _take(raw, pos + offset, nbytes, f"payload for {name} in {path}")
+        payload, stop = _take(raw, pos + offset, nbytes, f"payload for {name} in {path}")
         arrays[name] = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+        end = max(end, stop)
+    if end < len(raw):
+        raise ValueError(f"{len(raw) - end} bytes after the last payload in {path} at byte {end}")
     return arrays, config_text

@@ -72,6 +72,23 @@ def _item_spans(n, per_item):
     return _spans(n, 8 * _BLOCK // per_item)
 
 
+def _padded_phases(xd, s, padding, hq, wq):
+    """The input zero-padded to ``s*hq x s*wq`` in the channel-major
+    polyphase layout ``[s*s, C, N*hq*wq]``: ``buf[a*s + b, c, (n, y, x)]``
+    is padded cell ``(s*y + a, s*x + b)`` of item n, channel c.  Each input
+    cell is copied once, straight from NCHW into its phase."""
+    n, c, h, w = xd.shape
+    buf = np.zeros((s * s, c, n, hq, wq), dtype=xd.dtype)
+    for a in range(s):
+        # the phase's first row y0 whose padded row s*y0 + a is an input row
+        y0 = max(0, -(-(padding - a) // s))
+        for b in range(s):
+            x0 = max(0, -(-(padding - b) // s))
+            part = xd[:, :, s * y0 + a - padding :: s, s * x0 + b - padding :: s]
+            buf[a * s + b, :, :, y0 : y0 + part.shape[2], x0 : x0 + part.shape[3]] = part.transpose(1, 0, 2, 3)
+    return buf.reshape(s * s, c, n * hq * wq)
+
+
 def conv2d(x, p):
     """Cross-correlation with zero padding; differentiable in x, weight, bias.
 
@@ -79,26 +96,31 @@ def conv2d(x, p):
     backward keeps only views of the input and the weight.
 
     Every other conv is shift-and-accumulate ("kn2row", arXiv 1704.04428).
-    The input is copied once into a zero-padded, channel-major buffer
-    ``[s*s, C, N*hq*wq]`` holding one polyphase component per stride phase
-    (a single one at stride 1), where hq x wq is the padded map divided by
-    the stride s.  Tap (i, j) reads phase (i % s, j % s) at flat offset
-    ``(i // s) * wq + j // s``, so each tap is a 2-D GEMM over the whole
-    batch, added into an extended output whose cells beyond oh x ow are
-    dropped.  The taps run over equal column tiles of that output
-    (``_spans``), each summed through a scratch tile of at most ``_BLOCK``
-    elements, sized to the widest tile; a column is one output cell, so
-    every cell keeps its bits.  The tape keeps the 1x buffer and the
-    tap-major weight, not a kh*kw-fold column matrix (the memory argument
-    of MEC, arXiv 1706.06873), and the tap sum needs no scratch wider than
-    a tile.
+    The input is copied once (``_padded_phases``) into a zero-padded,
+    channel-major buffer ``[s*s, C, N*hq*wq]`` holding one polyphase
+    component per stride phase (a single one at stride 1), where hq x wq is
+    the padded map divided by the stride s.  Tap (i, j) reads phase
+    (i % s, j % s) at flat offset ``(i // s) * wq + j // s``, so each tap is
+    a 2-D GEMM over the whole batch, added into an extended output whose
+    cells beyond oh x ow are dropped.  The taps run over equal column tiles
+    of that output (``_spans``), each summed through a scratch tile of at
+    most ``_BLOCK`` elements, sized to the widest tile; a column is one
+    output cell, so every cell keeps its bits.  The buffer is 1x the padded
+    input, not a kh*kw-fold column matrix (the memory argument of MEC, arXiv
+    1706.06873), and the tap sum needs no scratch wider than a tile.  The
+    tape keeps the input array itself and the tap-major weight, not the
+    buffer: most inputs stay alive anyway, with the caller or in a relu's
+    closure, so a kept buffer would be a second copy of the input.
 
-    Backward stacks, per stride phase, the output gradient shifted by each
-    of the phase's taps into one block ``G [taps * cout, cols]``, a column
-    tile of at most ``_BLOCK`` elements at a time.  Each tile then costs two
-    GEMMs: ``G @ buf[ph, :, cols].T`` adds to the phase's weight gradient,
-    and ``W_ph.T @ G`` is written straight into the input gradient's
-    columns, where ``W_ph`` stacks the phase's tap weights.
+    Backward rebuilds the buffer from the kept input, byte for byte.  It
+    stacks, per stride phase, the output gradient shifted by each of the
+    phase's taps into one block ``G [taps * cout, cols]``, a column tile of
+    at most ``_BLOCK`` elements at a time.  Each tile then costs two GEMMs:
+    ``G @ buf[ph, :, cols].T`` adds to the phase's weight gradient, and
+    ``W_ph.T @ G``, where ``W_ph`` stacks the phase's tap weights, is
+    written over those buffer columns, which no later GEMM reads.  So the
+    rebuilt buffer turns into the input gradient in the padded layout, and
+    backward allocates no second buffer.
     """
     n, cin, h, w = x.shape
     cout, cin_w, kh, kw = p.weight.shape
@@ -134,10 +156,8 @@ def conv2d(x, p):
     hq = -(-(h + 2 * padding) // s)
     wq = -(-(w + 2 * padding) // s)
     lq = n * hq * wq
-    xp = np.zeros((cin, n, s * hq, s * wq), dtype=x.dtype)
-    xp[:, :, padding : padding + h, padding : padding + w] = x.data.transpose(1, 0, 2, 3)
-    # buf[a * s + b, c, (n, y, x)] = xp[c, n, s * y + a, s * x + b]; a view at stride 1
-    buf = xp.reshape(cin, n, hq, s, wq, s).transpose(3, 5, 0, 1, 2, 4).reshape(s * s, cin, lq)
+    xd = x.data
+    buf = _padded_phases(xd, s, padding, hq, wq)
     taps = [(i, j, (i % s) * s + j % s, (i // s) * wq + j // s) for i in range(kh) for j in range(kw)]
     # every kept output cell k satisfies k + offset < lq for every tap, so
     # the taps cover the first m cells of the extended output
@@ -154,6 +174,7 @@ def conv2d(x, p):
                 np.matmul(wt[i, j], buf[ph, :, d + c0 : d + c1], out=part if t else acc)
                 if t:
                     acc += part
+        del buf
         out_data = np.empty((n, cout, oh, ow), dtype=x.dtype)
         kept = ext.reshape(cout, n, hq, wq)[:, :, :oh, :ow].transpose(1, 0, 2, 3)
         np.add(kept, p.bias.data[:, None, None], out=out_data)
@@ -175,14 +196,15 @@ def conv2d(x, p):
             gpad[:, dmax:], (na, nb, cout, lq), (-wq * e, -e, gpad.strides[0], e), writeable=False
         )
         gw = np.empty((kh, kw, cout, cin), dtype=g.dtype)
-        gbuf = np.zeros((s * s, cin, lq), dtype=g.dtype) if x_slot.requires_grad else None
+        buf = _padded_phases(xd, s, padding, hq, wq)  # turns into the input gradient
         block = np.empty(na * nb * cout * tile, dtype=g.dtype)
         for pa in range(s):
             for pb in range(s):
                 ta, tb = len(range(pa, kh, s)), len(range(pb, kw, s))
-                if not ta * tb:
-                    continue
                 ph, r = pa * s + pb, ta * tb * cout
+                if not r:
+                    buf[ph] = 0  # a phase that no tap reads gets no gradient
+                    continue
                 w_ph = wt[pa::s, pb::s].reshape(r, cin)
                 gw_ph = np.zeros((r, cin), dtype=g.dtype)
                 for c0 in range(0, lq, tile):
@@ -190,15 +212,15 @@ def conv2d(x, p):
                     blk = block[: r * cw].reshape(r, cw)
                     blk.reshape(ta, tb, cout, cw)[...] = shifted[:ta, :tb, :, c0 : c0 + cw]
                     gw_ph += np.matmul(blk, buf[ph, :, c0 : c0 + cw].T)
-                    if gbuf is not None:
-                        np.matmul(w_ph.T, blk, out=gbuf[ph, :, c0 : c0 + cw])
+                    if x_slot.requires_grad:
+                        np.matmul(w_ph.T, blk, out=buf[ph, :, c0 : c0 + cw])
                 gw[pa::s, pb::s] = gw_ph.reshape(ta, tb, cout, cin)
         del gpad, shifted, block, blk
         _accumulate(w_slot, np.ascontiguousarray(gw.transpose(2, 3, 0, 1)))
         _accumulate(b_slot, g.sum(axis=(0, 2, 3)))
-        if gbuf is None:
+        if not x_slot.requires_grad:
             return
-        gxp = gbuf.reshape(s, s, cin, n, hq, wq).transpose(2, 3, 4, 0, 5, 1).reshape(cin, n, s * hq, s * wq)
+        gxp = buf.reshape(s, s, cin, n, hq, wq).transpose(2, 3, 4, 0, 5, 1).reshape(cin, n, s * hq, s * wq)
         gx = gxp[:, :, padding : padding + h, padding : padding + w].transpose(1, 0, 2, 3)
         _accumulate(x_slot, np.ascontiguousarray(gx))
 
@@ -261,6 +283,16 @@ def _region_indices(size, bins):
     return np.minimum(starts[:, None] + span, ends[:, None] - 1)
 
 
+def _pool_size(out_hw, h, w):
+    """An adaptive pool's output size, checked to lie in [1, h] x [1, w]."""
+    kh, kw = int(out_hw[0]), int(out_hw[1])
+    if kh < 1 or kw < 1:
+        raise ValueError(f"pool output {kh}x{kw} must be positive")
+    if kh > h or kw > w:
+        raise ValueError(f"pool output {kh}x{kw} exceeds input {h}x{w}")
+    return kh, kw
+
+
 def adaptive_max_pool(x, out_hw):
     """Adaptive max pooling returning values and flat argmax indices.
 
@@ -269,9 +301,7 @@ def adaptive_max_pool(x, out_hw):
     smallest flat index.  The gradient routes to the argmax element.
     """
     n, c, h, w = x.shape
-    kh, kw = int(out_hw[0]), int(out_hw[1])
-    if kh > h or kw > w:
-        raise ValueError(f"pool output {kh}x{kw} exceeds input {h}x{w}")
+    kh, kw = _pool_size(out_hw, h, w)
     rows = _region_indices(h, kh)  # [kh, Lr]
     cols = _region_indices(w, kw)  # [kw, Lc]
     # [N, C, kh, kw, Lr * Lc]; padding repeats an earlier element of the
@@ -315,9 +345,7 @@ def _region_means(size, bins, dtype):
 def adaptive_avg_pool(x, out_hw):
     """Adaptive average pooling under the same region rule as the max pool."""
     n, c, h, w = x.shape
-    kh, kw = int(out_hw[0]), int(out_hw[1])
-    if kh > h or kw > w:
-        raise ValueError(f"pool output {kh}x{kw} exceeds input {h}x{w}")
+    kh, kw = _pool_size(out_hw, h, w)
     ry, rx = _region_means(h, kh, x.dtype), _region_means(w, kw, x.dtype)
     out = Tensor(_resample(x.data, ry, rx), _op="adaptive_avg_pool")
     x_slot = x.slot
@@ -409,8 +437,9 @@ def resize_conv3x3(x, weight, out_hw):
     channels on the coarse grid, ``[(j, co, i), ci] @ [ci, (n, x, y)]``,
     then ``(i, y)`` is contracted with Ry3 and ``(j, x)`` with Rx3, with
     one transpose-copy before each of the last two.  Backward runs the
-    same GEMMs transposed.  The tape keeps the channel-major input,
-    the stacked weight and the two small matrices.
+    same GEMMs transposed.  The tape keeps the input array, the stacked
+    weight and the two small matrices; backward rebuilds the channel-major
+    input for the weight gradient's GEMM and drops it right after.
 
     Both passes run over chunks of batch items (``_item_spans``), so the
     tap-mix and the Ry3 product exist for one chunk at a time.  In the
@@ -431,7 +460,8 @@ def resize_conv3x3(x, weight, out_hw):
     ry = _shifted_interp(oh, h, x.dtype)
     rx = _shifted_interp(ow, w, x.dtype)
     ws = np.ascontiguousarray(weight.data.transpose(3, 0, 2, 1)).reshape(9 * cout, cin)
-    xc = np.ascontiguousarray(x.data.transpose(1, 0, 3, 2)).reshape(cin, n * w * h)
+    xd = x.data
+    xc = np.ascontiguousarray(xd.transpose(1, 0, 3, 2)).reshape(cin, n * w * h)
     spans = _item_spans(n, 3 * cout * w * max(3 * h, oh))
     # each GEMM result is dropped as soon as its transposed copy exists, and
     # the whole-batch result is made only once the first chunk's tap-mix is
@@ -464,7 +494,9 @@ def resize_conv3x3(x, weight, out_hw):
                 gz = np.empty((9 * cout, n * w * h), dtype=g.dtype)
             gz.reshape(3, cout, 3, n, w, h)[:, :, :, n0:n1] = gzk.transpose(0, 1, 4, 2, 3, 5)
             del gzk
+        xc = np.ascontiguousarray(xd.transpose(1, 0, 3, 2)).reshape(cin, n * w * h)
         gws = np.matmul(gz, xc.T).reshape(3, cout, 3, cin)
+        del xc
         _accumulate(w_slot, np.ascontiguousarray(gws.transpose(1, 3, 2, 0)))
         if x_slot.requires_grad:
             gx = np.matmul(ws.T, gz).reshape(cin, n, w, h).transpose(1, 0, 3, 2)
@@ -530,6 +562,10 @@ def scatter_points_batched(base, cells, values):
     k = cells.shape[1]
     if values.shape[1] != k:
         raise ValueError(f"{k} points but {values.shape[1]} value rows")
+    if values.shape[2] != c:
+        raise ValueError(f"value rows have {values.shape[2]} channels, base has {c}")
+    if k and (cells.min() < 0 or cells.max() >= h * w):
+        raise ValueError(f"cells must lie on the {h}x{w} grid")
     # later write wins: keep the last occurrence of each (item, cell) key
     keys = (np.arange(n)[:, None] * (h * w) + cells).ravel()
     _, last = np.unique(keys[::-1], return_index=True)

@@ -12,8 +12,10 @@ its tensor has run; after the pass only leaves hold a ``.grad``.
 
 The tape never holds a tensor.  Each backward closure keeps the slots of
 its inputs and only the arrays its adjoint reads (``mul`` its operands,
-``relu`` its own output, a conv its padded input), so an intermediate
-value that no adjoint reads is freed as soon as the forward drops it.
+``relu`` its own output, a conv its input), so an intermediate value
+that no adjoint reads is freed as soon as the forward drops it.  A copy
+that is cheap to remake from a kept array (a conv's padded, channel-major
+input) is rebuilt in backward, not kept.
 
 Broadcasting is deliberately restricted to the one pattern the network
 needs: a single-channel spatial map ``[N, 1, H, W]`` broadcast over the

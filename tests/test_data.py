@@ -261,6 +261,29 @@ def test_checkpoint_every_truncation_rejected(tmp_path):
     assert_every_truncation_rejected(path, read_checkpoint)
 
 
+def test_checkpoint_duplicate_name_rejected(tmp_path):
+    path = tmp_path / "c.ckpt"
+    write_checkpoint(path, {"a": np.zeros(2, dtype=np.float32), "b": np.ones(2, dtype=np.float32)}, "cfg")
+    raw = path.read_bytes()
+    # the second manifest entry's name: magic, config length, 3 config
+    # bytes, count, then the first entry (length, name, code, ndim, one
+    # dim, offset) and the second name's length
+    pos = 4 + 4 + 3 + 4 + (2 + 1 + 2 + 4 + 8) + 2
+    assert raw[pos : pos + 1] == b"b"
+    path.write_bytes(raw[:pos] + b"a" + raw[pos + 1 :])
+    with pytest.raises(ValueError, match=re.escape(f"duplicate parameter a in {path} at byte {pos}")):
+        read_checkpoint(path)
+
+
+def test_checkpoint_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "c.ckpt"
+    write_checkpoint(path, {"a": np.zeros(2, dtype=np.float32)}, "cfg")
+    end = len(path.read_bytes())
+    path.write_bytes(path.read_bytes() + b"\x00junk")
+    with pytest.raises(ValueError, match=re.escape(f"5 bytes after the last payload in {path} at byte {end}")):
+        read_checkpoint(path)
+
+
 @pytest.mark.parametrize("what", ["config", "name"])
 def test_checkpoint_non_utf8_text_rejected(tmp_path, what):
     path = tmp_path / "c.ckpt"

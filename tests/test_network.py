@@ -325,3 +325,23 @@ def test_training_tape_closures_hold_no_tensor():
         "scatter_points_batched", "batched_matmul", "softmax_lastdim", "concat_channels", "channel_slice",
         "ce_loss", "bce_loss",
     }
+
+
+def test_desk_training_tape_holds_under_9_5_mib():
+    # a desk training step's forward and loss at batch 8: the arrays all
+    # closures keep, each counted once by its owner, hold 8.9 MiB; keeping
+    # each conv's padded or channel-major copy of its input held 10.9 MiB
+    net_cfg = desk_cfg()
+    params = init_params(net_cfg, 0)
+    n = 8
+    image = Tensor(rand((n, 3) + tuple(net_cfg.input_size), 9).astype(np.float32))
+    mask = np.random.Generator(np.random.PCG64(10)).integers(0, net_cfg.num_classes, (n,) + tuple(net_cfg.input_size))
+    with Tape() as tape:
+        out = pfnet_forward(image, params, net_cfg)
+        loss = ce_loss(ops.bilinear_resize(out.logits, net_cfg.input_size), mask)
+        for pfm in out.pfm_outputs.values():
+            loss = add(loss, bce_loss(pfm.boundary, np.zeros(pfm.boundary.shape)))
+    owners = {}
+    for _, backward in tape.entries:
+        owners.update((id(a), a) for a in held_arrays(backward))
+    assert sum(a.nbytes for a in owners.values()) <= 9.5 * 2**20

@@ -299,6 +299,32 @@ def test_conv1x1_tape_keeps_nothing_larger_than_input():
     assert held and max(a.nbytes for a in held) <= x.data.nbytes
 
 
+def assert_keeps_input_and_nothing_as_large(backward, xd):
+    """The closure keeps the array owning the input's data, and no other
+    array as large: not a padded or channel-major copy of the input."""
+    while isinstance(xd.base, np.ndarray):
+        xd = xd.base
+    held = held_arrays(backward)
+    assert any(a is xd for a in held)
+    assert all(a.nbytes < xd.nbytes for a in held if a is not xd), [a.shape for a in held]
+
+
+@pytest.mark.parametrize("k,stride,padding", [(3, 1, 1), (3, 2, 1), (3, 1, 0), (1, 2, 0)])
+def test_conv_tape_keeps_input_not_its_padded_copy(k, stride, padding):
+    x = Tensor(rand((2, 4, 9, 7), 54), requires_grad=True)
+    p = conv_params(5, 4, k, 55, stride=stride, padding=padding)
+    assert_keeps_input_and_nothing_as_large(recorded_backward(x, p), x.data)
+
+
+def test_resize_conv3x3_tape_keeps_input_not_its_channel_major_copy():
+    x = Tensor(rand((2, 4, 5, 6), 56), requires_grad=True)
+    weight = Tensor(rand((3, 4, 3, 3), 57), requires_grad=True)
+    with Tape() as tape:
+        resize_conv3x3(x, weight, (9, 11))
+    ((_, backward),) = tape.entries
+    assert_keeps_input_and_nothing_as_large(backward, x.data)
+
+
 def backward_peak(backward, g, params):
     for t in params:
         t.grad = None
@@ -547,8 +573,12 @@ def test_adaptive_max_pool_matches_region_loop_bitwise(dtype):
 
 
 def test_adaptive_max_pool_too_large():
-    with pytest.raises(ValueError):
-        adaptive_max_pool(Tensor(np.zeros((1, 1, 2, 2))), (3, 2))
+    # both pools take an output side in [1, input side]
+    x = Tensor(np.zeros((1, 1, 2, 2)))
+    for pool in (adaptive_max_pool, adaptive_avg_pool):
+        for out_hw, message in [((3, 2), "exceeds"), ((0, 2), "positive"), ((2, 0), "positive"), ((-1, 1), "positive")]:
+            with pytest.raises(ValueError, match=message):
+                pool(x, out_hw)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -922,8 +952,10 @@ NETWORK_RUNS = {
 }
 
 
-@pytest.mark.parametrize("run", NETWORK_RUNS)
-def test_tiled_kernels_match_untiled_bitwise_on_network_shapes(monkeypatch, run):
+def network_kernel_shapes(monkeypatch, run):
+    """The (input, weight, stride, padding) shapes of every conv2d that is
+    not one matmul, and the (input, cout, out_hw) of every resize_conv3x3,
+    in one forward of a NETWORK_RUNS network."""
     base, overrides, batch = NETWORK_RUNS[run]
     cfg = config.apply_overrides(config.load_config(config.packaged_config_path(base)), overrides)
     net_cfg = config.network_config(cfg)
@@ -945,10 +977,93 @@ def test_tiled_kernels_match_untiled_bitwise_on_network_shapes(monkeypatch, run)
     network.pfnet_forward(image, network.init_params(net_cfg, 0), net_cfg)
     monkeypatch.undo()
     assert convs and len(folds) == 3
-    for k, args in enumerate(sorted(convs)):
+    return sorted(convs), sorted(folds)
+
+
+@pytest.mark.parametrize("run", NETWORK_RUNS)
+def test_tiled_kernels_match_untiled_bitwise_on_network_shapes(monkeypatch, run):
+    convs, folds = network_kernel_shapes(monkeypatch, run)
+    for k, args in enumerate(convs):
         assert_conv_matches_untiled(*args, seed=120 + 3 * k)
-    for k, args in enumerate(sorted(folds)):
+    for k, args in enumerate(folds):
         assert_resize_conv3x3_matches_untiled(*args, seed=180 + 3 * k)
+
+
+def padded_buffer_conv2d_grads(xd, wd, g, s, padding):
+    """conv2d's backward for a 3x3 or strided conv as it was when the tape
+    kept the padded polyphase buffer: the weight, bias and input gradients
+    of output gradient g."""
+    n, cin, h, w = xd.shape
+    cout, _, kh, kw = wd.shape
+    oh, ow = g.shape[2:]
+    hq = -(-(h + 2 * padding) // s)
+    wq = -(-(w + 2 * padding) // s)
+    lq = n * hq * wq
+    xp = np.zeros((cin, n, s * hq, s * wq), dtype=xd.dtype)
+    xp[:, :, padding : padding + h, padding : padding + w] = xd.transpose(1, 0, 2, 3)
+    buf = xp.reshape(cin, n, hq, s, wq, s).transpose(3, 5, 0, 1, 2, 4).reshape(s * s, cin, lq)
+    wt = np.ascontiguousarray(wd.transpose(2, 3, 0, 1))
+    na, nb = -(-kh // s), -(-kw // s)
+    tile = min(lq, ops._BLOCK // (na * nb * cout))
+    dmax = (kh - 1) // s * wq + (kw - 1) // s
+    gpad = np.zeros((cout, dmax + lq), dtype=g.dtype)
+    gpad[:, dmax:].reshape(cout, n, hq, wq)[:, :, :oh, :ow] = g.transpose(1, 0, 2, 3)
+    e = gpad.itemsize
+    shifted = np.lib.stride_tricks.as_strided(
+        gpad[:, dmax:], (na, nb, cout, lq), (-wq * e, -e, gpad.strides[0], e), writeable=False
+    )
+    gw = np.empty((kh, kw, cout, cin), dtype=g.dtype)
+    gbuf = np.zeros((s * s, cin, lq), dtype=g.dtype)
+    block = np.empty(na * nb * cout * tile, dtype=g.dtype)
+    for pa in range(s):
+        for pb in range(s):
+            ta, tb = len(range(pa, kh, s)), len(range(pb, kw, s))
+            if not ta * tb:
+                continue
+            ph, r = pa * s + pb, ta * tb * cout
+            w_ph = wt[pa::s, pb::s].reshape(r, cin)
+            gw_ph = np.zeros((r, cin), dtype=g.dtype)
+            for c0 in range(0, lq, tile):
+                cw = min(tile, lq - c0)
+                blk = block[: r * cw].reshape(r, cw)
+                blk.reshape(ta, tb, cout, cw)[...] = shifted[:ta, :tb, :, c0 : c0 + cw]
+                gw_ph += np.matmul(blk, buf[ph, :, c0 : c0 + cw].T)
+                np.matmul(w_ph.T, blk, out=gbuf[ph, :, c0 : c0 + cw])
+            gw[pa::s, pb::s] = gw_ph.reshape(ta, tb, cout, cin)
+    gxp = gbuf.reshape(s, s, cin, n, hq, wq).transpose(2, 3, 4, 0, 5, 1).reshape(cin, n, s * hq, s * wq)
+    gx = gxp[:, :, padding : padding + h, padding : padding + w].transpose(1, 0, 2, 3)
+    return np.ascontiguousarray(gw.transpose(2, 3, 0, 1)), g.sum(axis=(0, 2, 3)), np.ascontiguousarray(gx)
+
+
+def assert_conv_grads_match_padded_buffer(x_shape, w_shape, stride, padding, seed):
+    xd, wd, bd = (rand(shape, seed + i).astype(np.float32) for i, shape in enumerate((x_shape, w_shape, w_shape[:1])))
+    x = Tensor(xd, requires_grad=True)
+    p = ConvParams(Tensor(wd, requires_grad=True), Tensor(bd, requires_grad=True), stride, padding)
+    with Tape() as tape:
+        out = conv2d(x, p)
+    ((_, backward),) = tape.entries
+    g = rand(out.shape, seed + 3).astype(np.float32)
+    backward(g)
+    want = padded_buffer_conv2d_grads(xd, wd, g, stride, padding)
+    for name, got, ref in zip(("weight", "bias", "input"), (p.weight.grad, p.bias.grad, x.grad), want):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), (name, x_shape, w_shape, stride)
+
+
+@pytest.mark.parametrize("run", ["desk64-batch8", "paper256-batch8"])
+def test_conv_gradients_match_padded_buffer_backward_bitwise_on_network_shapes(monkeypatch, run):
+    # the backward rebuilds the buffer it once kept, so every gradient keeps
+    # its bits; resize_conv3x3's gradients are held to the whole-batch
+    # reference, which keeps its channel-major input, by the test above
+    convs, _ = network_kernel_shapes(monkeypatch, run)
+    for k, args in enumerate(convs):
+        assert_conv_grads_match_padded_buffer(*args, seed=240 + 4 * k)
+
+
+# an odd map at stride 2, and a 1x1 stride-2 conv whose three other phases
+# hold no tap
+@pytest.mark.parametrize("k", [3, 1])
+def test_conv_gradients_match_padded_buffer_backward_bitwise_at_stride2_odd_map(k):
+    assert_conv_grads_match_padded_buffer((2, 4, 7, 5), (3, 4, k, k), 2, 0, seed=300 + k)
 
 
 @pytest.mark.parametrize("out_hw", [(0, 4), (4, 0), (-2, 3)])
@@ -1173,6 +1288,20 @@ def test_scatter_row_count_mismatch():
         scatter_points_batched(base, np.array([[3]]), Tensor(np.zeros((1, 2, 1))))
     with pytest.raises(ValueError):  # batch sizes disagree
         scatter_points_batched(base, np.zeros((2, 1), dtype=np.int64), Tensor(np.zeros((2, 1, 1))))
+
+
+def test_scatter_rejects_cells_off_the_grid():
+    base = Tensor(np.zeros((1, 2, 2, 3)))
+    values = Tensor(np.ones((1, 1, 2)))
+    for cell in (-1, 6):
+        with pytest.raises(ValueError, match="2x3 grid"):
+            scatter_points_batched(base, np.array([[cell]]), values)
+
+
+def test_scatter_rejects_value_rows_of_another_width():
+    base = Tensor(np.zeros((1, 2, 2, 3)))
+    with pytest.raises(ValueError, match="1 channels, base has 2"):
+        scatter_points_batched(base, np.array([[4]]), Tensor(np.ones((1, 1, 1))))
 
 
 def test_scatter_then_sample_roundtrip():
