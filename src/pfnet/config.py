@@ -5,10 +5,14 @@ The grammar is deliberately tiny (sections, scalar values, comma lists,
 keys are hard errors, and every effective value can be echoed back in
 canonical form for the run log.
 
-The ``[network]``, ``[train]`` and ``[pfm]`` sections are derived from the
-fields of ``NetworkConfig``, ``TrainConfig`` and ``PfmConfig``, which own
-their keys, types and defaults.  ``[pfm]`` sets the point-flow modes that
-every pyramid gap shares; ``[pfm.gapN]`` holds only gap N's point budget.
+Each key is the same-named field, which owns its type and default, of the
+typed config its view builds: ``[data]`` is ``SceneConfig`` plus
+``NetworkConfig.crop_size``, ``[network]`` the rest of ``NetworkConfig``,
+``[train]`` is ``TrainConfig``, ``[pfm]`` the ``PfmConfig`` modes every gap
+shares and ``[pfm.gapN]`` gap N's ``BUDGET_KEYS``.  Only the four keys no
+typed config reads are spelled out: ``data.count`` and ``data.val_fraction``
+wait for a run driver; pfbench reads ``data.crop_stride`` and
+``eval.boundary_thresholds`` when it crops and scores scenes.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from importlib import resources
 
 from .learn import TrainConfig
 from .data import SceneConfig
-from .network import NetworkConfig
-from .pointflow import PfmConfig
+from .network import PYRAMID_GAPS, NetworkConfig
+from .pointflow import BUDGET_KEYS, PfmConfig
 
 
 class ConfigError(ValueError):
@@ -54,41 +58,30 @@ def _int_list(text):
 _PARSERS = {int: int, float: _finite_float, str: str, bool: _bool, tuple: _int_list}
 
 
-def _keys(cls, skip):
+def _keys(cls, skip=(), only=None):
     """Schema of the config dataclass ``cls``: field -> (type, default)."""
     hints = typing.get_type_hints(cls)
-    return {f.name: (hints[f.name], f.default) for f in dataclasses.fields(cls) if f.name not in skip}
+    fields = [f for f in dataclasses.fields(cls) if f.name not in skip and f.name in (only or hints)]
+    return {f.name: (hints[f.name], f.default) for f in fields}
 
+
+_SCENE_KEYS = _keys(SceneConfig, skip=("seed",))
 
 # section -> key -> (type, default)
 SCHEMA = {
     "data": {
-        "canvas": (int, 1792),
+        **_SCENE_KEYS,
+        **_keys(NetworkConfig, only=("crop_size",)),
         "count": (int, 250),
         "val_fraction": (float, 0.2),
-        "num_classes": (int, 6),
-        "objects_min": (int, 6),
-        "objects_max": (int, 60),
-        "size_min": (int, 2),
-        "size_max": (int, 8),
-        "fg_ratio": (float, 0.03),
-        "texture": (str, "perlin"),
-        "crop_size": (int, 896),
         "crop_stride": (int, 512),
     },
-    "network": _keys(NetworkConfig, skip=("input_size", "num_classes", "pfm")),
+    "network": _keys(NetworkConfig, skip=("crop_size", "num_classes", "pfm")),
     "train": _keys(TrainConfig, skip=("seed",)),
-    "eval": {
-        "boundary_thresholds": (tuple, (12, 9, 5, 3)),
-    },
-    "pfm": _keys(PfmConfig, skip=("salient_kernel", "boundary_k")),
+    "eval": {"boundary_thresholds": (tuple, (12, 9, 5, 3))},
+    "pfm": _keys(PfmConfig, skip=BUDGET_KEYS),
+    **{f"pfm.gap{gap}": _keys(PfmConfig, only=BUDGET_KEYS) for gap in PYRAMID_GAPS},
 }
-for _gap in (3, 4, 5):
-    SCHEMA[f"pfm.gap{_gap}"] = {
-        "salient_kh": (int, 14),
-        "salient_kw": (int, 14),
-        "boundary_k": (int, 128),
-    }
 
 
 def default_config():
@@ -193,30 +186,15 @@ def packaged_config_path(name):
 
 
 def scene_config(cfg, seed):
-    d = cfg["data"]
-    return SceneConfig(
-        canvas=(d["canvas"], d["canvas"]),
-        num_classes=d["num_classes"],
-        objects_per_scene=(d["objects_min"], d["objects_max"]),
-        object_size=(d["size_min"], d["size_max"]),
-        target_fg_ratio=d["fg_ratio"],
-        background_texture=d["texture"],
-        seed=seed,
-    )
+    return SceneConfig(seed=seed, **{key: cfg["data"][key] for key in _SCENE_KEYS})
 
 
 def network_config(cfg):
     d = cfg["data"]
-    pfm = {}
-    for gap in (3, 4, 5):
-        g = cfg[f"pfm.gap{gap}"]
-        pfm[gap] = PfmConfig(
-            salient_kernel=(g["salient_kh"], g["salient_kw"]), boundary_k=g["boundary_k"], **cfg["pfm"]
-        )
     return NetworkConfig(
-        input_size=(d["crop_size"], d["crop_size"]),
+        crop_size=d["crop_size"],
         num_classes=d["num_classes"],
-        pfm=pfm,
+        pfm={gap: PfmConfig(**cfg["pfm"], **cfg[f"pfm.gap{gap}"]) for gap in PYRAMID_GAPS},
         **cfg["network"],
     )
 

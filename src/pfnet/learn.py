@@ -21,11 +21,11 @@ from scipy.ndimage import maximum_filter
 from . import tensor as tt
 from .data import AUGMENT_OPS, augment
 from .metrics import IGNORE_LABEL, label_boundaries
-from .network import ParameterSet, init_params, pfnet_forward
+from .network import PYRAMID_GAPS, ParameterSet, init_params, pfnet_forward
 from .ops import _item_spans, bilinear_resize
 from .tensor import Tape, Tensor, _accumulate, _maybe_record, reverse_accumulate
 
-EDGE_STRIDES = (8, 16, 32)
+EDGE_STRIDES = tuple(2**gap for gap in PYRAMID_GAPS)  # strides of the gaps' coarse grids
 _EPS = 1e-7
 
 
@@ -53,15 +53,13 @@ class TrainConfig:
         for name in ("base_lr", "momentum", "weight_decay", "poly_power", "bce_weight"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.base_lr <= 0:
-            raise ValueError("base_lr must be positive")
-        if self.poly_power <= 0:
-            raise ValueError("poly_power must be positive")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("batch size and epochs must be >= 1")
-        for name in ("edge_radius", "bce_weight", "weight_decay", "checkpoint_every"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("base_lr", "poly_power"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        mins = dict(batch_size=1, epochs=1, edge_radius=0, bce_weight=0, weight_decay=0, checkpoint_every=0)
+        for name, lo in mins.items():
+            if getattr(self, name) < lo:
+                raise ValueError(f"{name} must be >= {lo}, got {getattr(self, name)}")
         if not 0 <= self.momentum < 1:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
 

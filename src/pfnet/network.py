@@ -29,58 +29,67 @@ import numpy as np
 
 from . import tensor as tt
 from .ops import ConvParams, adaptive_avg_pool, bilinear_resize, channel_norm, conv2d, resize_conv3x3
-from .pointflow import PfmConfig, PfmParams, pfm_forward
+from .pointflow import BUDGET_KEYS, PfmConfig, PfmParams, pfm_forward
 from .tensor import Tensor
+
+
+# The decoder steps that may carry a point-flow module, by coarse level.
+PYRAMID_GAPS = (3, 4, 5)
 
 
 @dataclass
 class NetworkConfig:
-    input_size: tuple = (64, 64)
+    """``crop_size`` (the square input side), ``num_classes`` and the
+    ``[network]`` keys at ``default.cfg``'s values; ``pfm`` maps gap -> PfmConfig."""
+
+    crop_size: int = 896
     num_classes: int = 6
     fpn_channels: int = 64
     backbone_channels: tuple = (16, 32, 64, 128)
     ppm_bins: tuple = (1, 2, 3, 6)
     use_ppm: bool = True
-    pfm_gaps: tuple = (3, 4, 5)
+    pfm_gaps: tuple = PYRAMID_GAPS
     pfm: dict = None
 
     def __post_init__(self):
         if self.pfm is None:
-            self.pfm = {gap: PfmConfig() for gap in (3, 4, 5)}
+            self.pfm = {gap: PfmConfig() for gap in PYRAMID_GAPS}
 
     def validate(self):
-        h, w = self.input_size
-        if min(h, w) < 32 or h % 32 or w % 32:
-            raise ValueError(f"input_size sides must be positive multiples of 32, got {h}x{w}")
+        if self.crop_size < 32 or self.crop_size % 32:
+            raise ValueError(f"crop_size must be a positive multiple of 32, got {self.crop_size}")
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
         if len(self.backbone_channels) != 4:
-            raise ValueError("backbone needs 4 stage widths")
+            raise ValueError(f"backbone_channels must have 4 stage widths, got {self.backbone_channels}")
         if self.fpn_channels < 1:
             raise ValueError(f"fpn_channels must be >= 1, got {self.fpn_channels}")
         for name in ("backbone_channels", "ppm_bins"):
             if any(v < 1 for v in getattr(self, name)):
                 raise ValueError(f"{name} entries must be >= 1, got {getattr(self, name)}")
+        for name in ("ppm_bins", "pfm_gaps"):
+            if len(set(getattr(self, name))) < len(getattr(self, name)):
+                raise ValueError(f"{name} entries must be distinct, got {getattr(self, name)}")
         for gap in self.pfm_gaps:
-            if gap not in (3, 4, 5):
-                raise ValueError(f"unknown pyramid gap {gap}")
+            if gap not in PYRAMID_GAPS:
+                raise ValueError(f"pfm_gaps entries must be in {PYRAMID_GAPS}, got {self.pfm_gaps}")
             try:
                 self.pfm[gap].validate()
-            except ValueError as e:
-                raise ValueError(f"pfm.gap{gap}.{e}") from None
+            except ValueError as e:  # it starts with the PfmConfig field it rejects
+                key = str(e).split(" ", 1)[0]
+                raise ValueError(f"pfm.gap{gap}.{e}" if key in BUDGET_KEYS else f"pfm.{e}") from None
 
     def level_size(self, level):
-        h, w = self.input_size
-        return (h // 2 ** level, w // 2 ** level)
+        return (self.crop_size // 2**level,) * 2
 
     def effective_pfm(self, gap):
         """Gap config with the point budget clamped to the gap's grid."""
         base = self.pfm[gap]
         h, w = self.level_size(gap)
-        kh, kw = base.salient_kernel
         return replace(
             base,
-            salient_kernel=(min(kh, h), min(kw, w)),
+            salient_kh=min(base.salient_kh, h),
+            salient_kw=min(base.salient_kw, w),
             boundary_k=min(base.boundary_k, h * w),
         )
 
@@ -225,7 +234,7 @@ def pfnet_forward(image, params, cfg):
         p[5] = _lateral(c5, params, 5)
 
     pfm_outputs = {}
-    for gap in (5, 4, 3):
+    for gap in reversed(PYRAMID_GAPS):
         fine = _lateral(by_level[gap - 1], params, gap - 1)
         if gap in cfg.pfm_gaps:
             gap_cfg = cfg.effective_pfm(gap)

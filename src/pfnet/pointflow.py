@@ -46,6 +46,8 @@ from .tensor import Tensor
 DIRECTIONS = ("top_down", "bottom_up", "td_then_bu")
 EDGE_MODES = ("subtraction", "direct", "addition")
 SALIENT_SAMPLING = ("max_pool", "uniform_random", "attention_topk")
+# the PfmConfig fields set per gap, in [pfm.gapN]; [pfm] sets the rest for every gap
+BUDGET_KEYS = ("salient_kh", "salient_kw", "boundary_k")
 
 # Most points one item may flow: the [K, K] affinity of 4096 points is
 # 64 MiB in float32, and the softmax and backward hold a few more.
@@ -54,7 +56,8 @@ _MAX_POINTS = 4096
 
 @dataclass
 class PfmConfig:
-    salient_kernel: tuple = (14, 14)
+    salient_kh: int = 14
+    salient_kw: int = 14
     boundary_k: int = 128  # 0 disables the boundary flow
     direction: str = "top_down"
     edge_mode: str = "subtraction"
@@ -62,19 +65,15 @@ class PfmConfig:
     sampling_seed: int = 0
 
     def validate(self):
-        kh, kw = self.salient_kernel
-        if min(kh, kw) < 1:
-            raise ValueError(f"salient_kernel sides must be >= 1, got {kh}x{kw}")
-        if self.boundary_k < 0:
-            raise ValueError("boundary_k must be >= 0")
+        for name, lo in (("salient_kh", 1), ("salient_kw", 1), ("boundary_k", 0), ("sampling_seed", 0)):
+            if getattr(self, name) < lo:
+                raise ValueError(f"{name} must be >= {lo}, got {getattr(self, name)}")
         if self.direction not in DIRECTIONS:
-            raise ValueError(f"direction must be one of {DIRECTIONS}")
+            raise ValueError(f"direction must be one of {DIRECTIONS}, got {self.direction!r}")
         if self.edge_mode not in EDGE_MODES:
-            raise ValueError(f"edge_mode must be one of {EDGE_MODES}")
+            raise ValueError(f"edge_mode must be one of {EDGE_MODES}, got {self.edge_mode!r}")
         if self.salient_sampling not in SALIENT_SAMPLING:
-            raise ValueError(f"salient_sampling must be one of {SALIENT_SAMPLING}")
-        if self.sampling_seed < 0:
-            raise ValueError(f"sampling_seed must be >= 0, got {self.sampling_seed}")
+            raise ValueError(f"salient_sampling must be one of {SALIENT_SAMPLING}, got {self.salient_sampling!r}")
 
 
 @dataclass
@@ -133,7 +132,7 @@ def salient_match(coarse, saliency, cfg):
     n, _, h, w = coarse.shape
     if saliency.shape != (n, 1, h, w):
         raise ValueError(f"saliency must be [N, 1, {h}, {w}], got {saliency.shape}")
-    kh, kw = cfg.salient_kernel
+    kh, kw = cfg.salient_kh, cfg.salient_kw
     if kh > h or kw > w:
         raise ValueError(f"salient kernel {kh}x{kw} exceeds saliency grid {h}x{w}")
 

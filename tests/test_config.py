@@ -1,10 +1,13 @@
+import dataclasses
 import re
+import typing
 
 import pytest
 
 from pfnet.config import (
     SCHEMA,
     ConfigError,
+    apply_overrides,
     default_config,
     echo_config,
     load_config,
@@ -14,7 +17,10 @@ from pfnet.config import (
     scene_config,
     train_config,
 )
-from pfnet.pointflow import DIRECTIONS, EDGE_MODES, SALIENT_SAMPLING
+from pfnet.data import SceneConfig
+from pfnet.learn import TrainConfig
+from pfnet.network import NetworkConfig
+from pfnet.pointflow import DIRECTIONS, EDGE_MODES, SALIENT_SAMPLING, PfmConfig
 
 
 @pytest.mark.parametrize(
@@ -121,3 +127,117 @@ def test_every_config_key_has_a_reader(section, key):
     read = _views(cfg) != base
     # an exception that a view starts reading must leave the list
     assert read != (f"{section}.{key}" in UNREAD_KEYS), f"{section}.{key} read: {read}"
+
+
+def _default_cfg_keys():
+    """(section, key) of every line of default.cfg, read without the schema."""
+    section, keys = None, []
+    with open(packaged_config_path("default"), encoding="utf-8") as f:
+        for line in f:
+            line = line.split("#", 1)[0].strip()
+            if line.startswith("["):
+                section = line[1:-1]
+            elif line:
+                keys.append((section, line.split("=", 1)[0].strip()))
+    return keys
+
+
+# the typed configs that each section's view builds
+_VIEW_CLASSES = {
+    "data": (SceneConfig, NetworkConfig),
+    "network": (NetworkConfig,),
+    "train": (TrainConfig,),
+    "pfm": (PfmConfig,),
+    "pfm.gap3": (PfmConfig,),
+    "pfm.gap4": (PfmConfig,),
+    "pfm.gap5": (PfmConfig,),
+}
+
+
+def test_schema_keys_are_default_cfg_keys():
+    assert sorted((sec, key) for sec in SCHEMA for key in SCHEMA[sec]) == sorted(_default_cfg_keys())
+
+
+@pytest.mark.parametrize(
+    "section,key",
+    [k for k in _default_cfg_keys() if ".".join(k) not in UNREAD_KEYS],
+    ids=lambda v: v,
+)
+def test_config_key_is_a_field_of_its_view(section, key):
+    """Each key is a field of the same name, type and default on every typed
+    config of its view that has it, and at least one has it."""
+    typ, default = SCHEMA[section][key]
+    owners = [cls for cls in _VIEW_CLASSES[section] if key in {f.name for f in dataclasses.fields(cls)}]
+    assert owners, f"no typed config of [{section}] has a field {key}"
+    for cls in owners:
+        field = next(f for f in dataclasses.fields(cls) if f.name == key)
+        assert (typing.get_type_hints(cls)[key], field.default) == (typ, default), cls.__name__
+
+
+def _validate_views(cfg):
+    scene_config(cfg, 0).validate()
+    network_config(cfg).validate()
+    train_config(cfg, 0).validate()
+
+
+_GAP_BUDGETS = [
+    (f"pfm.gap{gap}.{key}={value}", f"pfm.gap{gap}.{key}")
+    for gap in (3, 4, 5)
+    for key, value in (("salient_kh", 0), ("salient_kh", -1), ("salient_kw", 0), ("salient_kw", -1), ("boundary_k", -1))
+]
+
+
+# One invalid value per case, set on desk.cfg: 0 or -1 for an int, -0.5 or
+# 1.5 for a float, foo for a string, 0 or a repeated entry for a list.  The
+# expected pattern is the key the error starts with, followed by the other
+# key of a min/max pair.
+@pytest.mark.parametrize(
+    "override,key",
+    [
+        ("data.canvas=0", "canvas"),
+        ("data.canvas=-1", "canvas"),
+        ("data.num_classes=0", "num_classes"),
+        ("data.num_classes=-1", "num_classes"),
+        ("data.objects_min=-1", "objects_min"),
+        ("data.objects_max=0", "objects_min .*objects_max"),
+        ("data.objects_max=-1", "objects_min .*objects_max"),
+        ("data.size_min=0", "size_min"),
+        ("data.size_min=-1", "size_min"),
+        ("data.size_max=0", "size_min .*size_max"),
+        ("data.size_max=-1", "size_min .*size_max"),
+        ("data.fg_ratio=-0.5", "fg_ratio"),
+        ("data.fg_ratio=1.5", "fg_ratio"),
+        ("data.texture=foo", "texture"),
+        ("data.crop_size=0", "crop_size"),
+        ("data.crop_size=-1", "crop_size"),
+        ("network.fpn_channels=0", "fpn_channels"),
+        ("network.fpn_channels=-1", "fpn_channels"),
+        ("network.backbone_channels=0", "backbone_channels"),
+        ("network.ppm_bins=0", "ppm_bins"),
+        ("network.ppm_bins=2,2", "ppm_bins"),
+        ("network.pfm_gaps=0", "pfm_gaps"),
+        ("network.pfm_gaps=3,3", "pfm_gaps"),
+        ("train.epochs=0", "epochs"),
+        ("train.epochs=-1", "epochs"),
+        ("train.batch_size=0", "batch_size"),
+        ("train.batch_size=-1", "batch_size"),
+        ("train.base_lr=-0.5", "base_lr"),
+        ("train.momentum=-0.5", "momentum"),
+        ("train.momentum=1.5", "momentum"),
+        ("train.weight_decay=-0.5", "weight_decay"),
+        ("train.poly_power=-0.5", "poly_power"),
+        ("train.bce_weight=-0.5", "bce_weight"),
+        ("train.edge_radius=-1", "edge_radius"),
+        ("train.checkpoint_every=-1", "checkpoint_every"),
+        ("pfm.direction=foo", "pfm.direction"),
+        ("pfm.edge_mode=foo", "pfm.edge_mode"),
+        ("pfm.salient_sampling=foo", "pfm.salient_sampling"),
+        ("pfm.sampling_seed=-1", "pfm.sampling_seed"),
+    ]
+    + _GAP_BUDGETS,
+    ids=lambda v: v,
+)
+def test_config_errors_name_the_key(override, key):
+    cfg = apply_overrides(load_config(packaged_config_path("desk")), [override])
+    with pytest.raises(ValueError, match=rf"^{key}\b"):
+        _validate_views(cfg)

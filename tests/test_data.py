@@ -21,7 +21,7 @@ from pfnet.data import (
 
 
 def test_scene_no_objects_all_background():
-    cfg = SceneConfig(canvas=(32, 32), objects_per_scene=(0, 0), target_fg_ratio=0.0)
+    cfg = SceneConfig(canvas=32, objects_min=0, objects_max=0, fg_ratio=0.0)
     sample = synth_scene(cfg, 0)
     assert sample.mask.max() == 0
     assert sample.image.shape == (3, 32, 32)
@@ -29,7 +29,7 @@ def test_scene_no_objects_all_background():
 
 
 def test_scene_bitwise_deterministic_per_seed_and_index():
-    cfg = SceneConfig(canvas=(64, 64), seed=3)
+    cfg = SceneConfig(canvas=64, seed=3)
     a = synth_scene(cfg, 5)
     b = synth_scene(cfg, 5)
     assert a.image.tobytes() == b.image.tobytes()
@@ -39,7 +39,7 @@ def test_scene_bitwise_deterministic_per_seed_and_index():
 
 
 def test_scene_fg_ratio_window():
-    cfg = SceneConfig(canvas=(128, 128), target_fg_ratio=0.03, seed=0)
+    cfg = SceneConfig(canvas=128, fg_ratio=0.03, seed=0)
     ratios = []
     for i in range(100):
         sample = synth_scene(cfg, i)
@@ -51,37 +51,41 @@ def test_scene_fg_ratio_window():
 
 
 def test_scene_values_in_range_and_labels_valid():
-    cfg = SceneConfig(canvas=(64, 64), seed=9)
+    cfg = SceneConfig(canvas=64, seed=9)
     sample = synth_scene(cfg, 0)
     assert sample.image.min() >= 0.0 and sample.image.max() <= 1.0
     assert sample.mask.max() < cfg.num_classes
 
 
 def test_scene_flat_texture():
-    cfg = SceneConfig(canvas=(32, 32), background_texture="flat", objects_per_scene=(0, 0), target_fg_ratio=0.0)
+    cfg = SceneConfig(canvas=32, texture="flat", objects_min=0, objects_max=0, fg_ratio=0.0)
     sample = synth_scene(cfg, 0)
     assert np.isfinite(sample.image).all()
 
 
+# Each id names the scene property its override breaks; the message must
+# start with the key it rejects and name the key it is compared with.
 @pytest.mark.parametrize(
-    "override,field",
+    "override,key",
     [
-        ("data.num_classes=1", "num_classes"),
-        ("data.num_classes=7", "num_classes"),
-        ("data.size_min=0", "object_size"),
-        ("data.size_min=9", "object_size"),
-        ("data.size_max=200", "object_size"),
-        ("data.fg_ratio=-0.5", "target_fg_ratio"),
-        ("data.fg_ratio=1.5", "target_fg_ratio"),
-        ("data.fg_ratio=0.9", "target_fg_ratio"),
-        ("data.objects_min=-1", "objects_per_scene"),
-        ("data.objects_max=5", "objects_per_scene"),
-        ("data.texture=foo", "background_texture"),
+        pytest.param("data.num_classes=1", "num_classes", id="data.num_classes=1-num_classes"),
+        pytest.param("data.num_classes=7", "num_classes", id="data.num_classes=7-num_classes"),
+        pytest.param("data.size_min=0", "size_min", id="data.size_min=0-object_size"),
+        pytest.param("data.size_min=9", "size_min .*size_max", id="data.size_min=9-object_size"),
+        pytest.param("data.size_max=200", "size_max .*canvas", id="data.size_max=200-object_size"),
+        pytest.param("data.fg_ratio=-0.5", "fg_ratio", id="data.fg_ratio=-0.5-target_fg_ratio"),
+        pytest.param("data.fg_ratio=1.5", "fg_ratio", id="data.fg_ratio=1.5-target_fg_ratio"),
+        pytest.param("data.fg_ratio=0.9", "fg_ratio", id="data.fg_ratio=0.9-target_fg_ratio"),
+        pytest.param("data.objects_min=-1", "objects_min", id="data.objects_min=-1-objects_per_scene"),
+        pytest.param(
+            "data.objects_max=5", "objects_min .*objects_max", id="data.objects_max=5-objects_per_scene"
+        ),
+        pytest.param("data.texture=foo", "texture", id="data.texture=foo-background_texture"),
     ],
 )
-def test_synth_scene_rejects_bad_scene_config_by_field(override, field):
+def test_synth_scene_rejects_bad_scene_config_by_field(override, key):
     cfg = config.apply_overrides(config.load_config(config.packaged_config_path("desk")), [override])
-    with pytest.raises(ValueError, match=f"^{field} "):
+    with pytest.raises(ValueError, match=rf"^{key}\b"):
         synth_scene(config.scene_config(cfg, 0), 0)
 
 
@@ -281,6 +285,28 @@ def test_checkpoint_trailing_bytes_rejected(tmp_path):
     end = len(path.read_bytes())
     path.write_bytes(path.read_bytes() + b"\x00junk")
     with pytest.raises(ValueError, match=re.escape(f"5 bytes after the last payload in {path} at byte {end}")):
+        read_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "offsets,entry,message",
+    [
+        pytest.param((8, 0), 0, "offset 8 of a should be 0", id="swapped"),
+        pytest.param((0, 0), 1, "offset 0 of b should be 8", id="both-zero"),
+    ],
+)
+def test_checkpoint_payload_offsets_must_follow_in_order(tmp_path, offsets, entry, message):
+    path = tmp_path / "c.ckpt"
+    write_checkpoint(path, {"a": np.zeros(2, dtype=np.float32), "b": np.ones(2, dtype=np.float32)}, "cfg")
+    raw = bytearray(path.read_bytes())
+    # each entry's offset field: magic, config length, 3 config bytes and
+    # count, then per entry (length, name, code, ndim, one dim) and offset
+    fields = [4 + 4 + 3 + 4 + (2 + 1 + 2 + 4) + i * (2 + 1 + 2 + 4 + 8) for i in range(2)]
+    for at, old, new in zip(fields, (0, 8), offsets):
+        assert raw[at : at + 8] == old.to_bytes(8, "little")
+        raw[at : at + 8] = new.to_bytes(8, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=re.escape(message) + ".*" + re.escape(f"{path} at byte {fields[entry]}")):
         read_checkpoint(path)
 
 

@@ -29,12 +29,12 @@ def rand(shape, seed, lo=-1.0, hi=1.0):
 
 def tiny_cfg(**kw):
     base = dict(
-        input_size=(32, 32),
+        crop_size=32,
         num_classes=3,
         fpn_channels=8,
         backbone_channels=(4, 6, 8, 12),
         ppm_bins=(1,),
-        pfm={gap: PfmConfig(salient_kernel=(2, 2), boundary_k=2) for gap in (3, 4, 5)},
+        pfm={gap: PfmConfig(salient_kh=2, salient_kw=2, boundary_k=2) for gap in (3, 4, 5)},
     )
     base.update(kw)
     return NetworkConfig(**base)
@@ -62,6 +62,11 @@ def test_edge_targets_constant_mask_all_zero():
     for s, t in targets.items():
         assert t.shape == (64 // s, 64 // s)
         assert np.all(t == 0.0)
+
+
+def test_edge_targets_cover_each_gap_stride():
+    # gap l's boundary map lives on the level-l grid, stride 2^l
+    assert sorted(edge_targets_from_mask(np.zeros((64, 64), dtype=np.uint8))) == [8, 16, 32]
 
 
 def test_edge_targets_halved_mask_band_width():

@@ -23,12 +23,12 @@ def rand(shape, seed, lo=-1.0, hi=1.0):
 
 def tiny_cfg(**kw):
     base = dict(
-        input_size=(32, 32),
+        crop_size=32,
         num_classes=4,
         fpn_channels=8,
         backbone_channels=(4, 6, 8, 12),
         ppm_bins=(1, 2),
-        pfm={gap: PfmConfig(salient_kernel=(2, 2), boundary_k=2) for gap in (3, 4, 5)},
+        pfm={gap: PfmConfig(salient_kh=2, salient_kw=2, boundary_k=2) for gap in (3, 4, 5)},
     )
     base.update(kw)
     return NetworkConfig(**base)
@@ -36,14 +36,14 @@ def tiny_cfg(**kw):
 
 def test_config_rejects_indivisible_input():
     with pytest.raises(ValueError):
-        NetworkConfig(input_size=(48, 64)).validate()
+        NetworkConfig(crop_size=48).validate()
 
 
 @pytest.mark.parametrize("side", [0, -32])
 def test_config_rejects_input_size_below_32(side):
     cfg = config.load_config(config.packaged_config_path("desk"))
     net_cfg = config.network_config(config.apply_overrides(cfg, [f"data.crop_size={side}"]))
-    with pytest.raises(ValueError, match="^input_size "):
+    with pytest.raises(ValueError, match="^crop_size "):
         net_cfg.validate()
 
 
@@ -52,7 +52,7 @@ def test_config_rejects_salient_kernel_sides_below_one(kh, kw):
     cfg = config.load_config(config.packaged_config_path("desk"))
     overrides = [f"pfm.gap3.salient_kh={kh}", f"pfm.gap3.salient_kw={kw}"]
     net_cfg = config.network_config(config.apply_overrides(cfg, overrides))
-    with pytest.raises(ValueError, match="^pfm.gap3.salient_kernel "):
+    with pytest.raises(ValueError, match=f"^pfm.gap3.salient_k{'h' if kh < 1 else 'w'} "):
         net_cfg.validate()
     net_cfg.pfm_gaps = (4, 5)  # only enabled gaps are checked
     net_cfg.validate()
@@ -77,6 +77,19 @@ def test_config_rejects_fewer_than_two_classes(num_classes):
 def test_config_rejects_widths_and_bins_below_one(field, value):
     with pytest.raises(ValueError, match=f"^{field} "):
         init_params(tiny_cfg(**{field: value}), 0)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        pytest.param("pfm_gaps", (3, 3), id="pfm_gaps-3-3"),  # would draw gap 3's parameters twice
+        pytest.param("ppm_bins", (2, 2), id="ppm_bins-2-2"),  # two branches sharing ppm.bin2.conv
+    ],
+)
+def test_config_rejects_repeated_gaps_and_bins(field, value):
+    cfg = tiny_cfg(crop_size=64, **{field: value})
+    with pytest.raises(ValueError, match=f"^{field} entries must be distinct"):
+        init_params(cfg, 0)
 
 
 def test_backbone_stride_law():
@@ -146,7 +159,7 @@ def test_ppm_constant_input_well_formed():
 def test_ppm_output_resolution_matches_input():
     c5 = Tensor(rand((1, 12, 4, 4), 7))
     for bins in [(1,), (1, 2), (1, 2, 4)]:
-        cfg2 = tiny_cfg(input_size=(128, 128), ppm_bins=bins)  # deepest map 4x4
+        cfg2 = tiny_cfg(crop_size=128, ppm_bins=bins)  # deepest map 4x4
         params2 = init_params(cfg2, 6, dtype=np.float64)
         out = ppm_forward(c5, params2, bins)
         assert out.shape[2:] == (4, 4)
@@ -162,20 +175,20 @@ def test_ppm_bin_too_large():
 def test_ppm_oversized_default_bins_are_dropped():
     cfg = tiny_cfg()  # deepest map is 1x1 at 32x32 input
     assert cfg.effective_ppm_bins() == (1,)
-    cfg64 = NetworkConfig()  # 64x64 -> 2x2 deepest map
+    cfg64 = NetworkConfig(crop_size=64)  # 2x2 deepest map
     assert cfg64.effective_ppm_bins() == (1, 2)
 
 
 def test_effective_pfm_clamps_budget():
-    cfg = NetworkConfig()  # paper defaults: kernel 14x14, k=128
+    cfg = NetworkConfig(crop_size=64)  # paper budgets: kernel 14x14, k=128
     eff5 = cfg.effective_pfm(5)
-    assert eff5.salient_kernel == (2, 2)
+    assert (eff5.salient_kh, eff5.salient_kw) == (2, 2)
     assert eff5.boundary_k == 4
     eff3 = cfg.effective_pfm(3)
-    assert eff3.salient_kernel == (8, 8)
+    assert (eff3.salient_kh, eff3.salient_kw) == (8, 8)
     assert eff3.boundary_k == 64
     # configured values are untouched
-    assert cfg.pfm[5].salient_kernel == (14, 14)
+    assert (cfg.pfm[5].salient_kh, cfg.pfm[5].salient_kw) == (14, 14)
     assert cfg.pfm[5].boundary_k == 128
 
 
@@ -274,7 +287,7 @@ def test_head_matches_concat_formulation_on_desk(monkeypatch):
 
     monkeypatch.setattr(network, "conv2d", recording_conv2d)
     monkeypatch.setattr(network, "resize_conv3x3", recording_resize_conv3x3)
-    image = Tensor(rand((2, 3) + tuple(net_cfg.input_size), 5).astype(np.float32))
+    image = Tensor(rand((2, 3) + net_cfg.level_size(0), 5).astype(np.float32))
     logits = pfnet_forward(image, params, net_cfg).logits.data
     assert sorted(levels) == [2, 3, 4, 5]
     assert [levels[l].shape[2:] for l in (2, 3, 4, 5)] == [net_cfg.level_size(l) for l in (2, 3, 4, 5)]
@@ -292,7 +305,7 @@ def test_forward_tape_keeps_no_quarter_grid_concat():
     params = init_params(net_cfg, 0)
     n, c = 4, net_cfg.fpn_channels
     qh, qw = net_cfg.level_size(2)
-    image = Tensor(rand((n, 3) + tuple(net_cfg.input_size), 6).astype(np.float32))
+    image = Tensor(rand((n, 3) + net_cfg.level_size(0), 6).astype(np.float32))
     with Tape() as tape:
         pfnet_forward(image, params, net_cfg)
     # no closure keeps an array with the 4C channels of the resized levels
@@ -307,11 +320,11 @@ def test_training_tape_closures_hold_no_tensor():
     # the ConvParams that holds two), so values no adjoint reads are freed
     net_cfg = desk_cfg()
     params = init_params(net_cfg, 0)
-    image = Tensor(rand((2, 3) + tuple(net_cfg.input_size), 7).astype(np.float32))
-    mask = np.random.Generator(np.random.PCG64(8)).integers(0, net_cfg.num_classes, (2,) + tuple(net_cfg.input_size))
+    image = Tensor(rand((2, 3) + net_cfg.level_size(0), 7).astype(np.float32))
+    mask = np.random.Generator(np.random.PCG64(8)).integers(0, net_cfg.num_classes, (2,) + net_cfg.level_size(0))
     with Tape() as tape:
         out = pfnet_forward(image, params, net_cfg)
-        loss = ce_loss(ops.bilinear_resize(out.logits, net_cfg.input_size), mask)
+        loss = ce_loss(ops.bilinear_resize(out.logits, net_cfg.level_size(0)), mask)
         for pfm in out.pfm_outputs.values():
             loss = add(loss, bce_loss(pfm.boundary, np.zeros(pfm.boundary.shape)))
     kinds = set()
@@ -334,11 +347,11 @@ def test_desk_training_tape_holds_under_9_5_mib():
     net_cfg = desk_cfg()
     params = init_params(net_cfg, 0)
     n = 8
-    image = Tensor(rand((n, 3) + tuple(net_cfg.input_size), 9).astype(np.float32))
-    mask = np.random.Generator(np.random.PCG64(10)).integers(0, net_cfg.num_classes, (n,) + tuple(net_cfg.input_size))
+    image = Tensor(rand((n, 3) + net_cfg.level_size(0), 9).astype(np.float32))
+    mask = np.random.Generator(np.random.PCG64(10)).integers(0, net_cfg.num_classes, (n,) + net_cfg.level_size(0))
     with Tape() as tape:
         out = pfnet_forward(image, params, net_cfg)
-        loss = ce_loss(ops.bilinear_resize(out.logits, net_cfg.input_size), mask)
+        loss = ce_loss(ops.bilinear_resize(out.logits, net_cfg.level_size(0)), mask)
         for pfm in out.pfm_outputs.values():
             loss = add(loss, bce_loss(pfm.boundary, np.zeros(pfm.boundary.shape)))
     owners = {}

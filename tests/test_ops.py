@@ -188,7 +188,7 @@ def test_conv_float32_matches_reference_on_desk_shapes(monkeypatch):
     monkeypatch.setattr(network, "conv2d", recording_conv2d)
     monkeypatch.setattr(pointflow, "conv2d", recording_conv2d)
     monkeypatch.setattr(network, "resize_conv3x3", recording_resize_conv3x3)
-    image = Tensor(rand((2, 3) + tuple(net_cfg.input_size), 41).astype(np.float32))
+    image = Tensor(rand((2, 3) + net_cfg.level_size(0), 41).astype(np.float32))
     network.pfnet_forward(image, params, net_cfg)
     assert len(calls) == sum(name.endswith(".weight") for name in params)
     assert len(folds) == 3  # head levels 3, 4 and 5
@@ -973,7 +973,7 @@ def network_kernel_shapes(monkeypatch, run):
     monkeypatch.setattr(network, "conv2d", recording_conv2d)
     monkeypatch.setattr(pointflow, "conv2d", recording_conv2d)
     monkeypatch.setattr(network, "resize_conv3x3", recording_resize_conv3x3)
-    image = Tensor(rand((batch, 3) + tuple(net_cfg.input_size), 117).astype(np.float32))
+    image = Tensor(rand((batch, 3) + net_cfg.level_size(0), 117).astype(np.float32))
     network.pfnet_forward(image, network.init_params(net_cfg, 0), net_cfg)
     monkeypatch.undo()
     assert convs and len(folds) == 3

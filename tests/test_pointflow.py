@@ -45,7 +45,7 @@ def boundary_conv(c, seed=None, zero=False):
 
 
 def small_cfg(**kw):
-    base = dict(salient_kernel=(2, 2), boundary_k=3)
+    base = dict(salient_kh=2, salient_kw=2, boundary_k=3)
     base.update(kw)
     return PfmConfig(**base)
 
@@ -142,13 +142,14 @@ def test_salient_match_kernel_too_large():
     coarse, _ = levels(10)
     m = Tensor(np.full((1, 1, 4, 4), 0.5))
     with pytest.raises(ValueError):
-        salient_match(coarse, m, small_cfg(salient_kernel=(5, 5)))
+        salient_match(coarse, m, small_cfg(salient_kh=5, salient_kw=5))
 
 
 @pytest.mark.parametrize("kernel", [(-2, -2), (0, 3), (3, -1)])
 def test_pfm_config_rejects_salient_kernel_sides_below_one(kernel):
-    with pytest.raises(ValueError, match="^salient_kernel sides must be >= 1"):
-        PfmConfig(salient_kernel=kernel).validate()
+    kh, kw = kernel
+    with pytest.raises(ValueError, match=f"^salient_k{'h' if kh < 1 else 'w'} must be >= 1"):
+        PfmConfig(salient_kh=kh, salient_kw=kw).validate()
 
 
 def test_pfm_config_rejects_negative_sampling_seed():
@@ -355,7 +356,7 @@ def make_params(c, seed, zero=False):
 
 def test_pfm_full_grid_matches_dense_oracle():
     coarse, fine = levels(30)
-    cfg = small_cfg(salient_kernel=(4, 4), boundary_k=0)
+    cfg = small_cfg(salient_kh=4, salient_kw=4, boundary_k=0)
     params = make_params(3, 31)
     out = pfm_forward(coarse, fine, cfg, params)
 
@@ -452,7 +453,7 @@ def check_pfm_gradients(seed, **cfg_kw):
     coarse = Tensor(rand((1, 2, 4, 4), seed + 200), requires_grad=True)
     fine = Tensor(rand((1, 2, 8, 8), seed + 201), requires_grad=True)
     params = make_params(2, seed + 202)
-    cfg = small_cfg(salient_kernel=(2, 2), boundary_k=3, **cfg_kw)
+    cfg = small_cfg(salient_kh=2, salient_kw=2, boundary_k=3, **cfg_kw)
     w_fine = Tensor(rand((1, 2, 8, 8), seed + 203))
     w_coarse = Tensor(rand((1, 2, 4, 4), seed + 204))
 
