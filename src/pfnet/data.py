@@ -220,10 +220,13 @@ def sliding_crop(image, mask, size, stride):
 
 
 def stitch_label_votes(pred_crops, canvas_hw, num_classes):
-    """Reassemble crop label predictions by per-pixel max vote."""
+    """Reassemble crop label predictions by per-pixel max vote; every label
+    must lie in [0, num_classes)."""
     h, w = canvas_hw
     votes = np.zeros((num_classes, h, w), dtype=np.int64)
-    for labels, top, left in pred_crops:
+    for index, (labels, top, left) in enumerate(pred_crops):
+        if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+            raise ValueError(f"crop {index}: labels must lie in [0, {num_classes}), got {labels.min()}..{labels.max()}")
         ch, cw = labels.shape
         ys = slice(top, top + ch)
         xs = slice(left, left + cw)

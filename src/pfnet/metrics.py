@@ -175,6 +175,8 @@ class BoundaryStats:
         return self
 
     def merge(self, other):
+        if set(other.counts) != set(self.counts):
+            raise ValueError(f"boundary thresholds differ: {other.thresholds} merged into {self.thresholds}")
         for t in self.counts:
             self.counts[t] += other.counts[t]
         return self

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, _accumulate, _maybe_record
+from .tensor import Tensor, _accumulate, _kept, _maybe_record, _remade
 
 
 @dataclass
@@ -93,7 +93,9 @@ def conv2d(x, p):
     """Cross-correlation with zero padding; differentiable in x, weight, bias.
 
     A 1x1, stride-1, unpadded conv is one matmul on the NCHW array; its
-    backward keeps only views of the input and the weight.
+    backward keeps only the input's kept form (``tensor._kept``) and a view
+    of the weight, and a recorded output is remade from them by the same
+    matmul.
 
     Every other conv is shift-and-accumulate ("kn2row", arXiv 1704.04428).
     The input is copied once (``_padded_phases``) into a zero-padded,
@@ -108,9 +110,8 @@ def conv2d(x, p):
     output cell, so every cell keeps its bits.  The buffer is 1x the padded
     input, not a kh*kw-fold column matrix (the memory argument of MEC, arXiv
     1706.06873), and the tap sum needs no scratch wider than a tile.  The
-    tape keeps the input array itself and the tap-major weight, not the
-    buffer: most inputs stay alive anyway, with the caller or in a relu's
-    closure, so a kept buffer would be a second copy of the input.
+    tape keeps the input's kept form and the tap-major weight, not the
+    buffer, which would be a second copy of the input.
 
     Backward rebuilds the buffer from the kept input, byte for byte.  It
     stacks, per stride phase, the output gradient shifted by each of the
@@ -136,28 +137,36 @@ def conv2d(x, p):
     # Both backward closures are defined here, not in helpers: pfbench's
     # tracer names a tape entry's op kind after the function defining it.
     x_slot, w_slot, b_slot = x.slot, p.weight.slot, p.bias.slot
+    xk = _kept(x)
     if (kh, kw, s, padding) == (1, 1, 1, 0):
-        x3 = x.data.reshape(n, cin, h * w)
-        w2 = p.weight.data.reshape(cout, cin)
-        with np.errstate(over="ignore"):  # overflow surfaces as the finiteness error
-            out_data = np.matmul(w2, x3)
-            out_data += p.bias.data[:, None]
-        out = Tensor(out_data.reshape(n, cout, h, w), _op="conv2d")
+        w2, bias = p.weight.data.reshape(cout, cin), p.bias.data
+
+        def product(xd):
+            with np.errstate(over="ignore"):  # overflow surfaces as the finiteness error
+                out_data = np.matmul(w2, xd.reshape(n, cin, h * w))
+                out_data += bias[:, None]
+            return out_data.reshape(n, cout, h, w)
+
+        out = Tensor(product(x.data), _op="conv2d")
 
         def backward(g):
             g3 = g.reshape(n, cout, h * w)
+            x3 = _remade(xk).reshape(n, cin, h * w)
             _accumulate(w_slot, np.matmul(g3, x3.transpose(0, 2, 1)).sum(axis=0).reshape(cout, cin, 1, 1))
+            del x3  # a remade input is freed before the input gradient exists
             _accumulate(b_slot, g3.sum(axis=(0, 2)))
             if x_slot.requires_grad:
                 _accumulate(x_slot, np.matmul(w2.T, g3).reshape(n, cin, h, w))
 
-        return _maybe_record(out, (x, p.weight, p.bias), backward)
+        def remake():
+            return product(_remade(xk))
+
+        return _maybe_record(out, (x, p.weight, p.bias), backward, remake)
 
     hq = -(-(h + 2 * padding) // s)
     wq = -(-(w + 2 * padding) // s)
     lq = n * hq * wq
-    xd = x.data
-    buf = _padded_phases(xd, s, padding, hq, wq)
+    buf = _padded_phases(x.data, s, padding, hq, wq)
     taps = [(i, j, (i % s) * s + j % s, (i // s) * wq + j // s) for i in range(kh) for j in range(kw)]
     # every kept output cell k satisfies k + offset < lq for every tap, so
     # the taps cover the first m cells of the extended output
@@ -196,7 +205,7 @@ def conv2d(x, p):
             gpad[:, dmax:], (na, nb, cout, lq), (-wq * e, -e, gpad.strides[0], e), writeable=False
         )
         gw = np.empty((kh, kw, cout, cin), dtype=g.dtype)
-        buf = _padded_phases(xd, s, padding, hq, wq)  # turns into the input gradient
+        buf = _padded_phases(_remade(xk), s, padding, hq, wq)  # turns into the input gradient
         block = np.empty(na * nb * cout * tile, dtype=g.dtype)
         for pa in range(s):
             for pb in range(s):
@@ -232,7 +241,8 @@ def conv2d(x, p):
 
 
 def channel_norm(x, gamma, beta, eps=1e-5):
-    """Per-channel standardization over (N, H, W) followed by affine."""
+    """Per-channel standardization over (N, H, W) followed by affine.  The
+    tape keeps ``xhat``, and a recorded output is remade from it."""
     n, c, h, w = x.shape
     if n * h * w < 2:
         raise ValueError("channel_norm needs at least 2 elements per channel")
@@ -244,9 +254,14 @@ def channel_norm(x, gamma, beta, eps=1e-5):
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
     g4 = gamma.data.reshape(1, c, 1, 1)
-    out_data = np.multiply(g4, xhat, out=sq)  # the squares are dead
-    out_data += beta.data.reshape(1, c, 1, 1)
-    out = Tensor(out_data, _op="channel_norm")
+    b4 = beta.data.reshape(1, c, 1, 1)
+
+    def affine(buf):
+        np.multiply(g4, xhat, out=buf)
+        buf += b4
+        return buf
+
+    out = Tensor(affine(sq), _op="channel_norm")  # the squares are dead
     x_slot, gamma_slot, beta_slot = x.slot, gamma.slot, beta.slot
 
     def backward(g):
@@ -263,7 +278,10 @@ def channel_norm(x, gamma, beta, eps=1e-5):
         dxhat *= inv
         _accumulate(x_slot, dxhat)
 
-    return _maybe_record(out, (x, gamma, beta), backward)
+    def remake():
+        return affine(np.empty_like(xhat))
+
+    return _maybe_record(out, (x, gamma, beta), backward, remake)
 
 
 # ---------------------------------------------------------------------------
@@ -437,9 +455,10 @@ def resize_conv3x3(x, weight, out_hw):
     channels on the coarse grid, ``[(j, co, i), ci] @ [ci, (n, x, y)]``,
     then ``(i, y)`` is contracted with Ry3 and ``(j, x)`` with Rx3, with
     one transpose-copy before each of the last two.  Backward runs the
-    same GEMMs transposed.  The tape keeps the input array, the stacked
-    weight and the two small matrices; backward rebuilds the channel-major
-    input for the weight gradient's GEMM and drops it right after.
+    same GEMMs transposed.  The tape keeps the input's kept form
+    (``tensor._kept``), the stacked weight and the two small matrices;
+    backward rebuilds the channel-major input for the weight gradient's
+    GEMM and drops it right after.
 
     Both passes run over chunks of batch items (``_item_spans``), so the
     tap-mix and the Ry3 product exist for one chunk at a time.  In the
@@ -460,8 +479,8 @@ def resize_conv3x3(x, weight, out_hw):
     ry = _shifted_interp(oh, h, x.dtype)
     rx = _shifted_interp(ow, w, x.dtype)
     ws = np.ascontiguousarray(weight.data.transpose(3, 0, 2, 1)).reshape(9 * cout, cin)
-    xd = x.data
-    xc = np.ascontiguousarray(xd.transpose(1, 0, 3, 2)).reshape(cin, n * w * h)
+    xk = _kept(x)
+    xc = np.ascontiguousarray(x.data.transpose(1, 0, 3, 2)).reshape(cin, n * w * h)
     spans = _item_spans(n, 3 * cout * w * max(3 * h, oh))
     # each GEMM result is dropped as soon as its transposed copy exists, and
     # the whole-batch result is made only once the first chunk's tap-mix is
@@ -494,7 +513,7 @@ def resize_conv3x3(x, weight, out_hw):
                 gz = np.empty((9 * cout, n * w * h), dtype=g.dtype)
             gz.reshape(3, cout, 3, n, w, h)[:, :, :, n0:n1] = gzk.transpose(0, 1, 4, 2, 3, 5)
             del gzk
-        xc = np.ascontiguousarray(xd.transpose(1, 0, 3, 2)).reshape(cin, n * w * h)
+        xc = np.ascontiguousarray(_remade(xk).transpose(1, 0, 3, 2)).reshape(cin, n * w * h)
         gws = np.matmul(gz, xc.T).reshape(3, cout, 3, cin)
         del xc
         _accumulate(w_slot, np.ascontiguousarray(gws.transpose(1, 3, 2, 0)))

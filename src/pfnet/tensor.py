@@ -12,10 +12,20 @@ its tensor has run; after the pass only leaves hold a ``.grad``.
 
 The tape never holds a tensor.  Each backward closure keeps the slots of
 its inputs and only the arrays its adjoint reads (``mul`` its operands,
-``relu`` its own output, a conv its input), so an intermediate value
-that no adjoint reads is freed as soon as the forward drops it.  A copy
-that is cheap to remake from a kept array (a conv's padded, channel-major
-input) is rebuilt in backward, not kept.
+``relu`` its own output or mask, a conv its input), so an intermediate
+value that no adjoint reads is freed as soon as the forward drops it.  A
+copy that is cheap to remake from a kept array (a conv's padded,
+channel-major input) is rebuilt in backward, not kept.
+
+So is an activation that one cheap pass or GEMM remakes from what the
+tape keeps anyway.  A recorded ``channel_norm`` or 1x1 ``conv2d`` puts a
+remake rule in its output's slot: a zero-argument function that rebuilds
+the array bit for bit, from the norm's kept ``xhat`` or the conv's kept
+input.  A ``relu`` of an input with a rule gets a rule of its own and
+keeps only its ``out > 0`` mask, as bool.  A closure that reads an
+input's array (``mul``, the convs) keeps ``_kept(x)``, the rule if there
+is one, and rebuilds the array with ``_remade`` in backward, so the
+array itself is freed with the forward.
 
 Broadcasting is deliberately restricted to the one pattern the network
 needs: a single-channel spatial map ``[N, 1, H, W]`` broadcast over the
@@ -46,13 +56,16 @@ class GradSlot:
     it wants one.  Tapes and backward closures hold slots, not tensors.
 
     The slot of a recorded output holds its gradient only during the
-    backward pass, until its adjoint takes it; a leaf's slot keeps it."""
+    backward pass, until its adjoint takes it; a leaf's slot keeps it.
+    ``remake``, if set, rebuilds the output's array from arrays the tape
+    keeps (see the module docstring)."""
 
-    __slots__ = ("grad", "requires_grad")
+    __slots__ = ("grad", "requires_grad", "remake")
 
     def __init__(self, requires_grad):
         self.grad = None
         self.requires_grad = requires_grad
+        self.remake = None
 
 
 class Tensor:
@@ -191,11 +204,25 @@ def reverse_accumulate(tape, loss):
             slot.grad = np.zeros(shape, dtype=dtype)
 
 
-def _maybe_record(out, inputs, backward):
+def _maybe_record(out, inputs, backward, remake=None):
+    """Record ``backward`` if a tape is active and an input wants a
+    gradient; a recorded output's slot then gets the ``remake`` rule."""
     tape = _active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
         tape.record(out, inputs, backward)
+        out.slot.remake = remake
     return out
+
+
+def _kept(x):
+    """What a backward closure keeps to read x's array: x's remake rule,
+    or else the array itself."""
+    return x.slot.remake or x.data
+
+
+def _remade(kept):
+    """The array that a ``_kept`` value stands for."""
+    return kept() if callable(kept) else kept
 
 
 # ---------------------------------------------------------------------------
@@ -218,20 +245,28 @@ _UNARY_FORWARD = {
 
 def elementwise_unary(kind, x):
     """Both kinds' adjoints read only the output: relu's ``x > 0`` is
-    ``out > 0``."""
+    ``out > 0``.  A relu of an input with a remake rule keeps that mask,
+    as bool, and remakes its output from the input's rule."""
     if kind not in _UNARY_FORWARD:
         raise ValueError(f"unknown unary kind {kind!r}")
     out_data = _UNARY_FORWARD[kind](x.data)
     out = Tensor(out_data, _op=kind)
-    x_slot = x.slot
+    x_slot, kept, remake = x.slot, out_data, None
+    rule = x.slot.remake if kind == "relu" else None
+    if rule is not None:
+        kept = out_data > 0
+
+        def remake():
+            remade = rule()  # a new array, clipped in place
+            return np.maximum(remade, 0.0, out=remade)
 
     def backward(g):
         if kind == "relu":
-            _accumulate(x_slot, g * (out_data > 0))
+            _accumulate(x_slot, g * (kept if remake else kept > 0))
         else:  # sigmoid
-            _accumulate(x_slot, g * out_data * (1.0 - out_data))
+            _accumulate(x_slot, g * kept * (1.0 - kept))
 
-    return _maybe_record(out, (x,), backward)
+    return _maybe_record(out, (x,), backward, remake)
 
 
 def relu(x):
@@ -266,7 +301,7 @@ def elementwise_binary(kind, a, b):
     out = Tensor(out_data, _op=kind)
     a_slot, b_slot = a.slot, b.slot
     # only mul's adjoint reads the operands
-    a_data, b_data = (a.data, b.data) if kind == "mul" else (None, None)
+    a_kept, b_kept = (_kept(a), _kept(b)) if kind == "mul" else (None, None)
 
     def reduce_b(g):
         return g if axes is None else g.sum(axis=axes, keepdims=True)
@@ -279,8 +314,8 @@ def elementwise_binary(kind, a, b):
             _accumulate(a_slot, g)
             _accumulate(b_slot, -reduce_b(g))
         else:
-            _accumulate(a_slot, g * b_data)
-            _accumulate(b_slot, reduce_b(g * a_data))
+            _accumulate(a_slot, g * _remade(b_kept))
+            _accumulate(b_slot, reduce_b(g * _remade(a_kept)))
 
     return _maybe_record(out, (a, b), backward)
 

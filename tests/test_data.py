@@ -146,6 +146,13 @@ def test_stitch_reconstructs_from_crops():
     assert np.array_equal(stitched, full)
 
 
+def test_stitch_rejects_labels_outside_the_classes():
+    # a crop of 7s among 6 classes got no vote and was stitched as class 0
+    crops = [(np.zeros((2, 2), np.uint8), 0, 0), (np.full((2, 2), 7, np.uint8), 0, 2)]
+    with pytest.raises(ValueError, match=re.escape("crop 1: labels must lie in [0, 6), got 7..7")):
+        stitch_label_votes(crops, (2, 4), 6)
+
+
 # ---------------------------------------------------------------------------
 # augmentation
 

@@ -26,8 +26,8 @@ AWAITING_CALLER = {
     "write_report_csv": "the run driver's report (ROADMAP item 1)",
     "write_report_text": "the run driver's report (ROADMAP item 1)",
     "echo_config": "the run driver records its effective config (ROADMAP item 1)",
-    "read_checkpoint": "bit-exact resume (ROADMAP item 8)",
-    "write_checkpoint": "bit-exact resume (ROADMAP item 8)",
+    "read_checkpoint": "bit-exact resume (ROADMAP item 9)",
+    "write_checkpoint": "bit-exact resume (ROADMAP item 9)",
 }
 
 

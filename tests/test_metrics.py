@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -262,6 +264,16 @@ def test_boundary_stats_repeated_threshold_counts_once():
     desk.merge(BoundaryStats(thresholds=(3, 2, 1, 1)).update(*pairs[2]))
     single.merge(BoundaryStats(thresholds=(1,)).update(*pairs[2]))
     assert np.array_equal(desk.counts[1], single.counts[1])
+
+
+@pytest.mark.parametrize("into,other", [((1, 2), (3,)), ((1,), (1, 2))], ids=["disjoint", "extra"])
+def test_boundary_stats_merge_rejects_other_thresholds(into, other):
+    # merging (3,) into (1, 2) raised KeyError: 1, and (1, 2) into (1,)
+    # dropped threshold 2's counts
+    stats = BoundaryStats(thresholds=into)
+    with pytest.raises(ValueError, match=re.escape(f"{other} merged into {into}")):
+        stats.merge(BoundaryStats(thresholds=other).update(np.eye(4), np.eye(4)))
+    assert all(not row.any() for row in stats.counts.values())
 
 
 def test_label_boundaries_matches_oracle():

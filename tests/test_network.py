@@ -1,3 +1,7 @@
+import gc
+import weakref
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -8,7 +12,7 @@ from pfnet.network import (
     pfnet_forward,
     ppm_forward,
 )
-from pfnet import config, network, ops
+from pfnet import config, network, ops, tensor
 from pfnet.pointflow import PfmConfig
 from pfnet.tensor import Tape, Tensor, add, concat_channels, relu, reverse_accumulate
 from pfnet.learn import bce_loss, ce_loss
@@ -358,3 +362,109 @@ def test_desk_training_tape_holds_under_9_5_mib():
     for _, backward in tape.entries:
         owners.update((id(a), a) for a in held_arrays(backward))
     assert sum(a.nbytes for a in owners.values()) <= 9.5 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# activations remade in backward
+
+
+def paper_cfg():
+    cfg = config.load_config(config.packaged_config_path("default"))
+    return config.network_config(config.apply_overrides(cfg, ["data.crop_size=256"]))
+
+
+STEP_CFGS = {"desk": desk_cfg, "paper": paper_cfg}
+
+# Tape entries per backward kind (the first part of the closure's
+# __qualname__, as pfbench names kinds) of a batch-8 step, as counted
+# before any output was remade; remaking records no entry of its own.
+STEP_TAPE_KINDS = {
+    "desk": {
+        "adaptive_avg_pool": 2, "adaptive_max_pool": 3, "batched_matmul": 12, "bce_loss": 3,
+        "bilinear_resize": 7, "box_avg_pool": 2, "ce_loss": 1, "channel_norm": 11, "channel_slice": 4,
+        "concat_channels": 4, "conv2d": 26, "elementwise_binary": 24, "elementwise_unary": 20,
+        "point_sample_batched": 12, "resize_conv3x3": 3, "scatter_points_batched": 6,
+        "softmax_lastdim": 6,
+    },
+    "paper": {
+        "adaptive_avg_pool": 4, "adaptive_max_pool": 3, "batched_matmul": 12, "bce_loss": 3,
+        "bilinear_resize": 10, "box_avg_pool": 3, "ce_loss": 1, "channel_norm": 11, "channel_slice": 4,
+        "concat_channels": 4, "conv2d": 28, "elementwise_binary": 24, "elementwise_unary": 20,
+        "point_sample_batched": 12, "resize_conv3x3": 3, "scatter_points_batched": 6,
+        "softmax_lastdim": 6,
+    },
+}
+
+
+def training_step_tape(net_cfg, seed):
+    """(params, tape, loss) of a batch-8 training step's forward and loss
+    on random crops; the forward's tensors are dropped."""
+    params = init_params(net_cfg, 0)
+    n, size = 8, net_cfg.level_size(0)
+    image = Tensor(rand((n, 3) + size, seed).astype(np.float32))
+    mask = np.random.Generator(np.random.PCG64(seed + 1)).integers(0, net_cfg.num_classes, (n,) + size)
+    with Tape() as tape:
+        out = pfnet_forward(image, params, net_cfg)
+        loss = ce_loss(ops.bilinear_resize(out.logits, size), mask)
+        for pfm in out.pfm_outputs.values():
+            loss = add(loss, bce_loss(pfm.boundary, np.zeros(pfm.boundary.shape)))
+    return params, tape, loss
+
+
+def record_outputs(monkeypatch, keep):
+    """Slot id -> ``keep(out.data)`` of every output a tape records."""
+    seen = {}
+    record = Tape.record
+
+    def recording(tape, out, inputs, backward):
+        seen[id(out.slot)] = keep(out.data)
+        return record(tape, out, inputs, backward)
+
+    monkeypatch.setattr(Tape, "record", recording)
+    return seen
+
+
+@pytest.mark.parametrize("scale,remade", [("desk", 37), ("paper", 39)])
+def test_step_tape_frees_remade_activations(monkeypatch, scale, remade):
+    # every norm, 1x1 conv and relu-of-those output is remade, and no
+    # closure keeps its array
+    refs = record_outputs(monkeypatch, weakref.ref)
+    _, tape, _ = training_step_tape(STEP_CFGS[scale](), 30)
+    gc.collect()
+    slots = [slot for slot, _ in tape.entries if slot.remake is not None]
+    assert len(slots) == remade
+    assert all(refs[id(slot)]() is None for slot in slots)
+
+
+def test_remade_arrays_match_the_forward(monkeypatch):
+    arrays = record_outputs(monkeypatch, np.copy)
+    _, tape, _ = training_step_tape(desk_cfg(), 33)
+    slots = [slot for slot, _ in tape.entries if slot.remake is not None]
+    assert len(slots) == 37
+    for slot in slots:
+        want, got = arrays[id(slot)], slot.remake()
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("scale", ["desk", "paper"])
+def test_step_tape_entries_per_kind_unchanged_by_remaking(scale):
+    _, tape, _ = training_step_tape(STEP_CFGS[scale](), 32)
+    assert Counter(backward.__qualname__.split(".")[0] for _, backward in tape.entries) == STEP_TAPE_KINDS[scale]
+
+
+@pytest.mark.parametrize("scale", ["desk", "paper"])
+def test_step_gradients_equal_with_activations_kept(monkeypatch, scale):
+    net_cfg = STEP_CFGS[scale]()
+
+    def leaf_grads():
+        params, tape, loss = training_step_tape(net_cfg, 31)
+        reverse_accumulate(tape, loss)
+        return {name: t.grad for name, t in params.items()}
+
+    remade = leaf_grads()
+    for module in (tensor, ops):
+        monkeypatch.setattr(module, "_kept", lambda x: x.data)
+    kept = leaf_grads()
+    for name, g in remade.items():
+        assert g.dtype == kept[name].dtype and g.tobytes() == kept[name].tobytes(), name

@@ -19,7 +19,7 @@ from pfnet.ops import (
     topk_select,
 )
 from pfnet import config, network, ops, pointflow
-from pfnet.tensor import Tape, Tensor, mul, reverse_accumulate
+from pfnet.tensor import Tape, Tensor, mul, relu, reverse_accumulate
 
 from gradcheck import DEFAULT_TOL, check_gradients, sum_all
 
@@ -494,6 +494,34 @@ def test_channel_norm_matches_reference_bitwise(shape, dtype):
         backward(g)
         for got, want in zip((out.data, x.grad, gamma.grad, beta.grad), channel_norm_reference(xd, gd, bd, g)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# activations remade in backward
+
+
+@pytest.mark.parametrize("head,remade", [("conv3x3", 2), ("resize_conv3x3", 2), ("conv1x1_relu_conv1x1", 5)])
+def test_gradients_through_remade_activations(head, remade):
+    # the norm, relu and 1x1 outputs are remade in backward
+    x = Tensor(rand((2, 3, 5, 6), 130), requires_grad=True)
+    gamma = Tensor(rand((3,), 131, 0.5, 1.5), requires_grad=True)
+    beta = Tensor(rand((3,), 132), requires_grad=True)
+    c3, a, b = conv_params(4, 3, 3, 133, padding=1), conv_params(4, 3, 1, 135), conv_params(5, 4, 1, 137)
+    w_rc = Tensor(rand((4, 3, 3, 3), 139), requires_grad=True)
+    fn, leaves = {
+        "conv3x3": (lambda h: conv2d(h, c3), [c3.weight, c3.bias]),
+        "resize_conv3x3": (lambda h: resize_conv3x3(h, w_rc, (9, 11)), [w_rc]),
+        "conv1x1_relu_conv1x1": (lambda h: conv2d(relu(conv2d(h, a)), b), [a.weight, a.bias, b.weight, b.bias]),
+    }[head]
+    w_out = Tensor(rand(fn(x).shape, 141))
+
+    def build():
+        return sum_all(mul(fn(relu(channel_norm(x, gamma, beta))), w_out))
+
+    with Tape() as tape:
+        build()
+    assert sum(slot.remake is not None for slot, _ in tape.entries) == remade
+    assert check_gradients(build, [x, gamma, beta] + leaves, max_probes=40) < DEFAULT_TOL
 
 
 # ---------------------------------------------------------------------------
