@@ -2,8 +2,8 @@
 
 The grammar is deliberately tiny (sections, scalar values, comma lists,
 ``#`` comments) so parsing stays dependency free.  Unknown sections or
-keys are hard errors, and every effective value can be echoed back in
-canonical form for the run log.
+keys, and a key set twice in one file, are hard errors, and every
+effective value can be echoed back in canonical form for the run log.
 
 Each key is the same-named field, which owns its type and default, of the
 typed config its view builds: ``[data]`` is ``SceneConfig`` plus
@@ -105,6 +105,7 @@ def _set_value(cfg, section, key, raw):
 def parse_config_text(text, cfg=None, origin="<config>"):
     cfg = copy.deepcopy(cfg) if cfg is not None else default_config()
     section = None
+    set_at = {}  # (section, key) -> the line that set it
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -119,6 +120,9 @@ def parse_config_text(text, cfg=None, origin="<config>"):
         if section is None:
             raise ConfigError(f"{origin}:{lineno}: key outside any section")
         key, raw = (part.strip() for part in line.split("=", 1))
+        if (section, key) in set_at:
+            raise ConfigError(f"{origin}:{lineno}: {section}.{key} already set at line {set_at[section, key]}")
+        set_at[section, key] = lineno
         try:
             _set_value(cfg, section, key, raw)
         except ConfigError as exc:

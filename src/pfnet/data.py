@@ -36,8 +36,7 @@ BACKGROUND_TEXTURES = ("perlin", "flat")
 @dataclass
 class SceneConfig:
     """The ``[data]`` scene keys at ``default.cfg``'s values (``canvas`` is the
-    square side) plus the run's seed.  Known defect: that default scene fails
-    ``validate``, as 60 objects of at most 8 px cannot meet its window."""
+    square side, ``objects_max`` a cap per 128x128 px of it) plus the run's seed."""
 
     canvas: int = 1792
     num_classes: int = 6  # background + 5 object classes
@@ -60,17 +59,22 @@ class SceneConfig:
             raise ValueError(f"size_max must be <= canvas = {self.canvas}, got {self.size_max}")
         if not 0 <= self.fg_ratio <= 1:
             raise ValueError(f"fg_ratio must be in [0, 1], got {self.fg_ratio}")
-        if not 0 <= self.objects_min <= self.objects_max:
-            raise ValueError(f"objects_min must be in [0, objects_max = {self.objects_max}], got {self.objects_min}")
+        cap = min(self.objects_max, self.object_cap())  # below 128 px the scaled cap binds
+        if not 0 <= self.objects_min <= cap:
+            raise ValueError(f"objects_min must be in [0, objects_max cap = {cap}], got {self.objects_min}")
         floor_px = self.ratio_window()[0] * self.canvas * self.canvas
-        cover_px = self.objects_max * self.size_max**2
-        if self.objects_max > 0 and floor_px > cover_px:
+        cover_px = self.object_cap() * self.size_max**2
+        if floor_px > cover_px:
             raise ValueError(
-                f"fg_ratio {self.fg_ratio} needs {floor_px:.0f} foreground px, more than the {cover_px} "
-                f"that objects_max = {self.objects_max} objects of at most size_max = {self.size_max} px can cover"
+                f"fg_ratio {self.fg_ratio} needs {floor_px:.0f} foreground px, more than the {cover_px} that "
+                f"objects_max = {self.objects_max} per 128x128 px of at most size_max = {self.size_max} px cover"
             )
         if self.texture not in BACKGROUND_TEXTURES:
             raise ValueError(f"texture must be one of {BACKGROUND_TEXTURES}, got {self.texture!r}")
+
+    def object_cap(self):
+        """Most objects in one scene: ``objects_max`` scaled to the canvas area, rounded up."""
+        return -(-self.objects_max * self.canvas * self.canvas // (128 * 128))
 
     def ratio_window(self):
         return 0.7 * self.fg_ratio, 1.3 * self.fg_ratio
@@ -154,7 +158,7 @@ def synth_scene(cfg, index):
     cfg.validate()
     h = w = cfg.canvas
     lo_ratio, hi_ratio = cfg.ratio_window()
-    min_obj, max_obj = cfg.objects_min, cfg.objects_max
+    min_obj, max_obj = cfg.objects_min, cfg.object_cap()
     target_px = cfg.fg_ratio * h * w
     for attempt in range(100):
         rng = _rng(cfg.seed, index, attempt)
@@ -167,8 +171,6 @@ def synth_scene(cfg, index):
             fg += _paint_object(img, mask, rng, cfg)
             placed += 1
         ratio = fg / (h * w)
-        if max_obj == 0:
-            return SceneSample(img.astype(np.float32), mask)
         if lo_ratio <= ratio <= hi_ratio:
             return SceneSample(img.astype(np.float32), mask)
     raise ValueError(
@@ -224,14 +226,12 @@ def stitch_label_votes(pred_crops, canvas_hw, num_classes):
     must lie in [0, num_classes)."""
     h, w = canvas_hw
     votes = np.zeros((num_classes, h, w), dtype=np.int64)
+    classes = np.arange(num_classes)[:, None, None]
     for index, (labels, top, left) in enumerate(pred_crops):
         if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
             raise ValueError(f"crop {index}: labels must lie in [0, {num_classes}), got {labels.min()}..{labels.max()}")
         ch, cw = labels.shape
-        ys = slice(top, top + ch)
-        xs = slice(left, left + cw)
-        for k in range(num_classes):
-            votes[k, ys, xs] += labels == k
+        votes[:, top : top + ch, left : left + cw] += labels == classes
     return votes.argmax(axis=0).astype(np.uint8)
 
 

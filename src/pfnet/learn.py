@@ -6,7 +6,8 @@ cross-entropy on each enabled gap's boundary map, the latter scaled by
 ``base_lr * (1 - iter / total_iter) ** power`` with power 0.9.
 
 Edge targets come from 4-connected label changes dilated by a Chebyshev
-radius, OR-pooled down to each gap's stride.  A non-finite loss aborts
+radius, OR-pooled down to each gap's stride.  They are built once per
+batch, from the whole ``[N, H, W]`` mask array.  A non-finite loss aborts
 immediately with the iteration and the operation that produced it.
 """
 
@@ -70,28 +71,29 @@ class TrainConfig:
 
 def edge_map(mask, radius=1):
     """Full-resolution boundary pixels: any 4-neighbor label change,
-    dilated by the Chebyshev radius."""
+    dilated by the Chebyshev radius, over the last two axes; leading axes
+    are independent masks."""
     mask = np.asarray(mask)
     if mask.size == 0:
         raise ValueError("empty mask")
     edges = label_boundaries(mask)
     if radius > 0:
-        edges = maximum_filter(edges.astype(np.uint8), size=2 * radius + 1).astype(bool)
+        size = (1,) * (mask.ndim - 2) + (2 * radius + 1,) * 2
+        edges = maximum_filter(edges.astype(np.uint8), size=size).astype(bool)
     return edges
 
 
 def edge_targets_from_mask(mask, radius=1, strides=EDGE_STRIDES):
     """Binary boundary grids at the requested strides (default 8/16/32),
-    downsampled from :func:`edge_map` by logical-OR pooling."""
+    downsampled from :func:`edge_map` by logical-OR pooling over the last
+    two axes."""
     edges = edge_map(mask, radius)
-    h, w = edges.shape
+    *lead, h, w = edges.shape
     targets = {}
     for s in strides:
         if h % s or w % s:
             raise ValueError(f"mask size {h}x{w} not divisible by stride {s}")
-        targets[s] = (
-            edges.reshape(h // s, s, w // s, s).max(axis=(1, 3)).astype(np.float64)
-        )
+        targets[s] = edges.reshape(*lead, h // s, s, w // s, s).max(axis=(-3, -1)).astype(np.float64)
     return targets
 
 
@@ -210,10 +212,9 @@ def _batch_losses(params, images, masks, net_cfg, train_cfg):
     total = ce
     bce_parts = []
     if out.pfm_outputs and train_cfg.bce_weight != 0.0:
-        targets = [edge_targets_from_mask(m, train_cfg.edge_radius) for m in masks]
+        targets = edge_targets_from_mask(masks, train_cfg.edge_radius)
         for gap in sorted(out.pfm_outputs):
-            target = np.stack([t[2 ** gap] for t in targets])[:, None]
-            bce_parts.append(bce_loss(out.pfm_outputs[gap].boundary, target))
+            bce_parts.append(bce_loss(out.pfm_outputs[gap].boundary, targets[2**gap][:, None]))
         bce_sum = bce_parts[0]
         for part in bce_parts[1:]:
             bce_sum = tt.add(bce_sum, part)

@@ -89,17 +89,18 @@ def class_f1(cm):
 
 
 def label_boundaries(mask):
-    """Pixels whose label differs from any 4-neighbor (both sides marked)."""
+    """Pixels whose label differs from any 4-neighbor (both sides marked),
+    over the last two axes; leading axes are independent masks."""
     mask = np.asarray(mask)
     if mask.size == 0:
         raise ValueError("empty mask")
     b = np.zeros(mask.shape, dtype=bool)
-    diff_v = mask[:-1, :] != mask[1:, :]
-    b[:-1, :] |= diff_v
-    b[1:, :] |= diff_v
-    diff_h = mask[:, :-1] != mask[:, 1:]
-    b[:, :-1] |= diff_h
-    b[:, 1:] |= diff_h
+    diff_v = mask[..., :-1, :] != mask[..., 1:, :]
+    b[..., :-1, :] |= diff_v
+    b[..., 1:, :] |= diff_v
+    diff_h = mask[..., :-1] != mask[..., 1:]
+    b[..., :-1] |= diff_h
+    b[..., 1:] |= diff_h
     return b
 
 

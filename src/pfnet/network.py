@@ -73,6 +73,8 @@ class NetworkConfig:
         for gap in self.pfm_gaps:
             if gap not in PYRAMID_GAPS:
                 raise ValueError(f"pfm_gaps entries must be in {PYRAMID_GAPS}, got {self.pfm_gaps}")
+            if gap not in self.pfm:
+                raise ValueError(f"pfm_gaps entry {gap} has no pfm config, which has gaps {sorted(self.pfm)}")
             try:
                 self.pfm[gap].validate()
             except ValueError as e:  # it starts with the PfmConfig field it rejects
@@ -236,6 +238,7 @@ def pfnet_forward(image, params, cfg):
     pfm_outputs = {}
     for gap in reversed(PYRAMID_GAPS):
         fine = _lateral(by_level[gap - 1], params, gap - 1)
+        refined = None
         if gap in cfg.pfm_gaps:
             gap_cfg = cfg.effective_pfm(gap)
             gap_params = PfmParams(
@@ -246,12 +249,8 @@ def pfnet_forward(image, params, cfg):
             pfm_outputs[gap] = out
             if out.refined_coarse is not None:
                 p[gap] = out.refined_coarse
-            if out.refined is not None:
-                p[gap - 1] = out.refined
-            else:
-                p[gap - 1] = tt.add(fine, bilinear_resize(p[gap], fine.shape[2:]))
-        else:
-            p[gap - 1] = tt.add(fine, bilinear_resize(p[gap], fine.shape[2:]))
+            refined = out.refined
+        p[gap - 1] = refined if refined is not None else tt.add(fine, bilinear_resize(p[gap], fine.shape[2:]))
 
     # head.conv over the resized concat of p[2..5], one weight slice per level
     qh, qw = image.shape[2] // 4, image.shape[3] // 4

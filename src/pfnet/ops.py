@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, _accumulate, _kept, _maybe_record, _remade
+from .tensor import Tensor, _accumulate, _kept, _maybe_record
 
 
 @dataclass
@@ -93,7 +93,7 @@ def conv2d(x, p):
     """Cross-correlation with zero padding; differentiable in x, weight, bias.
 
     A 1x1, stride-1, unpadded conv is one matmul on the NCHW array; its
-    backward keeps only the input's kept form (``tensor._kept``) and a view
+    backward keeps only the input's reader (``tensor._kept``) and a view
     of the weight, and a recorded output is remade from them by the same
     matmul.
 
@@ -110,7 +110,7 @@ def conv2d(x, p):
     output cell, so every cell keeps its bits.  The buffer is 1x the padded
     input, not a kh*kw-fold column matrix (the memory argument of MEC, arXiv
     1706.06873), and the tap sum needs no scratch wider than a tile.  The
-    tape keeps the input's kept form and the tap-major weight, not the
+    tape keeps the input's reader and the tap-major weight, not the
     buffer, which would be a second copy of the input.
 
     Backward rebuilds the buffer from the kept input, byte for byte.  It
@@ -151,7 +151,7 @@ def conv2d(x, p):
 
         def backward(g):
             g3 = g.reshape(n, cout, h * w)
-            x3 = _remade(xk).reshape(n, cin, h * w)
+            x3 = xk().reshape(n, cin, h * w)
             _accumulate(w_slot, np.matmul(g3, x3.transpose(0, 2, 1)).sum(axis=0).reshape(cout, cin, 1, 1))
             del x3  # a remade input is freed before the input gradient exists
             _accumulate(b_slot, g3.sum(axis=(0, 2)))
@@ -159,7 +159,7 @@ def conv2d(x, p):
                 _accumulate(x_slot, np.matmul(w2.T, g3).reshape(n, cin, h, w))
 
         def remake():
-            return product(_remade(xk))
+            return product(xk())
 
         return _maybe_record(out, (x, p.weight, p.bias), backward, remake)
 
@@ -191,7 +191,8 @@ def conv2d(x, p):
 
     def backward(g):
         # phase (pa, pb) holds the taps (pa + s * a, pb + s * b), at offset
-        # d = a * wq + b; phase (0, 0) holds the most, na x nb
+        # d = a * wq + b; phase (0, 0) holds the most, na x nb, and a phase
+        # with none (a 1x1 conv at stride > 1) gets zeros from an empty GEMM
         na, nb = -(-kh // s), -(-kw // s)
         tile = min(lq, _BLOCK // (na * nb * cout))
         # the extended output gradient after dmax zero columns; shifted[a, b]
@@ -205,15 +206,12 @@ def conv2d(x, p):
             gpad[:, dmax:], (na, nb, cout, lq), (-wq * e, -e, gpad.strides[0], e), writeable=False
         )
         gw = np.empty((kh, kw, cout, cin), dtype=g.dtype)
-        buf = _padded_phases(_remade(xk), s, padding, hq, wq)  # turns into the input gradient
+        buf = _padded_phases(xk(), s, padding, hq, wq)  # turns into the input gradient
         block = np.empty(na * nb * cout * tile, dtype=g.dtype)
         for pa in range(s):
             for pb in range(s):
                 ta, tb = len(range(pa, kh, s)), len(range(pb, kw, s))
                 ph, r = pa * s + pb, ta * tb * cout
-                if not r:
-                    buf[ph] = 0  # a phase that no tap reads gets no gradient
-                    continue
                 w_ph = wt[pa::s, pb::s].reshape(r, cin)
                 gw_ph = np.zeros((r, cin), dtype=g.dtype)
                 for c0 in range(0, lq, tile):
@@ -455,7 +453,7 @@ def resize_conv3x3(x, weight, out_hw):
     channels on the coarse grid, ``[(j, co, i), ci] @ [ci, (n, x, y)]``,
     then ``(i, y)`` is contracted with Ry3 and ``(j, x)`` with Rx3, with
     one transpose-copy before each of the last two.  Backward runs the
-    same GEMMs transposed.  The tape keeps the input's kept form
+    same GEMMs transposed.  The tape keeps the input's reader
     (``tensor._kept``), the stacked weight and the two small matrices;
     backward rebuilds the channel-major input for the weight gradient's
     GEMM and drops it right after.
@@ -513,7 +511,7 @@ def resize_conv3x3(x, weight, out_hw):
                 gz = np.empty((9 * cout, n * w * h), dtype=g.dtype)
             gz.reshape(3, cout, 3, n, w, h)[:, :, :, n0:n1] = gzk.transpose(0, 1, 4, 2, 3, 5)
             del gzk
-        xc = np.ascontiguousarray(_remade(xk).transpose(1, 0, 3, 2)).reshape(cin, n * w * h)
+        xc = np.ascontiguousarray(xk().transpose(1, 0, 3, 2)).reshape(cin, n * w * h)
         gws = np.matmul(gz, xc.T).reshape(3, cout, 3, cin)
         del xc
         _accumulate(w_slot, np.ascontiguousarray(gws.transpose(1, 3, 2, 0)))

@@ -12,7 +12,7 @@ its tensor has run; after the pass only leaves hold a ``.grad``.
 
 The tape never holds a tensor.  Each backward closure keeps the slots of
 its inputs and only the arrays its adjoint reads (``mul`` its operands,
-``relu`` its own output or mask, a conv its input), so an intermediate
+``relu`` its bool ``out > 0`` mask, a conv its input), so an intermediate
 value that no adjoint reads is freed as soon as the forward drops it.  A
 copy that is cheap to remake from a kept array (a conv's padded,
 channel-major input) is rebuilt in backward, not kept.
@@ -21,11 +21,10 @@ So is an activation that one cheap pass or GEMM remakes from what the
 tape keeps anyway.  A recorded ``channel_norm`` or 1x1 ``conv2d`` puts a
 remake rule in its output's slot: a zero-argument function that rebuilds
 the array bit for bit, from the norm's kept ``xhat`` or the conv's kept
-input.  A ``relu`` of an input with a rule gets a rule of its own and
-keeps only its ``out > 0`` mask, as bool.  A closure that reads an
-input's array (``mul``, the convs) keeps ``_kept(x)``, the rule if there
-is one, and rebuilds the array with ``_remade`` in backward, so the
-array itself is freed with the forward.
+input.  A ``relu`` of an input with a rule gets a rule of its own.  A
+closure that reads an input's array (``mul``, the convs) keeps the
+zero-argument reader ``_kept(x)``, the rule if there is one, so that the
+array itself is freed with the forward, and calls it in backward.
 
 Broadcasting is deliberately restricted to the one pattern the network
 needs: a single-channel spatial map ``[N, 1, H, W]`` broadcast over the
@@ -215,14 +214,10 @@ def _maybe_record(out, inputs, backward, remake=None):
 
 
 def _kept(x):
-    """What a backward closure keeps to read x's array: x's remake rule,
-    or else the array itself."""
-    return x.slot.remake or x.data
-
-
-def _remade(kept):
-    """The array that a ``_kept`` value stands for."""
-    return kept() if callable(kept) else kept
+    """The zero-argument reader a backward closure keeps for x's array:
+    x's remake rule, or else a function returning the array itself."""
+    data = x.data
+    return x.slot.remake or (lambda: data)
 
 
 # ---------------------------------------------------------------------------
@@ -244,17 +239,15 @@ _UNARY_FORWARD = {
 
 
 def elementwise_unary(kind, x):
-    """Both kinds' adjoints read only the output: relu's ``x > 0`` is
-    ``out > 0``.  A relu of an input with a remake rule keeps that mask,
-    as bool, and remakes its output from the input's rule."""
+    """relu keeps its ``out > 0`` mask, as bool, and sigmoid its output;
+    a relu of an input with a remake rule remakes its output from it."""
     if kind not in _UNARY_FORWARD:
         raise ValueError(f"unknown unary kind {kind!r}")
     out_data = _UNARY_FORWARD[kind](x.data)
     out = Tensor(out_data, _op=kind)
-    x_slot, kept, remake = x.slot, out_data, None
-    rule = x.slot.remake if kind == "relu" else None
-    if rule is not None:
-        kept = out_data > 0
+    x_slot, rule, remake = x.slot, x.slot.remake, None
+    kept = out_data > 0 if kind == "relu" else out_data
+    if kind == "relu" and rule is not None:
 
         def remake():
             remade = rule()  # a new array, clipped in place
@@ -262,7 +255,7 @@ def elementwise_unary(kind, x):
 
     def backward(g):
         if kind == "relu":
-            _accumulate(x_slot, g * (kept if remake else kept > 0))
+            _accumulate(x_slot, g * kept)
         else:  # sigmoid
             _accumulate(x_slot, g * kept * (1.0 - kept))
 
@@ -314,8 +307,8 @@ def elementwise_binary(kind, a, b):
             _accumulate(a_slot, g)
             _accumulate(b_slot, -reduce_b(g))
         else:
-            _accumulate(a_slot, g * _remade(b_kept))
-            _accumulate(b_slot, reduce_b(g * _remade(a_kept)))
+            _accumulate(a_slot, g * b_kept())
+            _accumulate(b_slot, reduce_b(g * a_kept()))
 
     return _maybe_record(out, (a, b), backward)
 

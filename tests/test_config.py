@@ -37,11 +37,21 @@ from pfnet.pointflow import DIRECTIONS, EDGE_MODES, SALIENT_SAMPLING, PfmConfig
         pytest.param("[train]\nepochs = 2\nmomentum = inf\n", 3, id="inf-float"),
         pytest.param("[data]\nfg_ratio = -Infinity\n", 2, id="negative-inf-float"),
         pytest.param("[pfm.gap3]\ndirection = bottom_up\n", 2, id="per-gap-mode"),
+        pytest.param("[data]\ncrop_size = 64\n[train]\nepochs = 2\n[data]\ncrop_size = 32\n", 6, id="repeated-key"),
     ],
 )
 def test_config_errors_name_origin_and_line(text, lineno):
     with pytest.raises(ConfigError, match=f"^run.cfg:{lineno}: "):
         parse_config_text(text, origin="run.cfg")
+
+
+def test_repeated_key_names_its_first_line_and_overrides_still_win(tmp_path):
+    with pytest.raises(ConfigError, match=r"^run.cfg:3: data.crop_size already set at line 2$"):
+        parse_config_text("[data]\ncrop_size = 64\ncrop_size = 32\n", origin="run.cfg")
+    path = tmp_path / "run.cfg"
+    path.write_text("[data]\ncrop_size = 64\n")
+    cfg = apply_overrides(load_config(path), ["data.crop_size=32", "data.crop_size=96"])  # the last one wins
+    assert cfg["data"]["crop_size"] == 96
 
 
 @pytest.mark.parametrize("name", [None, "desk", "default"])

@@ -57,6 +57,31 @@ def test_scene_values_in_range_and_labels_valid():
     assert sample.mask.max() < cfg.num_classes
 
 
+def test_scene_config_rejects_no_objects_with_a_foreground_target():
+    # no object can cover a positive foreground floor
+    cfg = SceneConfig(canvas=32, objects_min=0, objects_max=0, fg_ratio=0.03)
+    with pytest.raises(ValueError, match=r"^fg_ratio\b"):
+        cfg.validate()
+    with pytest.raises(ValueError, match=r"^fg_ratio\b"):
+        synth_scene(cfg, 0)
+
+
+def test_object_cap_scales_with_canvas_area():
+    assert SceneConfig(canvas=128).object_cap() == 60  # desk scenes keep their cap
+    assert SceneConfig(canvas=512).object_cap() == 960
+    assert SceneConfig(canvas=130).object_cap() == 62  # rounded up
+    assert SceneConfig(canvas=128, objects_max=0).object_cap() == 0
+    with pytest.raises(ValueError, match=r"^objects_min must be in \[0, objects_max cap = 4\]"):
+        SceneConfig(canvas=32).validate()  # 6 objects cannot fit a cap of 4
+
+
+def test_default_scene_config_is_valid_and_reaches_its_window_at_512_px():
+    SceneConfig().validate()
+    cfg = SceneConfig(canvas=512, seed=1)
+    lo, hi = cfg.ratio_window()
+    assert lo <= (synth_scene(cfg, 0).mask > 0).mean() <= hi
+
+
 def test_scene_flat_texture():
     cfg = SceneConfig(canvas=32, texture="flat", objects_min=0, objects_max=0, fg_ratio=0.0)
     sample = synth_scene(cfg, 0)
@@ -144,6 +169,27 @@ def test_stitch_reconstructs_from_crops():
         [(c.mask, c.top, c.left) for c in crops], (48, 48), 4
     )
     assert np.array_equal(stitched, full)
+
+
+def stitch_per_class_loop(pred_crops, canvas_hw, num_classes):
+    """The reference for ``stitch_label_votes``: one vote pass per class."""
+    votes = np.zeros((num_classes,) + tuple(canvas_hw), dtype=np.int64)
+    for labels, top, left in pred_crops:
+        ch, cw = labels.shape
+        for k in range(num_classes):
+            votes[k, top : top + ch, left : left + cw] += labels == k
+    return votes.argmax(axis=0).astype(np.uint8)
+
+
+def test_stitch_equals_the_per_class_loop_with_overlaps_and_ties():
+    rng = np.random.Generator(np.random.PCG64(4))
+    # 3 x 3 windows of 16 px at stride 8 on a 32 px canvas: cells under two
+    # crops with different labels tie, and ties go to the smaller class
+    crops = [(rng.integers(0, 5, (16, 16)).astype(np.uint8), top, left) for top in (0, 8, 16) for left in (0, 8, 16)]
+    crops.append((np.full((16, 16), 4, np.uint8), 8, 8))  # a fourth vote in the middle
+    got = stitch_label_votes(crops, (32, 32), 5)
+    want = stitch_per_class_loop(crops, (32, 32), 5)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_stitch_rejects_labels_outside_the_classes():

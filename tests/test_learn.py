@@ -105,6 +105,23 @@ def test_edge_targets_or_pooling_matches_oracle():
                 assert targets[s][bi, bj] == float(block.any())
 
 
+@pytest.mark.parametrize("radius", [0, 1])
+def test_batched_edge_targets_equal_stacked_per_mask_targets(radius):
+    rng = np.random.Generator(np.random.PCG64(radius + 40))
+    masks = rng.integers(0, 3, (4, 64, 64)).astype(np.uint8)
+    masks[1] = 0  # a mask with no edges beside ones with many
+    masks[2, :, :32] = 2  # and one with a single straight edge
+    masks[2, :, 32:] = 1
+    got = edge_targets_from_mask(masks, radius)
+    # the reference: one 2-D call per mask, stacked per stride
+    per_mask = [edge_targets_from_mask(m, radius) for m in masks]
+    assert sorted(got) == [8, 16, 32]
+    for s, target in got.items():
+        want = np.stack([t[s] for t in per_mask])
+        assert target.dtype == want.dtype and target.shape == (4, 64 // s, 64 // s)
+        assert target.tobytes() == want.tobytes()
+
+
 def test_edge_targets_reject_empty():
     with pytest.raises(ValueError):
         edge_targets_from_mask(np.zeros((0, 0)))
@@ -336,7 +353,7 @@ def test_train_step_builds_edge_targets_once_per_mask(monkeypatch):
     cfg = tiny_cfg()
     assert len(cfg.pfm_gaps) == 3
     train_step(init_params(cfg, 0), SgdMomentum(), tiny_crops(3, 6), cfg, TrainConfig(batch_size=3), 0, 10)
-    assert len(calls) == 3  # one per batch item, not one per item and gap
+    assert calls == [(3, 32, 32)]  # one call on the whole batch, not one per item or gap
 
 
 def test_loss_decreases_over_first_iterations():

@@ -96,6 +96,16 @@ def test_config_rejects_repeated_gaps_and_bins(field, value):
         init_params(cfg, 0)
 
 
+def test_config_rejects_an_enabled_gap_without_its_config():
+    cfg = NetworkConfig(pfm={3: PfmConfig()})
+    with pytest.raises(ValueError, match="^pfm_gaps entry 4 has no pfm config"):
+        cfg.validate()
+    with pytest.raises(ValueError, match="^pfm_gaps "):
+        init_params(cfg, 0)
+    cfg.pfm_gaps = (3,)
+    cfg.validate()
+
+
 def test_backbone_stride_law():
     cfg = NetworkConfig()
     params = init_params(cfg, 0, dtype=np.float64)
@@ -464,7 +474,7 @@ def test_step_gradients_equal_with_activations_kept(monkeypatch, scale):
 
     remade = leaf_grads()
     for module in (tensor, ops):
-        monkeypatch.setattr(module, "_kept", lambda x: x.data)
+        monkeypatch.setattr(module, "_kept", lambda x: lambda data=x.data: data)
     kept = leaf_grads()
     for name, g in remade.items():
         assert g.dtype == kept[name].dtype and g.tobytes() == kept[name].tobytes(), name

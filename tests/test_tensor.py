@@ -220,6 +220,20 @@ def test_unreached_leaf_gets_zero_gradient():
     assert np.array_equal(y.grad, [0.0])
 
 
+def test_relu_of_a_leaf_keeps_only_a_bool_mask():
+    x = Tensor(rand((2, 3, 4, 4), 21), requires_grad=True)
+    with Tape() as tape:
+        out = relu(x)
+    (slot, backward), = tape.entries
+    assert slot.remake is None  # a leaf has no rule to remake from
+    arrays = [c.cell_contents for c in backward.__closure__ if isinstance(c.cell_contents, np.ndarray)]
+    assert [(a.dtype, a.shape) for a in arrays] == [(np.dtype(bool), out.shape)]
+    g = rand(out.shape, 22)
+    backward(g)
+    # the reference: the gradient passes where the output is positive
+    assert x.grad.tobytes() == (g * (out.data > 0)).tobytes()
+
+
 def test_output_read_by_no_adjoint_is_freed_when_dropped():
     # a conv output feeding only an add: neither adjoint reads it, so once
     # the caller drops it, nothing on the tape keeps its values alive
