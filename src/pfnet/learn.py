@@ -127,13 +127,21 @@ def ce_loss(logits, mask, ignore_label=IGNORE_LABEL):
     items (``ops._item_spans``), so the exponentials are never held for
     the whole batch at once.  The loss sum stays one sum over the whole
     ``[N, H, W]`` array: numpy sums pairwise, so summing by chunks would
-    change its bits.
+    change its bits.  The tape keeps the mask, which the caller holds
+    unchanged until backward, and backward rebuilds the valid pixels and
+    labels from it.
     """
     mask = np.asarray(mask)
     n, k, h, w = logits.shape
     if mask.shape != (n, h, w):
         raise ValueError(f"logits {logits.shape} vs mask {mask.shape}")
-    valid = mask != ignore_label
+
+    def targets():
+        """The valid pixels [N, H, W] and labels [N, 1, H, W], 0 where ignored."""
+        valid = mask != ignore_label
+        return valid, np.where(valid, mask, 0)[:, None]  # labels keep the mask's dtype
+
+    valid, labels = targets()
     if not valid.any():
         raise ValueError("all pixels ignored")
     used = mask[valid]
@@ -142,7 +150,6 @@ def ce_loss(logits, mask, ignore_label=IGNORE_LABEL):
     count = int(valid.sum())
 
     spans = _item_spans(n, k * h * w)
-    labels = np.where(valid, mask, 0)[:, None]  # [N, 1, H, W], the mask's dtype
     logp = np.empty_like(logits.data)
     picked = np.empty((n, h, w), dtype=logits.dtype)
     for n0, n1 in spans:
@@ -156,6 +163,7 @@ def ce_loss(logits, mask, ignore_label=IGNORE_LABEL):
 
     def backward(g):
         # softmax minus the one-hot labels, built in the softmax buffer
+        valid, labels = targets()
         grad = np.empty_like(logp)
         classes = np.arange(k)[:, None, None]
         for n0, n1 in spans:
@@ -192,11 +200,16 @@ class SgdMomentum:
         new = ParameterSet()
         for name in sorted(params):
             p = params[name]
-            grad = p.grad if p.grad is not None else np.zeros(p.shape, dtype=p.dtype)
-            grad = grad + self.weight_decay * p.data
-            v = self.momentum * self.velocity.get(name, 0.0) + grad
-            self.velocity[name] = v
-            new[name] = Tensor((p.data - lr * v).astype(p.dtype), requires_grad=True)
+            t = np.asarray(self.weight_decay * p.data)  # an array for a 0-d p too
+            t += p.grad if p.grad is not None else 0.0
+            v = self.velocity.get(name)
+            if v is None:  # momentum * 0 + t, which turns -0.0 into +0.0
+                v = self.velocity[name] = np.add(0.0, t, out=t)
+            else:
+                v *= self.momentum
+                v += t
+            delta = np.asarray(lr * v)
+            new[name] = Tensor(np.subtract(p.data, delta, out=delta), requires_grad=True)
         return new
 
 
@@ -204,10 +217,24 @@ class SgdMomentum:
 # steps and loop
 
 
-def _batch_losses(params, images, masks, net_cfg, train_cfg):
-    """Forward pass and the combined loss for one assembled batch."""
-    out = pfnet_forward(Tensor(images), params, net_cfg)
-    full = bilinear_resize(out.logits, images.shape[2:])
+def _batch_input(crops):
+    """The batch's input image as a Tensor whose slot remakes it by stacking
+    the crops again: the caller keeps the crops, so the tape need not keep
+    the stacked array."""
+
+    def stack():
+        return np.stack(crops, dtype=np.float32)
+
+    image = Tensor(stack())
+    image.slot.remake = stack
+    return image
+
+
+def _batch_losses(params, batch, masks, net_cfg, train_cfg):
+    """Forward pass and the combined loss for one batch of (image, mask)
+    crops, whose masks are stacked in ``masks``."""
+    out = pfnet_forward(_batch_input([img for img, _ in batch]), params, net_cfg)
+    full = bilinear_resize(out.logits, masks.shape[1:])
     ce = ce_loss(full, masks)
     total = ce
     bce_parts = []
@@ -226,12 +253,11 @@ def _batch_losses(params, images, masks, net_cfg, train_cfg):
 
 def train_step(params, optimizer, batch, net_cfg, train_cfg, iteration, total_iter):
     """One optimization step; returns (new params, loss components)."""
-    images = np.stack([img for img, _ in batch]).astype(np.float32)
     masks = np.stack([m for _, m in batch])
     lr = poly_lr(train_cfg.base_lr, iteration, total_iter, train_cfg.poly_power)
     try:
         with Tape() as tape:
-            total, ce_val, bce_val = _batch_losses(params, images, masks, net_cfg, train_cfg)
+            total, ce_val, bce_val = _batch_losses(params, batch, masks, net_cfg, train_cfg)
         reverse_accumulate(tape, total)
     except FloatingPointError as exc:
         raise TrainingAborted(iteration, str(exc)) from exc

@@ -7,7 +7,8 @@ cells) are hard and carry no gradient; gradients flow through sampled values
 only.
 
 Each fixed linear resampling (average pools, bilinear resize) is
-``Ry @ x @ Rx.T`` with backward ``Ry.T @ g @ Rx``.  Points are ``[N, K]``
+``Ry @ x @ Rx.T`` with backward ``Ry.T @ g @ Rx``.  Its matrices are
+built once per (sizes, dtype) and shared read-only.  Points are ``[N, K]``
 int64 flat cell indices of an h x w grid, read by gather from a map on
 that grid.  Only ``flat_to_points`` turns them into normalized
 coordinates, for the point-flow outputs: cell (i, j) sits at
@@ -17,6 +18,7 @@ coordinates, for the point-flow outputs: cell (i, j) sits at
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -72,6 +74,20 @@ def _item_spans(n, per_item):
     return _spans(n, 8 * _BLOCK // per_item)
 
 
+def _phase_cells(xd, s, padding):
+    """Per stride phase (a, b): ``(a*s + b, rows, cols, part)``, where
+    ``part`` views the cells of the NCHW array xd whose padded cell is
+    ``(s*y + a, s*x + b)``, and rows and cols are the slices of y and x
+    they fill.  The phases cover every cell of xd once."""
+    for a in range(s):
+        # the phase's first row y0 whose padded row s*y0 + a is an input row
+        y0 = max(0, -(-(padding - a) // s))
+        for b in range(s):
+            x0 = max(0, -(-(padding - b) // s))
+            part = xd[:, :, s * y0 + a - padding :: s, s * x0 + b - padding :: s]
+            yield a * s + b, slice(y0, y0 + part.shape[2]), slice(x0, x0 + part.shape[3]), part
+
+
 def _padded_phases(xd, s, padding, hq, wq):
     """The input zero-padded to ``s*hq x s*wq`` in the channel-major
     polyphase layout ``[s*s, C, N*hq*wq]``: ``buf[a*s + b, c, (n, y, x)]``
@@ -79,13 +95,8 @@ def _padded_phases(xd, s, padding, hq, wq):
     cell is copied once, straight from NCHW into its phase."""
     n, c, h, w = xd.shape
     buf = np.zeros((s * s, c, n, hq, wq), dtype=xd.dtype)
-    for a in range(s):
-        # the phase's first row y0 whose padded row s*y0 + a is an input row
-        y0 = max(0, -(-(padding - a) // s))
-        for b in range(s):
-            x0 = max(0, -(-(padding - b) // s))
-            part = xd[:, :, s * y0 + a - padding :: s, s * x0 + b - padding :: s]
-            buf[a * s + b, :, :, y0 : y0 + part.shape[2], x0 : x0 + part.shape[3]] = part.transpose(1, 0, 2, 3)
+    for ph, rows, cols, part in _phase_cells(xd, s, padding):
+        buf[ph, :, :, rows, cols] = part.transpose(1, 0, 2, 3)
     return buf.reshape(s * s, c, n * hq * wq)
 
 
@@ -110,8 +121,9 @@ def conv2d(x, p):
     output cell, so every cell keeps its bits.  The buffer is 1x the padded
     input, not a kh*kw-fold column matrix (the memory argument of MEC, arXiv
     1706.06873), and the tap sum needs no scratch wider than a tile.  The
-    tape keeps the input's reader and the tap-major weight, not the
-    buffer, which would be a second copy of the input.
+    tape keeps the input's reader and the weight array it was given, not
+    the buffer, which would be a second copy of the input, nor the
+    tap-major weight.
 
     Backward rebuilds the buffer from the kept input, byte for byte.  It
     stacks, per stride phase, the output gradient shifted by each of the
@@ -121,7 +133,8 @@ def conv2d(x, p):
     ``W_ph.T @ G``, where ``W_ph`` stacks the phase's tap weights, is
     written over those buffer columns, which no later GEMM reads.  So the
     rebuilt buffer turns into the input gradient in the padded layout, and
-    backward allocates no second buffer.
+    backward allocates no second buffer.  Each phase's block of it is
+    copied once, straight into the NCHW input gradient.
     """
     n, cin, h, w = x.shape
     cout, cin_w, kh, kw = p.weight.shape
@@ -171,7 +184,8 @@ def conv2d(x, p):
     # every kept output cell k satisfies k + offset < lq for every tap, so
     # the taps cover the first m cells of the extended output
     m = lq - taps[-1][3]
-    wt = np.ascontiguousarray(p.weight.data.transpose(2, 3, 0, 1))  # [kh, kw, cout, cin]
+    wd = p.weight.data
+    wt = np.ascontiguousarray(wd.transpose(2, 3, 0, 1))  # [kh, kw, cout, cin]
 
     spans = _spans(m, _BLOCK // cout)
     ext = np.empty((cout, lq), dtype=x.dtype)
@@ -212,7 +226,7 @@ def conv2d(x, p):
             for pb in range(s):
                 ta, tb = len(range(pa, kh, s)), len(range(pb, kw, s))
                 ph, r = pa * s + pb, ta * tb * cout
-                w_ph = wt[pa::s, pb::s].reshape(r, cin)
+                w_ph = wd.transpose(2, 3, 0, 1)[pa::s, pb::s].reshape(r, cin)  # a copy
                 gw_ph = np.zeros((r, cin), dtype=g.dtype)
                 for c0 in range(0, lq, tile):
                     cw = min(tile, lq - c0)
@@ -227,9 +241,11 @@ def conv2d(x, p):
         _accumulate(b_slot, g.sum(axis=(0, 2, 3)))
         if not x_slot.requires_grad:
             return
-        gxp = buf.reshape(s, s, cin, n, hq, wq).transpose(2, 3, 4, 0, 5, 1).reshape(cin, n, s * hq, s * wq)
-        gx = gxp[:, :, padding : padding + h, padding : padding + w].transpose(1, 0, 2, 3)
-        _accumulate(x_slot, np.ascontiguousarray(gx))
+        phases = buf.reshape(s * s, cin, n, hq, wq)
+        gx = np.empty((n, cin, h, w), dtype=g.dtype)
+        for ph, rows, cols, part in _phase_cells(gx, s, padding):
+            part[...] = phases[ph, :, :, rows, cols].transpose(1, 0, 2, 3)
+        _accumulate(x_slot, gx)
 
     return _maybe_record(out, (x, p.weight, p.bias), backward)
 
@@ -286,12 +302,27 @@ def channel_norm(x, gamma, beta, eps=1e-5):
 # pooling
 
 
+def _fixed(builder):
+    """Memoize a builder of a fixed operator per argument tuple (sizes, and
+    dtype where it takes one); every caller shares one read-only array."""
+
+    @lru_cache(maxsize=256)
+    @wraps(builder)
+    def cached(*args):
+        arr = builder(*args)
+        arr.flags.writeable = False
+        return arr
+
+    return cached
+
+
 def _adaptive_edges(size, bins):
     starts = [(i * size) // bins for i in range(bins)]
     ends = [-((-(i + 1) * size) // bins) for i in range(bins)]
     return starts, ends
 
 
+@_fixed
 def _region_indices(size, bins):
     """[bins, L] indices of each adaptive region, padded by repeating its last."""
     starts, ends = np.array(_adaptive_edges(size, bins))
@@ -350,6 +381,7 @@ def _resample(a, ry, rx):
     return np.matmul(ry, np.matmul(a, rx.T))
 
 
+@_fixed
 def _region_means(size, bins, dtype):
     """[bins, size] matrix whose row i averages adaptive region i."""
     starts, ends = np.array(_adaptive_edges(size, bins))
@@ -372,6 +404,7 @@ def adaptive_avg_pool(x, out_hw):
     return _maybe_record(out, (x,), backward)
 
 
+@_fixed
 def _box_band(size, dtype):
     """[size, size] matrix of 1/3 on |i - j| <= 1: a zero-padded 3-tap mean."""
     span = np.arange(size)
@@ -395,6 +428,7 @@ def box_avg_pool(x):
     return _maybe_record(out, (x,), backward)
 
 
+@_fixed
 def _interp_matrix(out_size, in_size, dtype):
     """Rows of a [out, in] matrix holding grid-center bilinear weights."""
     r = np.zeros((out_size, in_size), dtype=dtype)
@@ -429,6 +463,7 @@ def bilinear_resize(x, out_hw):
     return _maybe_record(out, (x,), backward)
 
 
+@_fixed
 def _shifted_interp(out_size, in_size, dtype):
     """[out, 3 * in] interpolation matrix of a 3-tap padded conv: block i
     holds, in row Y, row Y + i - 1 of ``_interp_matrix``, or zeros where
@@ -454,9 +489,9 @@ def resize_conv3x3(x, weight, out_hw):
     then ``(i, y)`` is contracted with Ry3 and ``(j, x)`` with Rx3, with
     one transpose-copy before each of the last two.  Backward runs the
     same GEMMs transposed.  The tape keeps the input's reader
-    (``tensor._kept``), the stacked weight and the two small matrices;
-    backward rebuilds the channel-major input for the weight gradient's
-    GEMM and drops it right after.
+    (``tensor._kept``), the weight array it was given and the two small
+    matrices; backward rebuilds the stacked weight, and the channel-major
+    input for the weight gradient's GEMM, which it drops right after.
 
     Both passes run over chunks of batch items (``_item_spans``), so the
     tap-mix and the Ry3 product exist for one chunk at a time.  In the
@@ -476,7 +511,12 @@ def resize_conv3x3(x, weight, out_hw):
         raise ValueError("output size must be positive")
     ry = _shifted_interp(oh, h, x.dtype)
     rx = _shifted_interp(ow, w, x.dtype)
-    ws = np.ascontiguousarray(weight.data.transpose(3, 0, 2, 1)).reshape(9 * cout, cin)
+    wd = weight.data
+
+    def stacked():
+        return np.ascontiguousarray(wd.transpose(3, 0, 2, 1)).reshape(9 * cout, cin)
+
+    ws = stacked()
     xk = _kept(x)
     xc = np.ascontiguousarray(x.data.transpose(1, 0, 3, 2)).reshape(cin, n * w * h)
     spans = _item_spans(n, 3 * cout * w * max(3 * h, oh))
@@ -516,7 +556,7 @@ def resize_conv3x3(x, weight, out_hw):
         del xc
         _accumulate(w_slot, np.ascontiguousarray(gws.transpose(1, 3, 2, 0)))
         if x_slot.requires_grad:
-            gx = np.matmul(ws.T, gz).reshape(cin, n, w, h).transpose(1, 0, 3, 2)
+            gx = np.matmul(stacked().T, gz).reshape(cin, n, w, h).transpose(1, 0, 3, 2)
             _accumulate(x_slot, np.ascontiguousarray(gx))
 
     return _maybe_record(out, (x, weight), backward)

@@ -11,20 +11,32 @@ slot as its adjoint consumes it, so it lives only until every consumer of
 its tensor has run; after the pass only leaves hold a ``.grad``.
 
 The tape never holds a tensor.  Each backward closure keeps the slots of
-its inputs and only the arrays its adjoint reads (``mul`` its operands,
-``relu`` its bool ``out > 0`` mask, a conv its input), so an intermediate
-value that no adjoint reads is freed as soon as the forward drops it.  A
-copy that is cheap to remake from a kept array (a conv's padded,
-channel-major input) is rebuilt in backward, not kept.
+its inputs and only the arrays its adjoint reads (``mul`` its operands, a
+conv its input and the weight array it was given), so an intermediate
+value that no adjoint reads is freed as soon as the forward drops it.
+``relu`` keeps its ``out > 0`` mask packed to one bit per element
+(``np.packbits``, the encoding of Gist, Jain et al., ISCA 2018) and
+unpacks it in backward; it builds the mask only when it records.  A copy
+that is cheap to remake from a kept array (a conv's padded, channel-major
+input or its transposed weight, ``ce_loss``'s labels from its mask) is
+rebuilt in backward, not kept.
 
 So is an activation that one cheap pass or GEMM remakes from what the
 tape keeps anyway.  A recorded ``channel_norm`` or 1x1 ``conv2d`` puts a
 remake rule in its output's slot: a zero-argument function that rebuilds
 the array bit for bit, from the norm's kept ``xhat`` or the conv's kept
 input.  A ``relu`` of an input with a rule gets a rule of its own.  A
-closure that reads an input's array (``mul``, the convs) keeps the
-zero-argument reader ``_kept(x)``, the rule if there is one, so that the
-array itself is freed with the forward, and calls it in backward.
+leaf may carry a rule too: the training step's input image remakes itself
+by stacking the batch's crops again.  A closure that reads an input's
+array (``mul``, the convs) keeps the zero-argument reader ``_kept(x)``,
+the rule if there is one, so that the array itself is freed with the
+forward, and calls it in backward.
+
+A rule references only arrays that the op or the caller keeps anyway,
+unchanged until backward: a norm's ``xhat``, a conv's reader of its input,
+the caller's crops.  So
+``add``, ``sub``, ``concat_channels`` and resize outputs get no rule; one
+would pin inputs that no reader keeps.
 
 Broadcasting is deliberately restricted to the one pattern the network
 needs: a single-channel spatial map ``[N, 1, H, W]`` broadcast over the
@@ -56,8 +68,8 @@ class GradSlot:
 
     The slot of a recorded output holds its gradient only during the
     backward pass, until its adjoint takes it; a leaf's slot keeps it.
-    ``remake``, if set, rebuilds the output's array from arrays the tape
-    keeps (see the module docstring)."""
+    ``remake``, if set, rebuilds the tensor's array from arrays the tape
+    or the caller keeps (see the module docstring)."""
 
     __slots__ = ("grad", "requires_grad", "remake")
 
@@ -203,12 +215,17 @@ def reverse_accumulate(tape, loss):
             slot.grad = np.zeros(shape, dtype=dtype)
 
 
+def _recording(inputs):
+    """Whether an op on ``inputs`` records: a tape is active and an input
+    wants a gradient."""
+    return _active_tape() is not None and any(t.requires_grad for t in inputs)
+
+
 def _maybe_record(out, inputs, backward, remake=None):
-    """Record ``backward`` if a tape is active and an input wants a
-    gradient; a recorded output's slot then gets the ``remake`` rule."""
-    tape = _active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
-        tape.record(out, inputs, backward)
+    """Record ``backward`` if :func:`_recording`; a recorded output's slot
+    then gets the ``remake`` rule."""
+    if _recording(inputs):
+        _active_tape().record(out, inputs, backward)
         out.slot.remake = remake
     return out
 
@@ -239,14 +256,17 @@ _UNARY_FORWARD = {
 
 
 def elementwise_unary(kind, x):
-    """relu keeps its ``out > 0`` mask, as bool, and sigmoid its output;
-    a relu of an input with a remake rule remakes its output from it."""
+    """relu keeps its ``out > 0`` mask packed to one bit per element, and
+    sigmoid its output; a relu of an input with a remake rule remakes its
+    output from it.  An op that does not record keeps nothing."""
     if kind not in _UNARY_FORWARD:
         raise ValueError(f"unknown unary kind {kind!r}")
     out_data = _UNARY_FORWARD[kind](x.data)
     out = Tensor(out_data, _op=kind)
+    if not _recording((x,)):
+        return out
     x_slot, rule, remake = x.slot, x.slot.remake, None
-    kept = out_data > 0 if kind == "relu" else out_data
+    kept = np.packbits(out_data > 0) if kind == "relu" else out_data
     if kind == "relu" and rule is not None:
 
         def remake():
@@ -255,7 +275,8 @@ def elementwise_unary(kind, x):
 
     def backward(g):
         if kind == "relu":
-            _accumulate(x_slot, g * kept)
+            mask = np.unpackbits(kept, count=g.size).view(bool).reshape(g.shape)
+            _accumulate(x_slot, g * mask)
         else:  # sigmoid
             _accumulate(x_slot, g * kept * (1.0 - kept))
 

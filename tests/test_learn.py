@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -16,11 +17,12 @@ from pfnet.learn import (
     train_run,
     train_step,
 )
-from pfnet.network import NetworkConfig, init_params
+from pfnet.network import NetworkConfig, ParameterSet, init_params
 from pfnet.pointflow import PfmConfig
 from pfnet.tensor import Tape, Tensor
 
 from gradcheck import DEFAULT_TOL, check_gradients
+from test_ops import held_arrays
 
 
 def rand(shape, seed, lo=-1.0, hi=1.0):
@@ -260,10 +262,28 @@ def test_ce_peak_bounded_at_paper_shape():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the log-softmax the tape keeps and the gradient, the kept valid mask
-    # and labels (a byte per pixel each), and one chunk of eight tiles;
+    # the log-softmax the tape keeps and the gradient, the valid mask and
+    # labels (a byte per pixel each), and one chunk of eight tiles;
     # whole-batch exponentials or int64 labels exceed that
     assert peak <= 2 * logits.data.nbytes + 2 * n * h * w + 8 * 4 * ops._BLOCK
+
+
+def test_ce_tape_keeps_the_mask_and_nothing_derived_from_it():
+    n, k, h, w = 2, 3, 5, 7
+    logits_data = rand((n, k, h, w), 42).astype(np.float32)
+    mask = np.random.Generator(np.random.PCG64(43)).integers(0, k, (n, h, w)).astype(np.uint8)
+    mask[0, :2] = 255
+    logits = Tensor(logits_data.copy(), requires_grad=True)
+    with Tape() as tape:
+        ce_loss(logits, mask)
+    ((_, backward),) = tape.entries
+    held = held_arrays(backward)
+    assert any(a is mask for a in held)
+    # neither the valid pixels nor the labels, which backward rebuilds
+    assert [a.shape for a in held if a.size == mask.size and a is not mask] == []
+    g = np.asarray(0.37, dtype=np.float32)
+    backward(g)
+    assert logits.grad.tobytes() == ce_reference(logits_data, mask, g)[1].tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -324,6 +344,40 @@ def test_sgd_momentum_hand_recurrence():
     assert float(params["p"].data) == pytest.approx(p2, abs=1e-12)
 
 
+def sgd_reference(params, velocity, lr, momentum, weight_decay):
+    """SgdMomentum.step as first written: new parameter arrays, with the
+    velocity dict updated."""
+    new = {}
+    for name in sorted(params):
+        p = params[name]
+        grad = p.grad if p.grad is not None else np.zeros(p.shape, dtype=p.dtype)
+        grad = grad + weight_decay * p.data
+        v = momentum * velocity.get(name, 0.0) + grad
+        velocity[name] = v
+        new[name] = (p.data - lr * v).astype(p.dtype)
+    return new
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sgd_momentum_matches_reference_formula_bitwise(dtype):
+    rng = np.random.Generator(np.random.PCG64(44))
+    data = {"a": rng.normal(size=(4, 5)), "b": rng.normal(size=(3,)), "c": rng.normal(size=(2, 2))}
+    data["a"][0, :2] = -0.0  # signed zeros in the parameter and the gradient
+    params = ParameterSet({k: Tensor(v.astype(dtype), requires_grad=True) for k, v in data.items()})
+    opt, velocity = SgdMomentum(momentum=0.9, weight_decay=1e-4), {}
+    for step, lr in enumerate((0.01, 0.007, 0.003)):
+        for name, p in params.items():
+            p.grad = None if name == "c" and step == 1 else rng.normal(size=p.shape).astype(dtype)
+            if p.grad is not None:
+                p.grad[0] = -0.0
+        want = sgd_reference(params, velocity, lr, 0.9, 1e-4)
+        params = opt.step(params, lr)
+        for name in sorted(want):
+            got = params[name].data
+            assert got.dtype == want[name].dtype and got.tobytes() == want[name].tobytes(), (step, name)
+            assert opt.velocity[name].tobytes() == velocity[name].tobytes(), (step, name)
+
+
 # ---------------------------------------------------------------------------
 # training loop
 
@@ -354,6 +408,26 @@ def test_train_step_builds_edge_targets_once_per_mask(monkeypatch):
     assert len(cfg.pfm_gaps) == 3
     train_step(init_params(cfg, 0), SgdMomentum(), tiny_crops(3, 6), cfg, TrainConfig(batch_size=3), 0, 10)
     assert calls == [(3, 32, 32)]  # one call on the whole batch, not one per item or gap
+
+
+def test_train_step_tape_does_not_keep_the_stacked_input(monkeypatch):
+    # the stem conv remakes its input from the crops, which the caller keeps
+    refs, checked = [], []
+    forward, backward = learn.pfnet_forward, learn.reverse_accumulate
+
+    def recording_forward(image, params, net_cfg):
+        refs.append(weakref.ref(image.data))
+        return forward(image, params, net_cfg)
+
+    def checking_backward(tape, loss):
+        checked.append(refs[0]() is None)
+        return backward(tape, loss)
+
+    monkeypatch.setattr(learn, "pfnet_forward", recording_forward)
+    monkeypatch.setattr(learn, "reverse_accumulate", checking_backward)
+    cfg = tiny_cfg()
+    train_step(init_params(cfg, 0), SgdMomentum(), tiny_crops(3, 7), cfg, TrainConfig(batch_size=3), 0, 10)
+    assert checked == [True]
 
 
 def test_loss_decreases_over_first_iterations():

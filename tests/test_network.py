@@ -12,7 +12,7 @@ from pfnet.network import (
     pfnet_forward,
     ppm_forward,
 )
-from pfnet import config, network, ops, tensor
+from pfnet import config, learn, network, ops, tensor
 from pfnet.pointflow import PfmConfig
 from pfnet.tensor import Tape, Tensor, add, concat_channels, relu, reverse_accumulate
 from pfnet.learn import bce_loss, ce_loss
@@ -408,13 +408,14 @@ STEP_TAPE_KINDS = {
 
 def training_step_tape(net_cfg, seed):
     """(params, tape, loss) of a batch-8 training step's forward and loss
-    on random crops; the forward's tensors are dropped."""
+    on random crops, whose input is remade from the crops as in
+    ``train_step``; the forward's tensors are dropped."""
     params = init_params(net_cfg, 0)
     n, size = 8, net_cfg.level_size(0)
-    image = Tensor(rand((n, 3) + size, seed).astype(np.float32))
+    crops = list(rand((n, 3) + size, seed).astype(np.float32))
     mask = np.random.Generator(np.random.PCG64(seed + 1)).integers(0, net_cfg.num_classes, (n,) + size)
     with Tape() as tape:
-        out = pfnet_forward(image, params, net_cfg)
+        out = pfnet_forward(learn._batch_input(crops), params, net_cfg)
         loss = ce_loss(ops.bilinear_resize(out.logits, size), mask)
         for pfm in out.pfm_outputs.values():
             loss = add(loss, bce_loss(pfm.boundary, np.zeros(pfm.boundary.shape)))
@@ -473,6 +474,7 @@ def test_step_gradients_equal_with_activations_kept(monkeypatch, scale):
         return {name: t.grad for name, t in params.items()}
 
     remade = leaf_grads()
+    # the kept run keeps every array its closures read, the input image too
     for module in (tensor, ops):
         monkeypatch.setattr(module, "_kept", lambda x: lambda data=x.data: data)
     kept = leaf_grads()

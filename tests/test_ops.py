@@ -19,7 +19,7 @@ from pfnet.ops import (
     topk_select,
 )
 from pfnet import config, network, ops, pointflow
-from pfnet.tensor import Tape, Tensor, mul, relu, reverse_accumulate
+from pfnet.tensor import Tape, Tensor, channel_slice, mul, relu, reverse_accumulate
 
 from gradcheck import DEFAULT_TOL, check_gradients, sum_all
 
@@ -325,6 +325,35 @@ def test_resize_conv3x3_tape_keeps_input_not_its_channel_major_copy():
     assert_keeps_input_and_nothing_as_large(backward, x.data)
 
 
+def assert_keeps_no_weight_copy(backward, weight):
+    """Every array the closure keeps with as many elements as the weight it
+    was given shares that weight's memory: no transposed copy of it."""
+    for a in held_arrays(backward):
+        assert a.size != weight.size or np.shares_memory(a, weight), a.shape
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv3x3_tape_keeps_the_weight_it_was_given(stride):
+    x = Tensor(rand((2, 4, 9, 7), 58), requires_grad=True)
+    p = conv_params(5, 4, 3, 59, stride=stride, padding=1)
+    assert_keeps_no_weight_copy(recorded_backward(x, p), p.weight.data)
+
+
+def test_conv_and_resize_conv3x3_keep_a_channel_slice_of_their_weight():
+    # the head's shape: each level reads its own channel slice of one weight
+    x = Tensor(rand((2, 4, 5, 6), 60), requires_grad=True)
+    weight = Tensor(rand((3, 8, 3, 3), 61), requires_grad=True)
+    bias = Tensor(rand((3,), 62), requires_grad=True)
+    with Tape() as tape:
+        level = channel_slice(weight, 0, 4)
+        conv2d(x, ConvParams(level, bias, padding=1))
+        upper = channel_slice(weight, 4, 8)
+        resize_conv3x3(x, upper, (9, 11))
+    (_, _), (_, conv_backward), (_, _), (_, resize_backward) = tape.entries
+    assert_keeps_no_weight_copy(conv_backward, level.data)
+    assert_keeps_no_weight_copy(resize_backward, upper.data)
+
+
 def backward_peak(backward, g, params):
     for t in params:
         t.grad = None
@@ -354,6 +383,21 @@ def test_conv_backward_peak_bounded_at_desk_head_shape(monkeypatch):
     assert backward_peak(backward, g, (x, p.weight, p.bias)) <= bound
     monkeypatch.setattr(ops, "_BLOCK", rows * lq)
     assert backward_peak(backward, g, (x, p.weight, p.bias)) > bound
+
+
+def test_conv_stride2_backward_peak_holds_one_input_gradient():
+    # a stride-2 3x3 conv, 16 -> 32 channels from 64x64 maps, batch 8
+    x = Tensor(rand((8, 16, 64, 64), 73).astype(np.float32), requires_grad=True)
+    weight = Tensor(rand((32, 16, 3, 3), 74).astype(np.float32), requires_grad=True)
+    p = ConvParams(weight, Tensor(np.zeros(32, dtype=np.float32), requires_grad=True), stride=2, padding=1)
+    backward = recorded_backward(x, p)
+    g = rand((8, 32, 32, 32), 75).astype(np.float32)
+    # the rebuilt polyphase buffer [4, 16, 8 * 33 * 33], which turns into
+    # the input gradient in the padded layout, the NCHW input gradient, and
+    # one block budget for the rest; a padded NCHW copy of the gradient
+    # between the two exceeds that
+    buf = 4 * 16 * 8 * 33 * 33 * 4
+    assert backward_peak(backward, g, (x, p.weight, p.bias)) <= buf + x.data.nbytes + 4 * ops._BLOCK
 
 
 def untiled_conv2d(xd, wd, bd, s, padding):
@@ -825,6 +869,23 @@ def test_interp_matrix_matches_row_loop_bitwise(dtype):
         got = ops._interp_matrix(out_size, in_size, dtype)
         want = interp_matrix_loop(out_size, in_size, dtype)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (out_size, in_size)
+
+
+@pytest.mark.parametrize(
+    "build,args",
+    [
+        (ops._interp_matrix, (9, 5, np.float32)),
+        (ops._shifted_interp, (9, 5, np.float64)),
+        (ops._region_means, (7, 3, np.float32)),
+        (ops._box_band, (6, np.float64)),
+        (ops._region_indices, (7, 3)),
+    ],
+)
+def test_fixed_operators_are_built_once_and_read_only(build, args):
+    a = build(*args)
+    assert build(*args) is a
+    with pytest.raises(ValueError, match="read-only"):
+        a[...] = 0
 
 
 # ---------------------------------------------------------------------------

@@ -220,18 +220,32 @@ def test_unreached_leaf_gets_zero_gradient():
     assert np.array_equal(y.grad, [0.0])
 
 
-def test_relu_of_a_leaf_keeps_only_a_bool_mask():
-    x = Tensor(rand((2, 3, 4, 4), 21), requires_grad=True)
+def test_relu_of_a_leaf_keeps_only_a_packed_mask():
+    for shape in [(2, 3, 4, 4), (3, 5, 7)]:
+        x = Tensor(rand(shape, 21), requires_grad=True)
+        with Tape() as tape:
+            out = relu(x)
+        (slot, backward), = tape.entries
+        assert slot.remake is None  # a leaf has no rule to remake from
+        arrays = [c.cell_contents for c in backward.__closure__ if isinstance(c.cell_contents, np.ndarray)]
+        # one bit per element, in whole bytes
+        assert [(a.dtype, a.shape) for a in arrays] == [(np.dtype(np.uint8), (-(-out.size // 8),))]
+        g = rand(out.shape, 22)
+        backward(g)
+        # the reference: the gradient passes where the output is positive
+        assert x.grad.tobytes() == (g * (out.data > 0)).tobytes()
+
+
+def test_relu_that_records_nothing_builds_no_mask(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("relu built a mask with nothing to record")
+
+    monkeypatch.setattr(np, "packbits", refuse)
+    x = Tensor(rand((2, 3, 4, 4), 23), requires_grad=True)
+    assert np.array_equal(relu(x).data, np.maximum(x.data, 0.0))  # no tape
     with Tape() as tape:
-        out = relu(x)
-    (slot, backward), = tape.entries
-    assert slot.remake is None  # a leaf has no rule to remake from
-    arrays = [c.cell_contents for c in backward.__closure__ if isinstance(c.cell_contents, np.ndarray)]
-    assert [(a.dtype, a.shape) for a in arrays] == [(np.dtype(bool), out.shape)]
-    g = rand(out.shape, 22)
-    backward(g)
-    # the reference: the gradient passes where the output is positive
-    assert x.grad.tobytes() == (g * (out.data > 0)).tobytes()
+        relu(Tensor(x.data))  # a tape, but no input wants a gradient
+    assert tape.entries == []
 
 
 def test_output_read_by_no_adjoint_is_freed_when_dropped():
