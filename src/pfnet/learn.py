@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import maximum_filter
 
 from . import tensor as tt
 from .data import AUGMENT_OPS, augment
@@ -72,14 +71,22 @@ class TrainConfig:
 def edge_map(mask, radius=1):
     """Full-resolution boundary pixels: any 4-neighbor label change,
     dilated by the Chebyshev radius, over the last two axes; leading axes
-    are independent masks."""
+    are independent masks.
+
+    The dilation ORs each pixel's (2r+1)^2 window, clipped to the map (the
+    same result as a max filter in reflect mode), as one pass along rows
+    and one along columns, each ORing in the edges shifted by 1..r pixels
+    either way."""
     mask = np.asarray(mask)
     if mask.size == 0:
         raise ValueError("empty mask")
     edges = label_boundaries(mask)
-    if radius > 0:
-        size = (1,) * (mask.ndim - 2) + (2 * radius + 1,) * 2
-        edges = maximum_filter(edges.astype(np.uint8), size=size).astype(bool)
+    for axis in (-1, -2):
+        src, edges = edges, edges.copy()
+        src_line, out_line = np.swapaxes(src, axis, -1), np.swapaxes(edges, axis, -1)
+        for k in range(1, min(radius, src_line.shape[-1] - 1) + 1):
+            out_line[..., k:] |= src_line[..., :-k]
+            out_line[..., :-k] |= src_line[..., k:]
     return edges
 
 

@@ -1,6 +1,7 @@
 """Segmentation quality: per-class IoU/F1 from a confusion matrix,
-contour F1 at pixel tolerances via an exact distance transform, and the
-foreground counts of sampled points.
+contour F1 at pixel tolerances via an exact Euclidean distance transform
+(computed in numpy up to the largest tolerance), and the foreground counts
+of sampled points.
 
 Confusion matrices and boundary match counts are mergeable, so metrics
 computed streaming over crops equal the same metrics on pooled counts.
@@ -11,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import distance_transform_edt
 
 IGNORE_LABEL = 255
 
@@ -121,27 +121,63 @@ def boundary_pixel_set(mask):
     return b
 
 
+def _squared_distances(features, reach):
+    """Squared Euclidean distance from each pixel of a 2-D map to the
+    nearest set pixel of ``features`` (which has one), exact wherever it is
+    below ``(reach + 1) ** 2`` and at least that elsewhere.
+
+    A scan along each row gives the distance to the row's nearest set
+    pixel, capped at ``reach + 1``; one ``np.minimum`` per row offset
+    ``k <= reach`` then adds ``k ** 2`` to the rows ``k`` above and below.
+    A distance below ``reach + 1`` has both legs at most ``reach``, so its
+    candidate is never capped or skipped.  The result has the narrowest
+    unsigned dtype that holds every candidate.
+    """
+    h, w = features.shape
+    far = reach + 1
+    cols = np.arange(w)
+    left = np.maximum.accumulate(np.where(features, cols, -far), axis=1)
+    right = np.minimum.accumulate(np.where(features, cols, w - 1 + far)[:, ::-1], axis=1)[:, ::-1]
+    dtype = np.min_scalar_type(far * far + reach * reach)
+    across = np.minimum(np.minimum(cols - left, right - cols), far).astype(dtype)
+    across *= across
+    best = across.copy()
+    for k in range(1, min(reach, h - 1) + 1):
+        np.minimum(best[:-k], across[k:] + k * k, out=best[:-k])
+        np.minimum(best[k:], across[:-k] + k * k, out=best[k:])
+    return best
+
+
 def boundary_match_counts(pred_mask, gt_mask, thresholds):
     """Matched/total boundary-pixel counts under Euclidean tolerances.
 
     Returns an int64 array with one row (pred_matched, pred_total,
     gt_matched, gt_total) per threshold; counts merge additively across
     crops.  Each mask's contour set and distance transform is computed
-    once, whatever the number of thresholds.
+    once, whatever the number of thresholds.  The transform reaches the
+    largest threshold, capped at the map's longer side (no leg of a
+    distance in the map is longer), and a boundary pixel matches where the
+    float64 square root of its squared distance is at most the threshold,
+    as with scipy's ``distance_transform_edt``.
     """
     if pred_mask.shape != gt_mask.shape:
         raise ValueError("mask shapes differ")
     thresholds = np.asarray(thresholds, dtype=np.float64)[:, None]
-    if (thresholds < 1).any():
-        raise ValueError("threshold must be >= 1 pixel")
+    for t in thresholds[:, 0]:
+        if not np.isfinite(t):
+            raise ValueError(f"threshold must be finite, got {t}")
+        if t < 1:
+            raise ValueError(f"threshold must be >= 1 pixel, got {t}")
     pred_b = boundary_pixel_set(pred_mask)
     gt_b = boundary_pixel_set(gt_mask)
     rows = np.zeros((len(thresholds), 4), dtype=np.int64)
     rows[:, 1] = pred_b.sum()
     rows[:, 3] = gt_b.sum()
     if pred_b.any() and gt_b.any():
-        rows[:, 0] = (distance_transform_edt(~gt_b)[pred_b] <= thresholds).sum(axis=1)
-        rows[:, 2] = (distance_transform_edt(~pred_b)[gt_b] <= thresholds).sum(axis=1)
+        reach = min(int(thresholds.max()), max(pred_b.shape))
+        for col, near, at in ((0, gt_b, pred_b), (2, pred_b, gt_b)):
+            dist = np.sqrt(_squared_distances(near, reach)[at].astype(np.float64))
+            rows[:, col] = (dist <= thresholds).sum(axis=1)
     return rows
 
 

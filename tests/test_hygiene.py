@@ -1,10 +1,12 @@
 """Package hygiene: declared entry points resolve, no module in
-``src/pfnet`` or ``tests`` imports a name it never uses, and every public
+``src/pfnet`` or ``tests`` imports a name it never uses, ``src/pfnet``
+imports only the standard library, numpy and itself, and every public
 function or class of ``src/pfnet`` has a caller in the package or the
 benchmark (no linter is installed, so the checks walk the syntax tree)."""
 
 import ast
 import importlib
+import sys
 import tomllib
 from pathlib import Path
 
@@ -59,6 +61,23 @@ def unused_imports(source):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imported_packages(source):
+    """Top-level package of every absolute import, at any depth."""
+    packages = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            packages.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            packages.add(node.module.split(".")[0])
+    return packages
+
+
+@pytest.mark.parametrize("path", SRC_MODULES, ids=lambda p: p.name)
+def test_package_imports_only_stdlib_and_numpy(path):
+    allowed = sys.stdlib_module_names | {"numpy", "pfnet"}
+    assert imported_packages(path.read_text()) - allowed == set()
 
 
 def test_every_public_name_has_a_caller():

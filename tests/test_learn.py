@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.ndimage import maximum_filter
 
 from pfnet import learn, ops
 from pfnet.learn import (
@@ -17,6 +18,7 @@ from pfnet.learn import (
     train_run,
     train_step,
 )
+from pfnet.metrics import label_boundaries
 from pfnet.network import NetworkConfig, ParameterSet, init_params
 from pfnet.pointflow import PfmConfig
 from pfnet.tensor import Tape, Tensor
@@ -93,6 +95,20 @@ def test_edge_map_matches_bruteforce_oracle():
                     if 0 <= ni < 16 and 0 <= nj < 16 and mask[ni, nj] != mask[i, j]:
                         oracle[i, j] = True
         assert np.array_equal(got, oracle)
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2, 3, 9])
+@pytest.mark.parametrize("hw", [(12, 16), (7, 1), (1, 9), (5, 5)])
+def test_edge_map_equals_scipy_maximum_filter(radius, hw):
+    # radius 9's 19 px window is wider than every map; 1-px-wide maps
+    # dilate along one axis only
+    rng = np.random.Generator(np.random.PCG64(radius * 100 + sum(hw)))
+    masks = rng.integers(0, 3, (3, *hw))
+    masks[1] = (rng.random(hw) < 0.1).astype(masks.dtype)  # sparse edges
+    edges = label_boundaries(masks).astype(np.uint8)
+    want = maximum_filter(edges, size=(1, 2 * radius + 1, 2 * radius + 1)).astype(bool)
+    got = edge_map(masks, radius)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_edge_targets_or_pooling_matches_oracle():

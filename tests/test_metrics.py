@@ -2,11 +2,14 @@ import re
 
 import numpy as np
 import pytest
+from scipy.ndimage import distance_transform_edt
 
 from pfnet import metrics
 from pfnet.metrics import (
     BoundaryStats,
     ConfusionMatrix,
+    boundary_match_counts,
+    boundary_pixel_set,
     class_f1,
     fg_point_counts,
     label_boundaries,
@@ -224,14 +227,56 @@ def test_boundary_f1_matches_exhaustive_distance_oracle():
 
 def test_boundary_stats_update_runs_two_distance_transforms(monkeypatch):
     calls = []
-    edt = metrics.distance_transform_edt
-    monkeypatch.setattr(metrics, "distance_transform_edt", lambda x: calls.append(1) or edt(x))
+    transform = metrics._squared_distances
+    monkeypatch.setattr(metrics, "_squared_distances", lambda *a: calls.append(1) or transform(*a))
     rng = np.random.Generator(np.random.PCG64(11))
     pred, gt = rng.integers(0, 3, (12, 12)), rng.integers(0, 3, (12, 12))
     for thresholds in ((1,), (12, 9, 5, 3)):
         calls.clear()
         BoundaryStats(thresholds).update(pred, gt)
         assert len(calls) == 2
+
+
+def scipy_match_counts(pred, gt, thresholds):
+    """The counts from scipy's exact distance transform, as reference."""
+    pred_b, gt_b = boundary_pixel_set(pred), boundary_pixel_set(gt)
+    pred_dist, gt_dist = distance_transform_edt(~gt_b)[pred_b], distance_transform_edt(~pred_b)[gt_b]
+    rows = [((pred_dist <= t).sum(), pred_b.sum(), (gt_dist <= t).sum(), gt_b.sum()) for t in thresholds]
+    return np.array(rows, dtype=np.int64)
+
+
+@pytest.mark.parametrize("shape", [(24, 24), (40, 17), (1, 30), (30, 1), (2, 2)])
+def test_boundary_match_counts_equal_scipy_distance_transform(shape):
+    # 40 px is the longest side, so 60 lies beyond every map's diagonal;
+    # the largest threshold of a call sets its reach, so each is also
+    # scored alone
+    thresholds = (1, 1.5, 2.5, 3, 12, 12.7, 60)
+    rng = np.random.Generator(np.random.PCG64(sum(shape)))
+    for _ in range(20):
+        classes = rng.integers(2, 4)
+        gt = rng.integers(0, classes, shape)
+        # sparse contours too, so that many distances exceed the reach
+        pred = np.where(rng.random(shape) < rng.choice([0.005, 0.02, 0.5]), rng.integers(0, classes, shape), 0)
+        if not boundary_pixel_set(pred).any() or not boundary_pixel_set(gt).any():
+            continue
+        for ts in (thresholds, *((t,) for t in thresholds)):
+            assert np.array_equal(boundary_match_counts(pred, gt, ts), scipy_match_counts(pred, gt, ts)), ts
+
+
+@pytest.mark.parametrize(
+    "threshold,message",
+    [
+        pytest.param(0.5, "must be >= 1 pixel, got 0.5", id="below-one"),
+        pytest.param(float("nan"), "must be finite, got nan", id="nan"),
+        pytest.param(float("inf"), "must be finite, got inf", id="inf"),
+        pytest.param(float("-inf"), "must be finite, got -inf", id="minus-inf"),
+    ],
+)
+def test_boundary_match_counts_rejects_bad_threshold_naming_it(threshold, message):
+    # a NaN threshold used to pass the >= 1 check and match nothing
+    mask = np.eye(4, dtype=np.int64)
+    with pytest.raises(ValueError, match=f"^threshold {message}$"):
+        boundary_match_counts(mask, mask, (2, threshold))
 
 
 def test_boundary_stats_streaming():
@@ -283,8 +328,6 @@ def test_label_boundaries_matches_oracle():
 
 
 def test_boundary_pixel_set_matches_one_sided_oracle():
-    from pfnet.metrics import boundary_pixel_set
-
     rng = np.random.Generator(np.random.PCG64(17))
     mask = rng.integers(0, 4, (16, 16))
     assert np.array_equal(boundary_pixel_set(mask), oracle_boundary(mask))
