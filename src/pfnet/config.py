@@ -89,8 +89,6 @@ def default_config():
 
 
 def _set_value(cfg, section, key, raw):
-    if section not in SCHEMA:
-        raise ConfigError(f"unknown section [{section}]")
     if key not in SCHEMA[section]:
         raise ConfigError(f"unknown key {key!r} in section [{section}]")
     typ = SCHEMA[section][key][0]
@@ -130,9 +128,7 @@ def parse_config_text(text, cfg=None, origin="<config>"):
     return cfg
 
 
-def load_config(path=None):
-    if path is None:
-        return default_config()
+def load_config(path):
     with open(path, "rb") as f:
         raw = f.read()
     try:

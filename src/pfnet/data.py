@@ -19,7 +19,7 @@ import numpy as np
 from .tensor import Tensor
 
 _DTYPE_CODES = {np.dtype("<f4"): 1, np.dtype("<f8"): 2, np.dtype("u1"): 3}
-_CODE_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f8"), 3: np.dtype("u1")}
+_CODE_DTYPES = {code: dtype for dtype, code in _DTYPE_CODES.items()}
 
 CLASS_COLORS = np.array(
     [
@@ -135,11 +135,10 @@ def _paint_object(img, mask, rng, cfg):
     if shape == "ellipse":
         cy, cx = (oh - 1) / 2.0, (ow - 1) / 2.0
         ry, rx = max(oh / 2.0, 0.5), max(ow / 2.0, 0.5)
+        # each term is at most 0.25 at cell (oh // 2, ow // 2), so no ellipse is empty
         inside = ((ys - cy) / ry) ** 2 + ((xs - cx) / rx) ** 2 <= 1.0
     else:
         inside = np.ones((oh, ow), dtype=bool)
-    if not inside.any():
-        inside[oh // 2, ow // 2] = True
     color = CLASS_COLORS[cls - 1] + rng.uniform(-0.05, 0.05, 3)
     patch_noise = rng.normal(0.0, 0.03, (3, oh, ow))
     region = (slice(top, top + oh), slice(left, left + ow))

@@ -77,9 +77,6 @@ def edge_map(mask, radius=1):
     same result as a max filter in reflect mode), as one pass along rows
     and one along columns, each ORing in the edges shifted by 1..r pixels
     either way."""
-    mask = np.asarray(mask)
-    if mask.size == 0:
-        raise ValueError("empty mask")
     edges = label_boundaries(mask)
     for axis in (-1, -2):
         src, edges = edges, edges.copy()
@@ -90,14 +87,14 @@ def edge_map(mask, radius=1):
     return edges
 
 
-def edge_targets_from_mask(mask, radius=1, strides=EDGE_STRIDES):
-    """Binary boundary grids at the requested strides (default 8/16/32),
-    downsampled from :func:`edge_map` by logical-OR pooling over the last
-    two axes."""
+def edge_targets_from_mask(mask, radius=1):
+    """Binary boundary grids at each gap's stride in ``EDGE_STRIDES``
+    (8/16/32), downsampled from :func:`edge_map` by logical-OR pooling over
+    the last two axes."""
     edges = edge_map(mask, radius)
     *lead, h, w = edges.shape
     targets = {}
-    for s in strides:
+    for s in EDGE_STRIDES:
         if h % s or w % s:
             raise ValueError(f"mask size {h}x{w} not divisible by stride {s}")
         targets[s] = edges.reshape(*lead, h // s, s, w // s, s).max(axis=(-3, -1)).astype(np.float64)
@@ -127,8 +124,9 @@ def bce_loss(pred, target):
     return _maybe_record(out, (pred,), backward)
 
 
-def ce_loss(logits, mask, ignore_label=IGNORE_LABEL):
-    """Mean cross-entropy over non-ignored pixels of an integer mask.
+def ce_loss(logits, mask):
+    """Mean cross-entropy over the pixels of an integer mask that are not
+    ``IGNORE_LABEL``.
 
     The log-softmax and its gradient are computed over chunks of batch
     items (``ops._item_spans``), so the exponentials are never held for
@@ -145,7 +143,7 @@ def ce_loss(logits, mask, ignore_label=IGNORE_LABEL):
 
     def targets():
         """The valid pixels [N, H, W] and labels [N, 1, H, W], 0 where ignored."""
-        valid = mask != ignore_label
+        valid = mask != IGNORE_LABEL
         return valid, np.where(valid, mask, 0)[:, None]  # labels keep the mask's dtype
 
     valid, labels = targets()

@@ -25,12 +25,13 @@ class ConfusionMatrix:
         self.num_classes = num_classes
         self.counts = np.zeros((num_classes, num_classes), dtype=np.int64)
 
-    def update(self, gt, pred, ignore_label=IGNORE_LABEL):
+    def update(self, gt, pred):
+        """Count each (gt, pred) pixel pair whose gt is not ``IGNORE_LABEL``."""
         gt = np.asarray(gt).ravel()
         pred = np.asarray(pred).ravel()
         if gt.shape != pred.shape:
             raise ValueError("ground truth and prediction sizes differ")
-        valid = gt != ignore_label
+        valid = gt != IGNORE_LABEL
         gt = gt[valid].astype(np.int64)
         pred = pred[valid].astype(np.int64)
         k = self.num_classes
@@ -163,6 +164,8 @@ def boundary_match_counts(pred_mask, gt_mask, thresholds):
     if pred_mask.shape != gt_mask.shape:
         raise ValueError("mask shapes differ")
     thresholds = np.asarray(thresholds, dtype=np.float64)[:, None]
+    if thresholds.size == 0:
+        raise ValueError("thresholds must not be empty")
     for t in thresholds[:, 0]:
         if not np.isfinite(t):
             raise ValueError(f"threshold must be finite, got {t}")

@@ -23,13 +23,13 @@ Neither the resized maps nor the concat are formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import tensor as tt
 from .ops import ConvParams, adaptive_avg_pool, bilinear_resize, channel_norm, conv2d, resize_conv3x3
-from .pointflow import BUDGET_KEYS, PfmConfig, PfmParams, pfm_forward
+from .pointflow import BUDGET_KEYS, PfmConfig, pfm_forward
 from .tensor import Tensor
 
 
@@ -49,11 +49,7 @@ class NetworkConfig:
     ppm_bins: tuple = (1, 2, 3, 6)
     use_ppm: bool = True
     pfm_gaps: tuple = PYRAMID_GAPS
-    pfm: dict = None
-
-    def __post_init__(self):
-        if self.pfm is None:
-            self.pfm = {gap: PfmConfig() for gap in PYRAMID_GAPS}
+    pfm: dict = field(default_factory=lambda: {gap: PfmConfig() for gap in PYRAMID_GAPS})
 
     def validate(self):
         if self.crop_size < 32 or self.crop_size % 32:
@@ -178,7 +174,7 @@ def _stage(x, params, name, stride):
     return tt.relu(channel_norm(out, params[f"{name}.norm2.gamma"], params[f"{name}.norm2.beta"]))
 
 
-def backbone_forward(image, params, cfg):
+def backbone_forward(image, params):
     """Bottom-up encoder: stem /2, then four stages to strides 4/8/16/32."""
     h, w = image.shape[2:]
     if h % 32 or w % 32:
@@ -221,12 +217,15 @@ class NetOutput:
 def pfnet_forward(image, params, cfg):
     """Full forward pass to quarter-resolution class logits.
 
-    With no gaps enabled and the context head off this is exactly the
-    plain pyramid decoder (resize + add at every gap) - the same graph,
-    not an approximation.
+    The input side must be ``cfg.crop_size``, whose grids set the effective
+    point budgets.  With no gaps enabled and the context head off this is
+    exactly the plain pyramid decoder (resize + add at every gap) - the
+    same graph, not an approximation.
     """
     cfg.validate()
-    c2, c3, c4, c5 = backbone_forward(image, params, cfg)
+    if image.shape[2:] != (cfg.crop_size, cfg.crop_size):
+        raise ValueError(f"input size {image.shape[2]}x{image.shape[3]} is not crop_size {cfg.crop_size}")
+    c2, c3, c4, c5 = backbone_forward(image, params)
     by_level = {2: c2, 3: c3, 4: c4, 5: c5}
 
     p = {}
@@ -240,12 +239,9 @@ def pfnet_forward(image, params, cfg):
         fine = _lateral(by_level[gap - 1], params, gap - 1)
         refined = None
         if gap in cfg.pfm_gaps:
-            gap_cfg = cfg.effective_pfm(gap)
-            gap_params = PfmParams(
-                saliency_conv=params.conv(f"pfm.gap{gap}.saliency.conv", padding=1),
-                boundary_conv=params.conv(f"pfm.gap{gap}.boundary.conv"),
-            )
-            out = pfm_forward(p[gap], fine, gap_cfg, gap_params)
+            saliency_conv = params.conv(f"pfm.gap{gap}.saliency.conv", padding=1)
+            boundary_conv = params.conv(f"pfm.gap{gap}.boundary.conv")
+            out = pfm_forward(p[gap], fine, cfg.effective_pfm(gap), saliency_conv, boundary_conv)
             pfm_outputs[gap] = out
             if out.refined_coarse is not None:
                 p[gap] = out.refined_coarse

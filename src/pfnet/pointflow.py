@@ -30,7 +30,6 @@ import numpy as np
 
 from . import tensor as tt
 from .ops import (
-    ConvParams,
     adaptive_max_pool,
     bilinear_resize,
     box_avg_pool,
@@ -74,14 +73,6 @@ class PfmConfig:
             raise ValueError(f"edge_mode must be one of {EDGE_MODES}, got {self.edge_mode!r}")
         if self.salient_sampling not in SALIENT_SAMPLING:
             raise ValueError(f"salient_sampling must be one of {SALIENT_SAMPLING}, got {self.salient_sampling!r}")
-
-
-@dataclass
-class PfmParams:
-    """Learned parameters: 3x3 saliency conv (2C -> 1), 1x1 boundary conv (C -> 1)."""
-
-    saliency_conv: ConvParams
-    boundary_conv: ConvParams
 
 
 @dataclass
@@ -223,8 +214,12 @@ def _flow(value_srcs, queries, dst, cells):
     return refined
 
 
-def pfm_forward(coarse, fine, cfg, params):
+def pfm_forward(coarse, fine, cfg, saliency_conv, boundary_conv):
     """Full point-flow module over one pyramid gap.
+
+    ``saliency_conv`` is the 3x3 conv (2C -> 1, padding 1) of
+    :func:`compute_saliency`; ``boundary_conv`` is the 1x1 conv (C -> 1) of
+    :func:`boundary_branch` that predicts the boundary map.
 
     Top-down (the default) refines the fine level.  Bottom-up swaps the
     roles: both flows take keys and values from the fine level and write
@@ -238,9 +233,9 @@ def pfm_forward(coarse, fine, cfg, params):
         raise ValueError(f"fine level must be 2x the coarse level {coarse.shape}, got {fine.shape}")
     grid = (h, w)
     fine_down = bilinear_resize(fine, grid)
-    saliency = compute_saliency(coarse, fine_down, params.saliency_conv)
+    saliency = compute_saliency(coarse, fine_down, saliency_conv)
     enhanced, s_cells = salient_match(coarse, saliency, cfg)
-    boundary, b_cells = boundary_branch(coarse, saliency, params.boundary_conv, cfg)
+    boundary, b_cells = boundary_branch(coarse, saliency, boundary_conv, cfg)
     cells = (s_cells, b_cells)
     out = PfmOutput(
         refined=None,

@@ -7,6 +7,7 @@ from pfnet import config
 from pfnet.data import (
     AUGMENT_OPS,
     SceneConfig,
+    _paint_object,
     augment,
     read_checkpoint,
     sliding_crop,
@@ -73,6 +74,22 @@ def test_object_cap_scales_with_canvas_area():
     assert SceneConfig(canvas=128, objects_max=0).object_cap() == 0
     with pytest.raises(ValueError, match=r"^objects_min must be in \[0, objects_max cap = 4\]"):
         SceneConfig(canvas=32).validate()  # 6 objects cannot fit a cap of 4
+
+
+def test_every_painted_object_covers_a_pixel():
+    # an object's centre cell lies within half a cell of its centre on each
+    # axis, so an ellipse holds it at every size down to 1 px
+    cfg = SceneConfig(canvas=16, size_min=1, size_max=12)
+    kinds = set()
+    for seed in range(3000):
+        img, mask = np.zeros((3, 16, 16)), np.zeros((16, 16), dtype=np.uint8)
+        covered = _paint_object(img, mask, np.random.Generator(np.random.PCG64(seed)), cfg)
+        rows, cols = np.nonzero(mask)
+        assert covered == rows.size >= 1, seed
+        box_h, box_w = np.ptp(rows) + 1, np.ptp(cols) + 1
+        if min(box_h, box_w) >= 4:  # at these sizes only a rectangle fills its box
+            kinds.add("rect" if rows.size == box_h * box_w else "ellipse")
+    assert kinds == {"rect", "ellipse"}
 
 
 def test_default_scene_config_is_valid_and_reaches_its_window_at_512_px():

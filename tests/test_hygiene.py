@@ -1,8 +1,9 @@
 """Package hygiene: declared entry points resolve, no module in
 ``src/pfnet`` or ``tests`` imports a name it never uses, ``src/pfnet``
-imports only the standard library, numpy and itself, and every public
-function or class of ``src/pfnet`` has a caller in the package or the
-benchmark (no linter is installed, so the checks walk the syntax tree)."""
+imports only the standard library, numpy and itself, every parameter of a
+``src/pfnet`` function is read, and every public function or class of
+``src/pfnet`` has a caller in the package or the benchmark (no linter is
+installed, so the checks walk the syntax tree)."""
 
 import ast
 import importlib
@@ -78,6 +79,30 @@ def imported_packages(source):
 def test_package_imports_only_stdlib_and_numpy(path):
     allowed = sys.stdlib_module_names | {"numpy", "pfnet"}
     assert imported_packages(path.read_text()) - allowed == set()
+
+
+def unread_parameters(source):
+    """(line, function, parameter) of each parameter that its function or
+    lambda never reads, in its body or a closure there; dunder protocol
+    methods such as ``__exit__`` take what the protocol passes."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            continue
+        name = getattr(node, "name", "<lambda>")
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [a for a in (args.vararg, args.kwarg) if a]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [(node.lineno, name, a.arg) for a in params if a.arg not in read]
+    return unread
+
+
+@pytest.mark.parametrize("path", SRC_MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text()) == []
 
 
 def test_every_public_name_has_a_caller():

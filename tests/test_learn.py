@@ -113,12 +113,13 @@ def test_edge_map_equals_scipy_maximum_filter(radius, hw):
 
 def test_edge_targets_or_pooling_matches_oracle():
     rng = np.random.Generator(np.random.PCG64(6))
-    mask = rng.integers(0, 3, (16, 16))
-    targets = edge_targets_from_mask(mask, radius=1, strides=(8, 16))
+    mask = rng.integers(0, 3, (32, 32))
+    targets = edge_targets_from_mask(mask, radius=1)
     edges = edge_map(mask, radius=1)
-    for s in (8, 16):
-        for bi in range(16 // s):
-            for bj in range(16 // s):
+    assert sorted(targets) == [8, 16, 32]
+    for s in (8, 16, 32):
+        for bi in range(32 // s):
+            for bj in range(32 // s):
                 block = edges[bi * s : (bi + 1) * s, bj * s : (bj + 1) * s]
                 assert targets[s][bi, bj] == float(block.any())
 
@@ -215,7 +216,8 @@ def test_ce_rejects_negative_labels():
     mask[0, 1, 1] = -1
     with pytest.raises(ValueError, match="outside class range"):
         ce_loss(logits, mask)
-    assert float(ce_loss(logits, mask, ignore_label=-1).data) == pytest.approx(np.log(2), abs=1e-12)
+    mask[0, 1, 1] = 255  # IGNORE_LABEL
+    assert float(ce_loss(logits, mask).data) == pytest.approx(np.log(2), abs=1e-12)
 
 
 def ce_reference(logits, mask, g):

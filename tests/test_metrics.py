@@ -264,19 +264,20 @@ def test_boundary_match_counts_equal_scipy_distance_transform(shape):
 
 
 @pytest.mark.parametrize(
-    "threshold,message",
+    "thresholds,message",
     [
-        pytest.param(0.5, "must be >= 1 pixel, got 0.5", id="below-one"),
-        pytest.param(float("nan"), "must be finite, got nan", id="nan"),
-        pytest.param(float("inf"), "must be finite, got inf", id="inf"),
-        pytest.param(float("-inf"), "must be finite, got -inf", id="minus-inf"),
+        pytest.param((2, 0.5), "threshold must be >= 1 pixel, got 0.5", id="below-one"),
+        pytest.param((2, float("nan")), "threshold must be finite, got nan", id="nan"),
+        pytest.param((2, float("inf")), "threshold must be finite, got inf", id="inf"),
+        pytest.param((2, float("-inf")), "threshold must be finite, got -inf", id="minus-inf"),
+        pytest.param((), "thresholds must not be empty", id="empty"),
     ],
 )
-def test_boundary_match_counts_rejects_bad_threshold_naming_it(threshold, message):
+def test_boundary_match_counts_rejects_bad_threshold_naming_it(thresholds, message):
     # a NaN threshold used to pass the >= 1 check and match nothing
     mask = np.eye(4, dtype=np.int64)
-    with pytest.raises(ValueError, match=f"^threshold {message}$"):
-        boundary_match_counts(mask, mask, (2, threshold))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        boundary_match_counts(mask, mask, thresholds)
 
 
 def test_boundary_stats_streaming():

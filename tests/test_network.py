@@ -110,7 +110,7 @@ def test_backbone_stride_law():
     cfg = NetworkConfig()
     params = init_params(cfg, 0, dtype=np.float64)
     image = Tensor(rand((1, 3, 64, 64), 1))
-    c2, c3, c4, c5 = backbone_forward(image, params, cfg)
+    c2, c3, c4, c5 = backbone_forward(image, params)
     assert c2.shape[2:] == (16, 16)
     assert c3.shape[2:] == (8, 8)
     assert c4.shape[2:] == (4, 4)
@@ -121,7 +121,7 @@ def test_backbone_zero_image_zero_bias_gives_zero_features():
     cfg = tiny_cfg()
     params = init_params(cfg, 0, dtype=np.float64)
     image = Tensor(np.zeros((2, 3, 32, 32)))
-    feats = backbone_forward(image, params, cfg)
+    feats = backbone_forward(image, params)
     for f in feats:
         assert np.allclose(f.data, 0.0)
 
@@ -131,7 +131,7 @@ def test_backbone_deterministic_across_runs():
         cfg = tiny_cfg()
         params = init_params(cfg, 3, dtype=np.float64)
         image = Tensor(rand((2, 3, 32, 32), 4))
-        return backbone_forward(image, params, cfg)[3].data.tobytes()
+        return backbone_forward(image, params)[3].data.tobytes()
 
     assert run() == run()
 
@@ -213,6 +213,17 @@ def test_plain_fpn_baseline_shapes():
     out = pfnet_forward(image, params, cfg)
     assert out.logits.shape == (2, 4, 8, 8)  # quarter resolution
     assert out.pfm_outputs == {}
+
+
+@pytest.mark.parametrize("side", [32, 128])
+def test_forward_rejects_an_input_side_other_than_crop_size(monkeypatch, side):
+    # the point budgets are clamped to the crop_size grids, so any other
+    # input side is rejected before the backbone runs
+    cfg = tiny_cfg(crop_size=64)
+    params = init_params(cfg, 16, dtype=np.float64)
+    monkeypatch.setattr(network, "backbone_forward", lambda *args: pytest.fail("the backbone ran"))
+    with pytest.raises(ValueError, match=f"^input size {side}x{side} is not crop_size 64$"):
+        pfnet_forward(Tensor(rand((1, 3, side, side), 17)), params, cfg)
 
 
 def test_all_gaps_give_three_boundary_maps_at_right_strides():

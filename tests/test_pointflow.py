@@ -6,7 +6,6 @@ from pfnet.pointflow import (
     DIRECTIONS,
     EDGE_MODES,
     PfmConfig,
-    PfmParams,
     _flow,
     _uniform_region_points,
     boundary_branch,
@@ -95,7 +94,7 @@ def test_saliency_rejects_mismatched_levels():
     cfg, params = small_cfg(), make_params(3, 0, zero=True)
     for bad in ((1, 3, 7, 8), (1, 2, 8, 8), (2, 3, 8, 8), (1, 3, 4, 4)):
         with pytest.raises(ValueError, match="^fine level must be 2x"):
-            pfm_forward(coarse, Tensor(rand(bad, 5)), cfg, params)
+            pfm_forward(coarse, Tensor(rand(bad, 5)), cfg, *params)
     with pytest.raises(ValueError):
         compute_saliency(coarse, Tensor(rand((1, 3, 3, 4), 5)), saliency_conv(3, zero=True))
     with pytest.raises(ValueError):
@@ -348,26 +347,24 @@ def test_propagate_gradients(seed):
 
 
 def make_params(c, seed, zero=False):
-    return PfmParams(
-        saliency_conv=saliency_conv(c, seed=seed, zero=zero),
-        boundary_conv=boundary_conv(c, seed=seed + 10, zero=zero),
-    )
+    """The (saliency conv, boundary conv) pair ``pfm_forward`` takes."""
+    return saliency_conv(c, seed=seed, zero=zero), boundary_conv(c, seed=seed + 10, zero=zero)
 
 
 def test_pfm_full_grid_matches_dense_oracle():
     coarse, fine = levels(30)
     cfg = small_cfg(salient_kh=4, salient_kw=4, boundary_k=0)
-    params = make_params(3, 31)
-    out = pfm_forward(coarse, fine, cfg, params)
+    s_conv, b_conv = make_params(3, 31)
+    out = pfm_forward(coarse, fine, cfg, s_conv, b_conv)
 
-    enhanced, _ = salient_match(coarse, resized_saliency(coarse, fine, params.saliency_conv), cfg)
+    enhanced, _ = salient_match(coarse, resized_saliency(coarse, fine, s_conv), cfg)
     dense = dense_affinity_reference(enhanced, fine)
     assert np.abs(out.refined.data - dense.data).max() < 1e-6
 
 
 def test_pfm_zero_params_still_finite():
     coarse, fine = levels(32)
-    out = pfm_forward(coarse, fine, small_cfg(), make_params(3, 0, zero=True))
+    out = pfm_forward(coarse, fine, small_cfg(), *make_params(3, 0, zero=True))
     assert np.allclose(out.saliency.data, 0.5)
     assert out.refined.shape == fine.shape
     assert np.isfinite(out.refined.data).all()
@@ -375,7 +372,7 @@ def test_pfm_zero_params_still_finite():
 
 def test_pfm_untouched_cells_bitwise_unchanged():
     coarse, fine = levels(33)
-    out = pfm_forward(coarse, fine, small_cfg(), make_params(3, 34))
+    out = pfm_forward(coarse, fine, small_cfg(), *make_params(3, 34))
     h, w = fine.shape[2:]
     hit = np.zeros((h, w), dtype=bool)
     for pts in (out.salient_points, out.boundary_points):
@@ -388,7 +385,7 @@ def test_pfm_untouched_cells_bitwise_unchanged():
 def test_pfm_determinism():
     def run():
         coarse, fine = levels(35)
-        out = pfm_forward(coarse, fine, small_cfg(), make_params(3, 36))
+        out = pfm_forward(coarse, fine, small_cfg(), *make_params(3, 36))
         return (
             out.refined.data.tobytes(),
             out.salient_points.tobytes(),
@@ -417,7 +414,7 @@ def flow_oracle(src, dst, out):
 
 def test_pfm_bottom_up_refines_coarse():
     coarse, fine = levels(37)
-    out = pfm_forward(coarse, fine, small_cfg(direction="bottom_up"), make_params(3, 38))
+    out = pfm_forward(coarse, fine, small_cfg(direction="bottom_up"), *make_params(3, 38))
     assert out.refined is None
     assert out.refined_coarse.shape == coarse.shape
     assert not np.array_equal(out.refined_coarse.data, coarse.data)
@@ -425,7 +422,7 @@ def test_pfm_bottom_up_refines_coarse():
 
 def test_pfm_td_then_bu_produces_both():
     coarse, fine = levels(39)
-    out = pfm_forward(coarse, fine, small_cfg(direction="td_then_bu"), make_params(3, 40))
+    out = pfm_forward(coarse, fine, small_cfg(direction="td_then_bu"), *make_params(3, 40))
     assert out.refined is not None and out.refined_coarse is not None
     assert out.refined.shape == fine.shape
     assert out.refined_coarse.shape == coarse.shape
@@ -433,7 +430,7 @@ def test_pfm_td_then_bu_produces_both():
 
 def test_pfm_bottom_up_values():
     coarse, fine = levels(45, n=2)
-    out = pfm_forward(coarse, fine, small_cfg(direction="bottom_up"), make_params(3, 46))
+    out = pfm_forward(coarse, fine, small_cfg(direction="bottom_up"), *make_params(3, 46))
     expected = flow_oracle(fine, coarse, out)
     assert np.array_equal(out.refined_coarse.data, expected.data)  # bitwise
 
@@ -441,8 +438,8 @@ def test_pfm_bottom_up_values():
 def test_pfm_td_then_bu_values():
     coarse, fine = levels(47, n=2)
     params = make_params(3, 48)
-    td = pfm_forward(coarse, fine, small_cfg(direction="top_down"), params)
-    out = pfm_forward(coarse, fine, small_cfg(direction="td_then_bu"), params)
+    td = pfm_forward(coarse, fine, small_cfg(direction="top_down"), *params)
+    out = pfm_forward(coarse, fine, small_cfg(direction="td_then_bu"), *params)
     assert np.array_equal(out.refined.data, td.refined.data)
     expected = flow_oracle(out.refined, coarse, out)
     assert np.array_equal(out.refined_coarse.data, expected.data)
@@ -452,13 +449,13 @@ def test_pfm_td_then_bu_values():
 def check_pfm_gradients(seed, **cfg_kw):
     coarse = Tensor(rand((1, 2, 4, 4), seed + 200), requires_grad=True)
     fine = Tensor(rand((1, 2, 8, 8), seed + 201), requires_grad=True)
-    params = make_params(2, seed + 202)
+    s_conv, b_conv = make_params(2, seed + 202)
     cfg = small_cfg(salient_kh=2, salient_kw=2, boundary_k=3, **cfg_kw)
     w_fine = Tensor(rand((1, 2, 8, 8), seed + 203))
     w_coarse = Tensor(rand((1, 2, 4, 4), seed + 204))
 
     def build():
-        out = pfm_forward(coarse, fine, cfg, params)
+        out = pfm_forward(coarse, fine, cfg, s_conv, b_conv)
         parts = []
         if out.refined is not None:
             parts.append(sum_all(mul(out.refined, w_fine)))
@@ -466,8 +463,7 @@ def check_pfm_gradients(seed, **cfg_kw):
             parts.append(sum_all(mul(out.refined_coarse, w_coarse)))
         return parts[0] if len(parts) == 1 else add(parts[0], parts[1])
 
-    leaves = [coarse, fine, params.saliency_conv.weight, params.saliency_conv.bias,
-              params.boundary_conv.weight, params.boundary_conv.bias]
+    leaves = [coarse, fine, s_conv.weight, s_conv.bias, b_conv.weight, b_conv.bias]
     return check_gradients(build, leaves)
 
 
