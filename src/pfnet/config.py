@@ -9,10 +9,13 @@ Each key is the same-named field, which owns its type and default, of the
 typed config its view builds: ``[data]`` is ``SceneConfig`` plus
 ``NetworkConfig.crop_size``, ``[network]`` the rest of ``NetworkConfig``,
 ``[train]`` is ``TrainConfig``, ``[pfm]`` the ``PfmConfig`` modes every gap
-shares and ``[pfm.gapN]`` gap N's ``BUDGET_KEYS``.  Only the four keys no
-typed config reads are spelled out: ``data.count`` and ``data.val_fraction``
-wait for a run driver; pfbench reads ``data.crop_stride`` and
-``eval.boundary_thresholds`` when it crops and scores scenes.
+shares and ``[pfm.gapN]`` gap N's ``BUDGET_KEYS``.  The typed configs are
+frozen and check themselves when built, so every view returns a checked
+config or raises a ``ValueError`` that starts with the key it rejects.
+Only the four keys no typed config reads are spelled out: ``data.count``
+and ``data.val_fraction`` wait for a run driver; pfbench reads
+``data.crop_stride`` and ``eval.boundary_thresholds`` when it crops and
+scores scenes.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ def _bool(text):
         return True
     if text in ("false", "False", "0"):
         return False
-    raise ConfigError(f"expected true/false, got {text!r}")
+    raise ValueError(f"expected true/false, got {text!r}")
 
 
 def _finite_float(text):
@@ -94,14 +97,12 @@ def _set_value(cfg, section, key, raw):
     typ = SCHEMA[section][key][0]
     try:
         cfg[section][key] = _PARSERS[typ](raw)
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"bad value for {section}.{key}: {raw!r} ({exc})") from exc
 
 
-def parse_config_text(text, cfg=None, origin="<config>"):
-    cfg = copy.deepcopy(cfg) if cfg is not None else default_config()
+def parse_config_text(text, origin="<config>"):
+    cfg = default_config()
     section = None
     set_at = {}  # (section, key) -> the line that set it
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -190,13 +191,17 @@ def scene_config(cfg, seed):
 
 
 def network_config(cfg):
+    """``NetworkConfig`` with a ``PfmConfig`` for each enabled gap; a gap's
+    error names the section of the key it rejects."""
+    pfm = {}
+    for gap in (g for g in PYRAMID_GAPS if g in cfg["network"]["pfm_gaps"]):
+        try:
+            pfm[gap] = PfmConfig(**cfg["pfm"], **cfg[f"pfm.gap{gap}"])
+        except ValueError as e:  # it starts with the PfmConfig field it rejects
+            section = f"pfm.gap{gap}" if str(e).split(" ", 1)[0] in BUDGET_KEYS else "pfm"
+            raise ValueError(f"{section}.{e}") from None
     d = cfg["data"]
-    return NetworkConfig(
-        crop_size=d["crop_size"],
-        num_classes=d["num_classes"],
-        pfm={gap: PfmConfig(**cfg["pfm"], **cfg[f"pfm.gap{gap}"]) for gap in PYRAMID_GAPS},
-        **cfg["network"],
-    )
+    return NetworkConfig(crop_size=d["crop_size"], num_classes=d["num_classes"], pfm=pfm, **cfg["network"])
 
 
 def train_config(cfg, seed):

@@ -33,7 +33,7 @@ CLASS_COLORS = np.array(
 BACKGROUND_TEXTURES = ("perlin", "flat")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SceneConfig:
     """The ``[data]`` scene keys at ``default.cfg``'s values (``canvas`` is the
     square side, ``objects_max`` a cap per 128x128 px of it) plus the run's seed."""
@@ -48,7 +48,7 @@ class SceneConfig:
     texture: str = "perlin"  # one of BACKGROUND_TEXTURES
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.canvas < 1:
             raise ValueError(f"canvas must be >= 1, got {self.canvas}")
         if not 2 <= self.num_classes <= len(CLASS_COLORS) + 1:
@@ -154,7 +154,6 @@ def _paint_object(img, mask, rng, cfg):
 def synth_scene(cfg, index):
     """One deterministic scene for (cfg.seed, index); resamples until the
     achieved foreground ratio lands within +-30% of the target."""
-    cfg.validate()
     h = w = cfg.canvas
     lo_ratio, hi_ratio = cfg.ratio_window()
     min_obj, max_obj = cfg.objects_min, cfg.object_cap()

@@ -35,7 +35,7 @@ class TrainingAborted(RuntimeError):
         self.iteration = iteration
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 16
     base_lr: float = 0.01
@@ -49,7 +49,7 @@ class TrainConfig:
     augment: bool = True
     checkpoint_every: int = 0  # iterations; 0 disables periodic checkpoints
 
-    def validate(self):
+    def __post_init__(self):
         for name in ("base_lr", "momentum", "weight_decay", "poly_power", "bce_weight"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -68,7 +68,7 @@ class TrainConfig:
 # targets
 
 
-def edge_map(mask, radius=1):
+def edge_map(mask, radius):
     """Full-resolution boundary pixels: any 4-neighbor label change,
     dilated by the Chebyshev radius, over the last two axes; leading axes
     are independent masks.
@@ -87,7 +87,7 @@ def edge_map(mask, radius=1):
     return edges
 
 
-def edge_targets_from_mask(mask, radius=1):
+def edge_targets_from_mask(mask, radius):
     """Binary boundary grids at each gap's stride in ``EDGE_STRIDES``
     (8/16/32), downsampled from :func:`edge_map` by logical-OR pooling over
     the last two axes."""
@@ -182,7 +182,7 @@ def ce_loss(logits, mask):
     return _maybe_record(out, (logits,), backward)
 
 
-def poly_lr(base_lr, iteration, total_iter, power=0.9):
+def poly_lr(base_lr, iteration, total_iter, power):
     return base_lr * (1.0 - iteration / total_iter) ** power
 
 
@@ -196,7 +196,7 @@ class SgdMomentum:
     v <- momentum * v + (grad + weight_decay * p);  p <- p - lr * v
     """
 
-    def __init__(self, momentum=0.9, weight_decay=1e-4):
+    def __init__(self, momentum, weight_decay):
         self.momentum = momentum
         self.weight_decay = weight_decay
         self.velocity = {}
@@ -276,8 +276,7 @@ def train_run(crops, net_cfg, train_cfg, on_log=None, on_checkpoint=None):
     Batch order and augmentation choices are seeded, so a rerun with the
     same inputs reproduces the final parameters byte for byte.
     """
-    train_cfg.validate()
-    params = init_params(net_cfg, train_cfg.seed, dtype=np.float32)
+    params = init_params(net_cfg, train_cfg.seed)
     optimizer = SgdMomentum(train_cfg.momentum, train_cfg.weight_decay)
     n = len(crops)
     if n == 0:

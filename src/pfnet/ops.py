@@ -253,8 +253,10 @@ def conv2d(x, p):
 # ---------------------------------------------------------------------------
 # normalization
 
+_NORM_EPS = 1e-5  # added to each channel's variance
 
-def channel_norm(x, gamma, beta, eps=1e-5):
+
+def channel_norm(x, gamma, beta):
     """Per-channel standardization over (N, H, W) followed by affine.  The
     tape keeps ``xhat``, and a recorded output is remade from it."""
     n, c, h, w = x.shape
@@ -265,7 +267,7 @@ def channel_norm(x, gamma, beta, eps=1e-5):
     xhat = x.data - mu
     sq = xhat ** 2
     var = sq.mean(axis=axes, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _NORM_EPS)
     xhat *= inv
     g4 = gamma.data.reshape(1, c, 1, 1)
     b4 = beta.data.reshape(1, c, 1, 1)

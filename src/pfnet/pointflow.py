@@ -53,7 +53,7 @@ BUDGET_KEYS = ("salient_kh", "salient_kw", "boundary_k")
 _MAX_POINTS = 4096
 
 
-@dataclass
+@dataclass(frozen=True)
 class PfmConfig:
     salient_kh: int = 14
     salient_kw: int = 14
@@ -63,7 +63,7 @@ class PfmConfig:
     salient_sampling: str = "max_pool"
     sampling_seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         for name, lo in (("salient_kh", 1), ("salient_kw", 1), ("boundary_k", 0), ("sampling_seed", 0)):
             if getattr(self, name) < lo:
                 raise ValueError(f"{name} must be >= {lo}, got {getattr(self, name)}")
@@ -79,7 +79,6 @@ class PfmConfig:
 class PfmOutput:
     refined: Optional[Tensor]          # refined fine level, top-down flows
     boundary: Optional[Tensor]         # boundary map on the coarse grid, in (0, 1)
-    saliency: Tensor                   # saliency map on the coarse grid
     salient_points: np.ndarray         # [N, P, 2] normalized coordinates
     boundary_points: np.ndarray        # [N, K, 2]; K may be 0
     refined_coarse: Optional[Tensor] = None  # bottom-up flows only
@@ -227,7 +226,6 @@ def pfm_forward(coarse, fine, cfg, saliency_conv, boundary_conv):
     ``td_then_bu`` applies top-down first, then bottom-up against the
     refined fine level.
     """
-    cfg.validate()
     n, c, h, w = coarse.shape
     if fine.shape != (n, c, 2 * h, 2 * w):
         raise ValueError(f"fine level must be 2x the coarse level {coarse.shape}, got {fine.shape}")
@@ -240,7 +238,6 @@ def pfm_forward(coarse, fine, cfg, saliency_conv, boundary_conv):
     out = PfmOutput(
         refined=None,
         boundary=boundary,
-        saliency=saliency,
         salient_points=flat_to_points(s_cells, *grid),
         boundary_points=flat_to_points(b_cells, *grid),
     )

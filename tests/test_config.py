@@ -45,6 +45,13 @@ def test_config_errors_name_origin_and_line(text, lineno):
         parse_config_text(text, origin="run.cfg")
 
 
+@pytest.mark.parametrize("override", ["network.use_ppm=maybe", "data.canvas=big", "train.momentum=inf"])
+def test_override_value_errors_name_the_key(override):
+    path = override.split("=", 1)[0]
+    with pytest.raises(ConfigError, match=f"^bad value for {re.escape(path)}: "):
+        apply_overrides(default_config(), [override])
+
+
 def test_repeated_key_names_its_first_line_and_overrides_still_win(tmp_path):
     with pytest.raises(ConfigError, match=r"^run.cfg:3: data.crop_size already set at line 2$"):
         parse_config_text("[data]\ncrop_size = 64\ncrop_size = 32\n", origin="run.cfg")
@@ -63,9 +70,6 @@ def test_echo_then_parse_is_a_fixed_point(name):
 def test_default_cfg_names_every_key_at_its_default():
     path = packaged_config_path("default")
     assert load_config(path) == default_config()
-    with open(path, encoding="utf-8") as f:
-        named = parse_config_text(f.read(), cfg={sec: {} for sec in SCHEMA}, origin=path)
-    assert named == default_config()
 
 
 def test_config_file_not_utf8_names_file_and_byte(tmp_path):
@@ -95,6 +99,9 @@ _TUPLES = {
     "pfm_gaps": (3,),
     "boundary_thresholds": (2,),
 }
+# ints whose next value a view rejects: crop_size is a multiple of 32, and
+# a scene has at most 6 classes
+_INTS = {"crop_size": 928, "num_classes": 5}
 
 
 def _other_value(key, value):
@@ -102,7 +109,7 @@ def _other_value(key, value):
     if isinstance(value, bool):
         return not value
     if isinstance(value, int):
-        return value + 1
+        return _INTS.get(key, value + 1)
     if isinstance(value, float):
         return value / 2
     if isinstance(value, tuple):
@@ -184,12 +191,6 @@ def test_config_key_is_a_field_of_its_view(section, key):
         assert (typing.get_type_hints(cls)[key], field.default) == (typ, default), cls.__name__
 
 
-def _validate_views(cfg):
-    scene_config(cfg, 0).validate()
-    network_config(cfg).validate()
-    train_config(cfg, 0).validate()
-
-
 _GAP_BUDGETS = [
     (f"pfm.gap{gap}.{key}={value}", f"pfm.gap{gap}.{key}")
     for gap in (3, 4, 5)
@@ -250,4 +251,4 @@ _GAP_BUDGETS = [
 def test_config_errors_name_the_key(override, key):
     cfg = apply_overrides(load_config(packaged_config_path("desk")), [override])
     with pytest.raises(ValueError, match=rf"^{key}\b"):
-        _validate_views(cfg)
+        _views(cfg)

@@ -60,26 +60,23 @@ def test_scene_values_in_range_and_labels_valid():
 
 def test_scene_config_rejects_no_objects_with_a_foreground_target():
     # no object can cover a positive foreground floor
-    cfg = SceneConfig(canvas=32, objects_min=0, objects_max=0, fg_ratio=0.03)
     with pytest.raises(ValueError, match=r"^fg_ratio\b"):
-        cfg.validate()
-    with pytest.raises(ValueError, match=r"^fg_ratio\b"):
-        synth_scene(cfg, 0)
+        SceneConfig(canvas=32, objects_min=0, objects_max=0, fg_ratio=0.03)
 
 
 def test_object_cap_scales_with_canvas_area():
     assert SceneConfig(canvas=128).object_cap() == 60  # desk scenes keep their cap
     assert SceneConfig(canvas=512).object_cap() == 960
     assert SceneConfig(canvas=130).object_cap() == 62  # rounded up
-    assert SceneConfig(canvas=128, objects_max=0).object_cap() == 0
+    assert SceneConfig(canvas=128, objects_min=0, objects_max=0, fg_ratio=0).object_cap() == 0
     with pytest.raises(ValueError, match=r"^objects_min must be in \[0, objects_max cap = 4\]"):
-        SceneConfig(canvas=32).validate()  # 6 objects cannot fit a cap of 4
+        SceneConfig(canvas=32)  # 6 objects cannot fit a cap of 4
 
 
 def test_every_painted_object_covers_a_pixel():
     # an object's centre cell lies within half a cell of its centre on each
     # axis, so an ellipse holds it at every size down to 1 px
-    cfg = SceneConfig(canvas=16, size_min=1, size_max=12)
+    cfg = SceneConfig(canvas=16, objects_min=1, size_min=1, size_max=12)
     kinds = set()
     for seed in range(3000):
         img, mask = np.zeros((3, 16, 16)), np.zeros((16, 16), dtype=np.uint8)
@@ -93,7 +90,7 @@ def test_every_painted_object_covers_a_pixel():
 
 
 def test_default_scene_config_is_valid_and_reaches_its_window_at_512_px():
-    SceneConfig().validate()
+    SceneConfig()
     cfg = SceneConfig(canvas=512, seed=1)
     lo, hi = cfg.ratio_window()
     assert lo <= (synth_scene(cfg, 0).mask > 0).mean() <= hi

@@ -1,9 +1,10 @@
 """Package hygiene: declared entry points resolve, no module in
 ``src/pfnet`` or ``tests`` imports a name it never uses, ``src/pfnet``
 imports only the standard library, numpy and itself, every parameter of a
-``src/pfnet`` function is read, and every public function or class of
-``src/pfnet`` has a caller in the package or the benchmark (no linter is
-installed, so the checks walk the syntax tree)."""
+``src/pfnet`` function is read, every typed config of ``src/pfnet`` checks
+itself when built, and every public function or class of ``src/pfnet`` has
+a caller in the package or the benchmark (no linter is installed, so the
+checks walk the syntax tree)."""
 
 import ast
 import importlib
@@ -103,6 +104,32 @@ def unread_parameters(source):
 @pytest.mark.parametrize("path", SRC_MODULES, ids=lambda p: p.name)
 def test_every_parameter_is_read(path):
     assert unread_parameters(path.read_text()) == []
+
+
+def unchecked_configs(source):
+    """(line, name) of each ``*Config`` class that is not a
+    ``@dataclass(frozen=True)`` with a ``__post_init__``, and of each
+    ``.validate()`` call: a config that exists has been checked."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name.endswith("Config"):
+            frozen = any(
+                isinstance(d, ast.Call)
+                and getattr(d.func, "id", None) == "dataclass"
+                and any(k.arg == "frozen" and getattr(k.value, "value", None) is True for k in d.keywords)
+                for d in node.decorator_list
+            )
+            checked = any(isinstance(n, ast.FunctionDef) and n.name == "__post_init__" for n in node.body)
+            if not (frozen and checked):
+                found.append((node.lineno, node.name))
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "validate":
+            found.append((node.lineno, "validate()"))
+    return found
+
+
+@pytest.mark.parametrize("path", SRC_MODULES, ids=lambda p: p.name)
+def test_configs_check_themselves_when_built(path):
+    assert unchecked_configs(path.read_text()) == []
 
 
 def test_every_public_name_has_a_caller():

@@ -62,7 +62,7 @@ def tiny_crops(count, seed, size=32, classes=3):
 
 
 def test_edge_targets_constant_mask_all_zero():
-    targets = edge_targets_from_mask(np.zeros((64, 64), dtype=np.uint8))
+    targets = edge_targets_from_mask(np.zeros((64, 64), dtype=np.uint8), 1)
     for s, t in targets.items():
         assert t.shape == (64 // s, 64 // s)
         assert np.all(t == 0.0)
@@ -70,7 +70,7 @@ def test_edge_targets_constant_mask_all_zero():
 
 def test_edge_targets_cover_each_gap_stride():
     # gap l's boundary map lives on the level-l grid, stride 2^l
-    assert sorted(edge_targets_from_mask(np.zeros((64, 64), dtype=np.uint8))) == [8, 16, 32]
+    assert sorted(edge_targets_from_mask(np.zeros((64, 64), dtype=np.uint8), 1)) == [8, 16, 32]
 
 
 def test_edge_targets_halved_mask_band_width():
@@ -143,7 +143,7 @@ def test_batched_edge_targets_equal_stacked_per_mask_targets(radius):
 
 def test_edge_targets_reject_empty():
     with pytest.raises(ValueError):
-        edge_targets_from_mask(np.zeros((0, 0)))
+        edge_targets_from_mask(np.zeros((0, 0)), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +332,8 @@ def test_ce_gradients(seed):
 
 
 def test_poly_lr_endpoints():
-    assert poly_lr(0.01, 0, 100) == pytest.approx(0.01)
-    assert poly_lr(0.01, 100, 100) == 0.0
+    assert poly_lr(0.01, 0, 100, 0.9) == pytest.approx(0.01)
+    assert poly_lr(0.01, 100, 100, 0.9) == 0.0
 
 
 def test_poly_lr_matches_formula():
@@ -403,7 +403,7 @@ def test_sgd_momentum_matches_reference_formula_bitwise(dtype):
 def test_train_step_runs_and_reports():
     cfg = tiny_cfg()
     params = init_params(cfg, 0)
-    opt = SgdMomentum()
+    opt = SgdMomentum(0.9, 1e-4)
     batch = tiny_crops(2, 1)
     new_params, stats = train_step(params, opt, batch, cfg, TrainConfig(batch_size=2), 0, 10)
     assert set(stats) == {"lr", "ce", "bce_total", "total"}
@@ -424,7 +424,7 @@ def test_train_step_builds_edge_targets_once_per_mask(monkeypatch):
     monkeypatch.setattr(learn, "edge_map", counting_edge_map)
     cfg = tiny_cfg()
     assert len(cfg.pfm_gaps) == 3
-    train_step(init_params(cfg, 0), SgdMomentum(), tiny_crops(3, 6), cfg, TrainConfig(batch_size=3), 0, 10)
+    train_step(init_params(cfg, 0), SgdMomentum(0.9, 1e-4), tiny_crops(3, 6), cfg, TrainConfig(batch_size=3), 0, 10)
     assert calls == [(3, 32, 32)]  # one call on the whole batch, not one per item or gap
 
 
@@ -444,7 +444,7 @@ def test_train_step_tape_does_not_keep_the_stacked_input(monkeypatch):
     monkeypatch.setattr(learn, "pfnet_forward", recording_forward)
     monkeypatch.setattr(learn, "reverse_accumulate", checking_backward)
     cfg = tiny_cfg()
-    train_step(init_params(cfg, 0), SgdMomentum(), tiny_crops(3, 7), cfg, TrainConfig(batch_size=3), 0, 10)
+    train_step(init_params(cfg, 0), SgdMomentum(0.9, 1e-4), tiny_crops(3, 7), cfg, TrainConfig(batch_size=3), 0, 10)
     assert checked == [True]
 
 
@@ -496,7 +496,7 @@ def test_non_finite_loss_aborts_with_iteration():
         np.full(params["head.classifier.weight"].shape, 1e38, dtype=np.float32),
         requires_grad=True,
     )
-    opt = SgdMomentum()
+    opt = SgdMomentum(0.9, 1e-4)
     with pytest.raises(TrainingAborted) as err:
         train_step(params, opt, tiny_crops(2, 5), cfg, TrainConfig(batch_size=2), 3, 10)
     assert err.value.iteration == 3
@@ -506,9 +506,8 @@ def test_non_finite_loss_aborts_with_iteration():
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
 def test_train_config_rejects_non_finite_values(field, value):
     # a config built in code skips the parser's finiteness check
-    tc = TrainConfig(epochs=1, batch_size=2, **{field: value})
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
-        tc.validate()
+        TrainConfig(epochs=1, batch_size=2, **{field: value})
 
 
 @pytest.mark.parametrize(
@@ -516,12 +515,12 @@ def test_train_config_rejects_non_finite_values(field, value):
     [("bce_weight", -0.1), ("weight_decay", -1e-4), ("checkpoint_every", -1), ("momentum", -0.1), ("momentum", 1.0)],
 )
 def test_train_config_rejects_out_of_range_values(field, value):
-    TrainConfig(**{field: 0}).validate()
+    TrainConfig(**{field: 0})
     with pytest.raises(ValueError, match=f"^{field} "):
-        TrainConfig(**{field: value}).validate()
+        TrainConfig(**{field: value})
 
 
 def test_train_config_rejects_negative_edge_radius():
-    TrainConfig(edge_radius=0).validate()
+    TrainConfig(edge_radius=0)
     with pytest.raises(ValueError, match="^edge_radius "):
-        TrainConfig(edge_radius=-1).validate()
+        TrainConfig(edge_radius=-1)

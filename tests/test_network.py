@@ -40,32 +40,30 @@ def tiny_cfg(**kw):
 
 def test_config_rejects_indivisible_input():
     with pytest.raises(ValueError):
-        NetworkConfig(crop_size=48).validate()
+        NetworkConfig(crop_size=48)
 
 
 @pytest.mark.parametrize("side", [0, -32])
 def test_config_rejects_input_size_below_32(side):
     cfg = config.load_config(config.packaged_config_path("desk"))
-    net_cfg = config.network_config(config.apply_overrides(cfg, [f"data.crop_size={side}"]))
     with pytest.raises(ValueError, match="^crop_size "):
-        net_cfg.validate()
+        config.network_config(config.apply_overrides(cfg, [f"data.crop_size={side}"]))
 
 
 @pytest.mark.parametrize("kh,kw", [(-2, -2), (0, 3), (3, -1)])
 def test_config_rejects_salient_kernel_sides_below_one(kh, kw):
     cfg = config.load_config(config.packaged_config_path("desk"))
     overrides = [f"pfm.gap3.salient_kh={kh}", f"pfm.gap3.salient_kw={kw}"]
-    net_cfg = config.network_config(config.apply_overrides(cfg, overrides))
     with pytest.raises(ValueError, match=f"^pfm.gap3.salient_k{'h' if kh < 1 else 'w'} "):
-        net_cfg.validate()
-    net_cfg.pfm_gaps = (4, 5)  # only enabled gaps are checked
-    net_cfg.validate()
+        config.network_config(config.apply_overrides(cfg, overrides))
+    # only enabled gaps are checked
+    config.network_config(config.apply_overrides(cfg, overrides + ["network.pfm_gaps=4,5"]))
 
 
 @pytest.mark.parametrize("num_classes", [1, 0, -1])
 def test_config_rejects_fewer_than_two_classes(num_classes):
     with pytest.raises(ValueError, match="^num_classes "):
-        tiny_cfg(num_classes=num_classes).validate()
+        tiny_cfg(num_classes=num_classes)
 
 
 @pytest.mark.parametrize(
@@ -80,7 +78,7 @@ def test_config_rejects_fewer_than_two_classes(num_classes):
 )
 def test_config_rejects_widths_and_bins_below_one(field, value):
     with pytest.raises(ValueError, match=f"^{field} "):
-        init_params(tiny_cfg(**{field: value}), 0)
+        tiny_cfg(**{field: value})
 
 
 @pytest.mark.parametrize(
@@ -91,19 +89,14 @@ def test_config_rejects_widths_and_bins_below_one(field, value):
     ],
 )
 def test_config_rejects_repeated_gaps_and_bins(field, value):
-    cfg = tiny_cfg(crop_size=64, **{field: value})
     with pytest.raises(ValueError, match=f"^{field} entries must be distinct"):
-        init_params(cfg, 0)
+        tiny_cfg(crop_size=64, **{field: value})
 
 
 def test_config_rejects_an_enabled_gap_without_its_config():
-    cfg = NetworkConfig(pfm={3: PfmConfig()})
     with pytest.raises(ValueError, match="^pfm_gaps entry 4 has no pfm config"):
-        cfg.validate()
-    with pytest.raises(ValueError, match="^pfm_gaps "):
-        init_params(cfg, 0)
-    cfg.pfm_gaps = (3,)
-    cfg.validate()
+        NetworkConfig(pfm={3: PfmConfig()})
+    NetworkConfig(pfm={3: PfmConfig()}, pfm_gaps=(3,))
 
 
 def test_backbone_stride_law():

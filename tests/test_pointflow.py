@@ -148,13 +148,13 @@ def test_salient_match_kernel_too_large():
 def test_pfm_config_rejects_salient_kernel_sides_below_one(kernel):
     kh, kw = kernel
     with pytest.raises(ValueError, match=f"^salient_k{'h' if kh < 1 else 'w'} must be >= 1"):
-        PfmConfig(salient_kh=kh, salient_kw=kw).validate()
+        PfmConfig(salient_kh=kh, salient_kw=kw)
 
 
 def test_pfm_config_rejects_negative_sampling_seed():
-    PfmConfig(salient_sampling="uniform_random", sampling_seed=0).validate()
+    PfmConfig(salient_sampling="uniform_random", sampling_seed=0)
     with pytest.raises(ValueError, match="^sampling_seed "):
-        PfmConfig(salient_sampling="uniform_random", sampling_seed=-1).validate()
+        PfmConfig(salient_sampling="uniform_random", sampling_seed=-1)
 
 
 @pytest.mark.parametrize("sampling", ["uniform_random", "attention_topk"])
@@ -364,8 +364,9 @@ def test_pfm_full_grid_matches_dense_oracle():
 
 def test_pfm_zero_params_still_finite():
     coarse, fine = levels(32)
-    out = pfm_forward(coarse, fine, small_cfg(), *make_params(3, 0, zero=True))
-    assert np.allclose(out.saliency.data, 0.5)
+    s_conv, b_conv = make_params(3, 0, zero=True)
+    out = pfm_forward(coarse, fine, small_cfg(), s_conv, b_conv)
+    assert np.allclose(resized_saliency(coarse, fine, s_conv).data, 0.5)
     assert out.refined.shape == fine.shape
     assert np.isfinite(out.refined.data).all()
 
