@@ -11,7 +11,9 @@ typed config its view builds: ``[data]`` is ``SceneConfig`` plus
 ``[train]`` is ``TrainConfig``, ``[pfm]`` the ``PfmConfig`` modes every gap
 shares and ``[pfm.gapN]`` gap N's ``BUDGET_KEYS``.  The typed configs are
 frozen and check themselves when built, so every view returns a checked
-config or raises a ``ValueError`` that starts with the key it rejects.
+config or raises a ``ValueError`` that starts with the key it rejects;
+every ``[pfm.gapN]`` section is checked, whether ``network.pfm_gaps``
+enables gap N or not.
 Only the four keys no typed config reads are spelled out: ``data.count``
 and ``data.val_fraction`` wait for a run driver; pfbench reads
 ``data.crop_stride`` and ``eval.boundary_thresholds`` when it crops and
@@ -191,17 +193,17 @@ def scene_config(cfg, seed):
 
 
 def network_config(cfg):
-    """``NetworkConfig`` with a ``PfmConfig`` for each enabled gap; a gap's
-    error names the section of the key it rejects."""
-    pfm = {}
-    for gap in (g for g in PYRAMID_GAPS if g in cfg["network"]["pfm_gaps"]):
+    """``NetworkConfig`` with a checked ``PfmConfig`` for every gap, enabled
+    or not; a gap's error names the section of the key it rejects."""
+    pfm = []
+    for gap in PYRAMID_GAPS:
         try:
-            pfm[gap] = PfmConfig(**cfg["pfm"], **cfg[f"pfm.gap{gap}"])
+            pfm.append(PfmConfig(**cfg["pfm"], **cfg[f"pfm.gap{gap}"]))
         except ValueError as e:  # it starts with the PfmConfig field it rejects
             section = f"pfm.gap{gap}" if str(e).split(" ", 1)[0] in BUDGET_KEYS else "pfm"
             raise ValueError(f"{section}.{e}") from None
     d = cfg["data"]
-    return NetworkConfig(crop_size=d["crop_size"], num_classes=d["num_classes"], pfm=pfm, **cfg["network"])
+    return NetworkConfig(crop_size=d["crop_size"], num_classes=d["num_classes"], pfm=tuple(pfm), **cfg["network"])
 
 
 def train_config(cfg, seed):

@@ -11,6 +11,7 @@ parameters with a (name, shape, offset) manifest.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -350,10 +351,10 @@ def read_checkpoint(path):
         if offset != size:
             raise ValueError(f"offset {offset} of {name} should be {size} in {path} at byte {pos - 8}")
         manifest[name] = (_CODE_DTYPES[code], dims)
-        size += int(np.prod(dims)) * _CODE_DTYPES[code].itemsize
+        size += math.prod(dims) * _CODE_DTYPES[code].itemsize
     arrays = {}
     for name, (dtype, dims) in manifest.items():
-        payload, pos = _take(raw, pos, int(np.prod(dims)) * dtype.itemsize, f"payload for {name} in {path}")
+        payload, pos = _take(raw, pos, math.prod(dims) * dtype.itemsize, f"payload for {name} in {path}")
         arrays[name] = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
     if pos < len(raw):
         raise ValueError(f"{len(raw) - pos} bytes after the last payload in {path} at byte {pos}")

@@ -23,7 +23,7 @@ Neither the resized maps nor the concat are formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,7 +40,8 @@ PYRAMID_GAPS = (3, 4, 5)
 @dataclass(frozen=True)
 class NetworkConfig:
     """``crop_size`` (the square input side), ``num_classes`` and the
-    ``[network]`` keys at ``default.cfg``'s values; ``pfm`` maps gap -> PfmConfig."""
+    ``[network]`` keys at ``default.cfg``'s values; ``pfm`` is a tuple of one
+    PfmConfig per gap, in ``PYRAMID_GAPS`` order, enabled or not."""
 
     crop_size: int = 896
     num_classes: int = 6
@@ -49,7 +50,7 @@ class NetworkConfig:
     ppm_bins: tuple = (1, 2, 3, 6)
     use_ppm: bool = True
     pfm_gaps: tuple = PYRAMID_GAPS
-    pfm: dict = field(default_factory=lambda: {gap: PfmConfig() for gap in PYRAMID_GAPS})
+    pfm: tuple = (PfmConfig(),) * len(PYRAMID_GAPS)
 
     def __post_init__(self):
         if self.crop_size < 32 or self.crop_size % 32:
@@ -69,15 +70,15 @@ class NetworkConfig:
         for gap in self.pfm_gaps:
             if gap not in PYRAMID_GAPS:
                 raise ValueError(f"pfm_gaps entries must be in {PYRAMID_GAPS}, got {self.pfm_gaps}")
-            if gap not in self.pfm:
-                raise ValueError(f"pfm_gaps entry {gap} has no pfm config, which has gaps {sorted(self.pfm)}")
+        if not isinstance(self.pfm, tuple) or len(self.pfm) != len(PYRAMID_GAPS):
+            raise ValueError(f"pfm must be a tuple of one PfmConfig per gap in {PYRAMID_GAPS}, got {self.pfm!r}")
 
     def level_size(self, level):
         return (self.crop_size // 2**level,) * 2
 
     def effective_pfm(self, gap):
         """Gap config with the point budget clamped to the gap's grid."""
-        base = self.pfm[gap]
+        base = self.pfm[PYRAMID_GAPS.index(gap)]
         h, w = self.level_size(gap)
         return replace(
             base,
@@ -102,8 +103,8 @@ def _level_channels(cfg):
     return {l: cfg.backbone_channels[l - 2] for l in (2, 3, 4, 5)}
 
 
-def init_params(cfg, seed, dtype=np.float32):
-    """Deterministic parameter creation from a seeded uniform scheme.
+def init_params(cfg, seed):
+    """Deterministic float32 parameter creation from a seeded uniform scheme.
 
     Conv weights are uniform with bound sqrt(6 / fan_in); norm affine terms
     start at identity.  The boundary-prediction bias starts at -2 so the
@@ -116,15 +117,15 @@ def init_params(cfg, seed, dtype=np.float32):
     def conv(name, cout, cin, k, bias_fill=0.0):
         bound = np.sqrt(6.0 / (cin * k * k))
         params[f"{name}.weight"] = Tensor(
-            rng.uniform(-bound, bound, (cout, cin, k, k)).astype(dtype), requires_grad=True
+            rng.uniform(-bound, bound, (cout, cin, k, k)).astype(np.float32), requires_grad=True
         )
         params[f"{name}.bias"] = Tensor(
-            np.full(cout, bias_fill, dtype=dtype), requires_grad=True
+            np.full(cout, bias_fill, dtype=np.float32), requires_grad=True
         )
 
     def norm(name, c):
-        params[f"{name}.gamma"] = Tensor(np.ones(c, dtype=dtype), requires_grad=True)
-        params[f"{name}.beta"] = Tensor(np.zeros(c, dtype=dtype), requires_grad=True)
+        params[f"{name}.gamma"] = Tensor(np.ones(c, dtype=np.float32), requires_grad=True)
+        params[f"{name}.beta"] = Tensor(np.zeros(c, dtype=np.float32), requires_grad=True)
 
     bc = cfg.backbone_channels
     c = cfg.fpn_channels
@@ -170,9 +171,6 @@ def _stage(x, params, name, stride):
 
 def backbone_forward(image, params):
     """Bottom-up encoder: stem /2, then four stages to strides 4/8/16/32."""
-    h, w = image.shape[2:]
-    if h % 32 or w % 32:
-        raise ValueError(f"input size must be divisible by 32, got {h}x{w}")
     x = conv2d(image, params.conv("backbone.stem.conv", stride=2, padding=1))
     x = tt.relu(channel_norm(x, params["backbone.stem.norm.gamma"], params["backbone.stem.norm.beta"]))
     feats = []
@@ -190,9 +188,6 @@ def _lateral(x, params, level):
 def ppm_forward(c5, params, bins):
     """Pooled multi-bin context head at the deepest level's resolution."""
     h, w = c5.shape[2:]
-    for b in bins:
-        if b > min(h, w):
-            raise ValueError(f"pool bin {b} too large for {h}x{w}")
     branches = [c5]
     for b in bins:
         pooled = adaptive_avg_pool(c5, (b, b))

@@ -120,11 +120,7 @@ def salient_match(coarse, saliency, cfg):
     comes from the max-pooled attention path.
     """
     n, _, h, w = coarse.shape
-    if saliency.shape != (n, 1, h, w):
-        raise ValueError(f"saliency must be [N, 1, {h}, {w}], got {saliency.shape}")
     kh, kw = cfg.salient_kh, cfg.salient_kw
-    if kh > h or kw > w:
-        raise ValueError(f"salient kernel {kh}x{kw} exceeds saliency grid {h}x{w}")
 
     pooled, pool_idx = adaptive_max_pool(saliency, (kh, kw))
     attention = bilinear_resize(pooled, (h, w))
@@ -152,8 +148,6 @@ def boundary_branch(coarse, saliency, params, cfg):
     if params.weight.shape != (1, c, 1, 1):
         raise ValueError(f"boundary conv weight must be [1, {c}, 1, 1]")
     k = int(cfg.boundary_k)
-    if k > h * w:
-        raise ValueError(f"boundary_k={k} exceeds {h * w} grid cells")
 
     if cfg.edge_mode == "direct":
         sharpened = coarse
@@ -183,8 +177,6 @@ def point_propagate(src, dst, cells):
     if src.shape[2:] != (h, w):
         raise ValueError(f"source map {src.shape[2:]} is not on the {h}x{w} grid")
     k = cells.shape[1]
-    if k < 1:
-        raise ValueError("empty point list")
     if k > _MAX_POINTS:
         raise ValueError(f"{k} points on the {h}x{w} grid exceed the {_MAX_POINTS} one item may flow")
     queries = point_sample_batched(dst, cells)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from pfnet.network import ParameterSet
 from pfnet.tensor import Tape, Tensor, _accumulate, _maybe_record, reverse_accumulate
 
 DEFAULT_STEP = 1e-5
@@ -28,6 +29,11 @@ def sum_all(x):
         _accumulate(x_slot, np.full(shape, g, dtype=dtype))
 
     return _maybe_record(out, (x,), backward)
+
+
+def float64_params(params):
+    """A copy of ``params`` whose leaves are float64, for finite differences."""
+    return ParameterSet({name: Tensor(t.data.astype(np.float64), requires_grad=True) for name, t in params.items()})
 
 
 def central_difference(build_loss, leaf, index, h=DEFAULT_STEP):

@@ -19,7 +19,7 @@ from pfnet.config import (
 )
 from pfnet.data import SceneConfig
 from pfnet.learn import TrainConfig
-from pfnet.network import NetworkConfig
+from pfnet.network import PYRAMID_GAPS, NetworkConfig
 from pfnet.pointflow import DIRECTIONS, EDGE_MODES, SALIENT_SAMPLING, PfmConfig
 
 
@@ -134,10 +134,10 @@ _GAP_MODES = [(f"pfm.gap{gap}", key) for gap in (3, 4, 5) for key in SCHEMA["pfm
 def test_every_config_key_has_a_reader(section, key):
     cfg = default_config()
     if key not in SCHEMA[section]:
-        gap = int(section.removeprefix("pfm.gap"))
-        base = network_config(cfg).pfm[gap]
+        i = PYRAMID_GAPS.index(int(section.removeprefix("pfm.gap")))
+        base = network_config(cfg).pfm[i]
         cfg["pfm"][key] = _other_value(key, cfg["pfm"][key])
-        assert getattr(network_config(cfg).pfm[gap], key) == cfg["pfm"][key] != getattr(base, key)
+        assert getattr(network_config(cfg).pfm[i], key) == cfg["pfm"][key] != getattr(base, key)
         return
     base = _views(cfg)
     cfg[section][key] = _other_value(key, cfg[section][key])

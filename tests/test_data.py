@@ -355,6 +355,20 @@ def test_checkpoint_trailing_bytes_rejected(tmp_path):
         read_checkpoint(path)
 
 
+def test_checkpoint_dims_past_int64_read_as_truncated(tmp_path):
+    path = tmp_path / "c.ckpt"
+    write_checkpoint(path, {"a": np.zeros((2, 2), dtype=np.float32)})
+    raw = bytearray(path.read_bytes())
+    # magic, config length, count, then entry a's name length, name, code
+    # and ndim; its 2^64 - 2^33 + 1 elements wrap past int64
+    at = 4 + 4 + 4 + 2 + 1 + 2
+    assert raw[at : at + 8] == (2).to_bytes(4, "little") * 2
+    raw[at : at + 8] = (2**32 - 1).to_bytes(4, "little") * 2
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=re.escape(f"truncated payload for a in {path} at byte 33")):
+        read_checkpoint(path)
+
+
 @pytest.mark.parametrize(
     "offsets,entry,message",
     [

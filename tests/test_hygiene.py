@@ -2,9 +2,9 @@
 ``src/pfnet`` or ``tests`` imports a name it never uses, ``src/pfnet``
 imports only the standard library, numpy and itself, every parameter of a
 ``src/pfnet`` function is read, every typed config of ``src/pfnet`` checks
-itself when built, and every public function or class of ``src/pfnet`` has
-a caller in the package or the benchmark (no linter is installed, so the
-checks walk the syntax tree)."""
+itself when built and holds no mutable container, and every public function
+or class of ``src/pfnet`` has a caller in the package or the benchmark (no
+linter is installed, so the checks walk the syntax tree)."""
 
 import ast
 import importlib
@@ -130,6 +130,30 @@ def unchecked_configs(source):
 @pytest.mark.parametrize("path", SRC_MODULES, ids=lambda p: p.name)
 def test_configs_check_themselves_when_built(path):
     assert unchecked_configs(path.read_text()) == []
+
+
+def mutable_config_fields(source):
+    """(line, field) of each ``*Config`` field annotated ``dict``, ``list``
+    or ``set``, or built with ``field(default_factory=...)``: a frozen
+    config's fields cannot be reassigned, but such a container can still
+    change after the config checked it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.ClassDef) and node.name.endswith("Config")):
+            continue
+        for stmt in node.body:
+            if not isinstance(stmt, ast.AnnAssign):
+                continue
+            ann = stmt.annotation.value if isinstance(stmt.annotation, ast.Subscript) else stmt.annotation
+            factory = isinstance(stmt.value, ast.Call) and any(k.arg == "default_factory" for k in stmt.value.keywords)
+            if getattr(ann, "id", None) in ("dict", "list", "set") or factory:
+                found.append((stmt.lineno, stmt.target.id))
+    return found
+
+
+@pytest.mark.parametrize("path", SRC_MODULES, ids=lambda p: p.name)
+def test_configs_hold_no_mutable_container(path):
+    assert mutable_config_fields(path.read_text()) == []
 
 
 def test_every_public_name_has_a_caller():

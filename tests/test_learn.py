@@ -38,7 +38,7 @@ def tiny_cfg(**kw):
         fpn_channels=8,
         backbone_channels=(4, 6, 8, 12),
         ppm_bins=(1,),
-        pfm={gap: PfmConfig(salient_kh=2, salient_kw=2, boundary_k=2) for gap in (3, 4, 5)},
+        pfm=(PfmConfig(salient_kh=2, salient_kw=2, boundary_k=2),) * 3,
     )
     base.update(kw)
     return NetworkConfig(**base)
@@ -463,7 +463,7 @@ def test_loss_decreases_over_first_iterations():
 
 def test_boundary_supervision_off_zeroes_only_boundary_grads():
     cfg = tiny_cfg()
-    params = init_params(cfg, 2, dtype=np.float64)
+    params = init_params(cfg, 2)
     opt = SgdMomentum(momentum=0.0, weight_decay=0.0)
     batch = tiny_crops(2, 3)
     tc = TrainConfig(batch_size=2, bce_weight=0.0)

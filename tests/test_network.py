@@ -17,7 +17,7 @@ from pfnet.pointflow import PfmConfig
 from pfnet.tensor import Tape, Tensor, add, concat_channels, relu, reverse_accumulate
 from pfnet.learn import bce_loss, ce_loss
 
-from gradcheck import DEFAULT_TOL, check_gradients
+from gradcheck import DEFAULT_TOL, check_gradients, float64_params
 from test_ops import closure_objects, held_arrays
 
 
@@ -32,7 +32,7 @@ def tiny_cfg(**kw):
         fpn_channels=8,
         backbone_channels=(4, 6, 8, 12),
         ppm_bins=(1, 2),
-        pfm={gap: PfmConfig(salient_kh=2, salient_kw=2, boundary_k=2) for gap in (3, 4, 5)},
+        pfm=(PfmConfig(salient_kh=2, salient_kw=2, boundary_k=2),) * 3,
     )
     base.update(kw)
     return NetworkConfig(**base)
@@ -56,8 +56,19 @@ def test_config_rejects_salient_kernel_sides_below_one(kh, kw):
     overrides = [f"pfm.gap3.salient_kh={kh}", f"pfm.gap3.salient_kw={kw}"]
     with pytest.raises(ValueError, match=f"^pfm.gap3.salient_k{'h' if kh < 1 else 'w'} "):
         config.network_config(config.apply_overrides(cfg, overrides))
-    # only enabled gaps are checked
-    config.network_config(config.apply_overrides(cfg, overrides + ["network.pfm_gaps=4,5"]))
+    # a disabled gap is checked too
+    with pytest.raises(ValueError, match=f"^pfm.gap3.salient_k{'h' if kh < 1 else 'w'} "):
+        config.network_config(config.apply_overrides(cfg, overrides + ["network.pfm_gaps=4,5"]))
+
+
+@pytest.mark.parametrize(
+    "override,key",
+    [("pfm.direction=foo", "pfm.direction"), ("pfm.gap3.boundary_k=-5", "pfm.gap3.boundary_k")],
+)
+def test_config_checks_the_pfm_keys_of_disabled_gaps(override, key):
+    cfg = config.load_config(config.packaged_config_path("desk"))
+    with pytest.raises(ValueError, match=f"^{key} "):
+        config.network_config(config.apply_overrides(cfg, ["network.pfm_gaps=", override]))
 
 
 @pytest.mark.parametrize("num_classes", [1, 0, -1])
@@ -94,14 +105,17 @@ def test_config_rejects_repeated_gaps_and_bins(field, value):
 
 
 def test_config_rejects_an_enabled_gap_without_its_config():
-    with pytest.raises(ValueError, match="^pfm_gaps entry 4 has no pfm config"):
-        NetworkConfig(pfm={3: PfmConfig()})
-    NetworkConfig(pfm={3: PfmConfig()}, pfm_gaps=(3,))
+    # every gap, enabled or not, has its config at its place in PYRAMID_GAPS
+    for pfm in [(PfmConfig(),) * 2, {3: PfmConfig()}, {gap: PfmConfig() for gap in (3, 4, 5)}]:
+        for gaps in [(3, 4, 5), (3,)]:
+            with pytest.raises(ValueError, match=r"^pfm must be a tuple of one PfmConfig per gap in \(3, 4, 5\)"):
+                NetworkConfig(pfm=pfm, pfm_gaps=gaps)
+    NetworkConfig(pfm=(PfmConfig(),) * 3, pfm_gaps=(3,))
 
 
 def test_backbone_stride_law():
     cfg = NetworkConfig()
-    params = init_params(cfg, 0, dtype=np.float64)
+    params = init_params(cfg, 0)
     image = Tensor(rand((1, 3, 64, 64), 1))
     c2, c3, c4, c5 = backbone_forward(image, params)
     assert c2.shape[2:] == (16, 16)
@@ -112,7 +126,7 @@ def test_backbone_stride_law():
 
 def test_backbone_zero_image_zero_bias_gives_zero_features():
     cfg = tiny_cfg()
-    params = init_params(cfg, 0, dtype=np.float64)
+    params = init_params(cfg, 0)
     image = Tensor(np.zeros((2, 3, 32, 32)))
     feats = backbone_forward(image, params)
     for f in feats:
@@ -122,7 +136,7 @@ def test_backbone_zero_image_zero_bias_gives_zero_features():
 def test_backbone_deterministic_across_runs():
     def run():
         cfg = tiny_cfg()
-        params = init_params(cfg, 3, dtype=np.float64)
+        params = init_params(cfg, 3)
         image = Tensor(rand((2, 3, 32, 32), 4))
         return backbone_forward(image, params)[3].data.tobytes()
 
@@ -156,7 +170,7 @@ def test_init_params_norm_and_boundary_bias():
 
 def test_ppm_constant_input_well_formed():
     cfg = tiny_cfg()
-    params = init_params(cfg, 5, dtype=np.float64)
+    params = init_params(cfg, 5)
     c5 = Tensor(np.full((2, 12, 4, 4), 0.7))
     out = ppm_forward(c5, params, (1,))
     assert out.shape == (2, 8, 4, 4)
@@ -167,15 +181,15 @@ def test_ppm_output_resolution_matches_input():
     c5 = Tensor(rand((1, 12, 4, 4), 7))
     for bins in [(1,), (1, 2), (1, 2, 4)]:
         cfg2 = tiny_cfg(crop_size=128, ppm_bins=bins)  # deepest map 4x4
-        params2 = init_params(cfg2, 6, dtype=np.float64)
+        params2 = init_params(cfg2, 6)
         out = ppm_forward(c5, params2, bins)
         assert out.shape[2:] == (4, 4)
 
 
 def test_ppm_bin_too_large():
-    cfg = tiny_cfg()
-    params = init_params(cfg, 8, dtype=np.float64)
-    with pytest.raises(ValueError):
+    cfg = tiny_cfg(crop_size=96, ppm_bins=(1, 2, 3))  # deepest map 3x3 fits bin 3
+    params = init_params(cfg, 8)
+    with pytest.raises(ValueError, match="^pool output 3x3 exceeds input 2x2"):
         ppm_forward(Tensor(rand((1, 12, 2, 2), 9)), params, (1, 2, 3))
 
 
@@ -195,13 +209,13 @@ def test_effective_pfm_clamps_budget():
     assert (eff3.salient_kh, eff3.salient_kw) == (8, 8)
     assert eff3.boundary_k == 64
     # configured values are untouched
-    assert (cfg.pfm[5].salient_kh, cfg.pfm[5].salient_kw) == (14, 14)
-    assert cfg.pfm[5].boundary_k == 128
+    assert (cfg.pfm[2].salient_kh, cfg.pfm[2].salient_kw) == (14, 14)  # gap 5
+    assert cfg.pfm[2].boundary_k == 128
 
 
 def test_plain_fpn_baseline_shapes():
     cfg = tiny_cfg(pfm_gaps=(), use_ppm=False)
-    params = init_params(cfg, 10, dtype=np.float64)
+    params = init_params(cfg, 10)
     image = Tensor(rand((2, 3, 32, 32), 11))
     out = pfnet_forward(image, params, cfg)
     assert out.logits.shape == (2, 4, 8, 8)  # quarter resolution
@@ -213,7 +227,7 @@ def test_forward_rejects_an_input_side_other_than_crop_size(monkeypatch, side):
     # the point budgets are clamped to the crop_size grids, so any other
     # input side is rejected before the backbone runs
     cfg = tiny_cfg(crop_size=64)
-    params = init_params(cfg, 16, dtype=np.float64)
+    params = init_params(cfg, 16)
     monkeypatch.setattr(network, "backbone_forward", lambda *args: pytest.fail("the backbone ran"))
     with pytest.raises(ValueError, match=f"^input size {side}x{side} is not crop_size 64$"):
         pfnet_forward(Tensor(rand((1, 3, side, side), 17)), params, cfg)
@@ -221,7 +235,7 @@ def test_forward_rejects_an_input_side_other_than_crop_size(monkeypatch, side):
 
 def test_all_gaps_give_three_boundary_maps_at_right_strides():
     cfg = tiny_cfg()
-    params = init_params(cfg, 12, dtype=np.float64)
+    params = init_params(cfg, 12)
     image = Tensor(rand((2, 3, 32, 32), 13))
     out = pfnet_forward(image, params, cfg)
     assert sorted(out.pfm_outputs) == [3, 4, 5]
@@ -234,8 +248,8 @@ def test_disabled_pfms_match_plain_path_exactly():
     cfg_a = tiny_cfg(pfm_gaps=(), use_ppm=False)
     cfg_b = tiny_cfg(pfm_gaps=(), use_ppm=False)
     image_data = rand((2, 3, 32, 32), 14)
-    pa = init_params(cfg_a, 15, dtype=np.float64)
-    pb = init_params(cfg_b, 15, dtype=np.float64)
+    pa = init_params(cfg_a, 15)
+    pb = init_params(cfg_b, 15)
     out_a = pfnet_forward(Tensor(image_data), pa, cfg_a)
     out_b = pfnet_forward(Tensor(image_data.copy()), pb, cfg_b)
     assert out_a.logits.data.tobytes() == out_b.logits.data.tobytes()
@@ -252,7 +266,7 @@ def test_forward_finite_across_seeds():
 
 def test_every_parameter_receives_gradient():
     cfg = tiny_cfg()
-    params = init_params(cfg, 16, dtype=np.float64)
+    params = init_params(cfg, 16)
     image = Tensor(rand((2, 3, 32, 32), 17))
     mask = np.random.Generator(np.random.PCG64(18)).integers(0, 4, (2, 8, 8))
     with Tape() as tape:
@@ -272,7 +286,7 @@ def test_every_parameter_receives_gradient():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_end_to_end_ce_gradient_matches_finite_differences(seed):
     cfg = tiny_cfg()
-    params = init_params(cfg, seed + 20, dtype=np.float64)
+    params = float64_params(init_params(cfg, seed + 20))
     image_data = rand((2, 3, 32, 32), seed + 21)
     mask = np.random.Generator(np.random.PCG64(seed + 22)).integers(0, 4, (2, 8, 8))
     image = Tensor(image_data)

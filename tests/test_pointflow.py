@@ -140,7 +140,7 @@ def test_salient_match_quadrant_argmax_centers():
 def test_salient_match_kernel_too_large():
     coarse, _ = levels(10)
     m = Tensor(np.full((1, 1, 4, 4), 0.5))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^pool output 5x5 exceeds input 4x4"):
         salient_match(coarse, m, small_cfg(salient_kh=5, salient_kw=5))
 
 
@@ -251,7 +251,7 @@ def test_boundary_topk_matches_exhaustive_sort():
 def test_boundary_k_too_large():
     coarse, _ = levels(18)
     m = Tensor(np.full((1, 1, 4, 4), 0.5))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^k=17 exceeds 16 cells"):
         boundary_branch(coarse, m, boundary_conv(3, seed=19), small_cfg(boundary_k=17))
 
 
@@ -317,7 +317,7 @@ def test_propagate_residual_guarantee_zero_source():
 
 def test_propagate_empty_points_rejected():
     src = Tensor(rand((1, 2, 4, 4), 29))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^need at least one point"):
         point_propagate(src, src, np.zeros((1, 0), dtype=np.int64))
 
 
