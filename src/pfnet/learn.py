@@ -1,8 +1,9 @@
 """Losses, edge-target derivation, SGD with momentum, and the training loop.
 
-Training minimizes cross-entropy on the class mask plus binary
-cross-entropy on each enabled gap's boundary map, the latter scaled by
-``bce_weight`` (1 by default).  The learning rate follows the poly schedule
+Training minimizes cross-entropy over every pixel of the class mask,
+whose labels lie in ``[0, K)``, plus binary cross-entropy on each enabled
+gap's boundary map, the latter scaled by ``bce_weight`` (1 by default).
+The learning rate follows the poly schedule
 ``base_lr * (1 - iter / total_iter) ** power`` with power 0.9.
 
 Edge targets come from 4-connected label changes dilated by a Chebyshev
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import tensor as tt
 from .data import AUGMENT_OPS, augment
-from .metrics import IGNORE_LABEL, label_boundaries
+from .metrics import label_boundaries
 from .network import PYRAMID_GAPS, ParameterSet, init_params, pfnet_forward
 from .ops import _item_spans, bilinear_resize
 from .tensor import Tape, Tensor, _accumulate, _maybe_record, reverse_accumulate
@@ -125,34 +126,25 @@ def bce_loss(pred, target):
 
 
 def ce_loss(logits, mask):
-    """Mean cross-entropy over the pixels of an integer mask that are not
-    ``IGNORE_LABEL``.
+    """Mean cross-entropy over every pixel of an integer mask of class
+    labels in ``[0, K)``.
 
     The log-softmax and its gradient are computed over chunks of batch
     items (``ops._item_spans``), so the exponentials are never held for
     the whole batch at once.  The loss sum stays one sum over the whole
     ``[N, H, W]`` array: numpy sums pairwise, so summing by chunks would
     change its bits.  The tape keeps the mask, which the caller holds
-    unchanged until backward, and backward rebuilds the valid pixels and
-    labels from it.
+    unchanged until backward, and backward reads the labels from it.
     """
     mask = np.asarray(mask)
     n, k, h, w = logits.shape
     if mask.shape != (n, h, w):
         raise ValueError(f"logits {logits.shape} vs mask {mask.shape}")
-
-    def targets():
-        """The valid pixels [N, H, W] and labels [N, 1, H, W], 0 where ignored."""
-        valid = mask != IGNORE_LABEL
-        return valid, np.where(valid, mask, 0)[:, None]  # labels keep the mask's dtype
-
-    valid, labels = targets()
-    if not valid.any():
-        raise ValueError("all pixels ignored")
-    used = mask[valid]
-    if used.min() < 0 or used.max() >= k:
+    if mask.dtype.kind not in "iu":
+        raise ValueError(f"mask dtype {mask.dtype} is not an integer dtype")
+    if mask.min() < 0 or mask.max() >= k:
         raise ValueError("mask label outside class range")
-    count = int(valid.sum())
+    count = mask.size
 
     spans = _item_spans(n, k * h * w)
     logp = np.empty_like(logits.data)
@@ -161,20 +153,18 @@ def ce_loss(logits, mask):
         x, lp = logits.data[n0:n1], logp[n0:n1]
         np.subtract(x, x.max(axis=1, keepdims=True), out=lp)
         lp -= np.log(np.exp(lp).sum(axis=1, keepdims=True))
-        picked[n0:n1] = np.take_along_axis(lp, labels[n0:n1], axis=1)[:, 0]
-    loss = float(-(picked * valid).sum() / count)
+        picked[n0:n1] = np.take_along_axis(lp, mask[n0:n1, None], axis=1)[:, 0]
+    loss = float(-picked.sum() / count)
     out = Tensor(np.asarray(loss, dtype=logits.dtype), _op="ce_loss")
     logits_slot, dtype = logits.slot, logits.dtype
 
     def backward(g):
         # softmax minus the one-hot labels, built in the softmax buffer
-        valid, labels = targets()
         grad = np.empty_like(logp)
         classes = np.arange(k)[:, None, None]
         for n0, n1 in spans:
             np.exp(logp[n0:n1], out=grad[n0:n1])
-            grad[n0:n1] -= labels[n0:n1] == classes
-        grad *= valid[:, None]
+            grad[n0:n1] -= mask[n0:n1, None] == classes
         grad /= count
         grad *= g
         _accumulate(logits_slot, grad.astype(dtype, copy=False))

@@ -3,8 +3,10 @@ contour F1 at pixel tolerances via an exact Euclidean distance transform
 (computed in numpy up to the largest tolerance), and the foreground counts
 of sampled points.
 
-Confusion matrices and boundary match counts are mergeable, so metrics
-computed streaming over crops equal the same metrics on pooled counts.
+Masks hold class labels in ``[0, K)`` only, and every pixel is scored; a
+label outside that range is rejected, not skipped.  Confusion matrices and
+boundary match counts are mergeable, so metrics computed streaming over
+crops equal the same metrics on pooled counts.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-IGNORE_LABEL = 255
 
 
 class ConfusionMatrix:
@@ -26,14 +26,11 @@ class ConfusionMatrix:
         self.counts = np.zeros((num_classes, num_classes), dtype=np.int64)
 
     def update(self, gt, pred):
-        """Count each (gt, pred) pixel pair whose gt is not ``IGNORE_LABEL``."""
-        gt = np.asarray(gt).ravel()
-        pred = np.asarray(pred).ravel()
+        """Count each (gt, pred) pixel pair; both hold labels in ``[0, K)``."""
+        gt = np.asarray(gt).ravel().astype(np.int64)
+        pred = np.asarray(pred).ravel().astype(np.int64)
         if gt.shape != pred.shape:
             raise ValueError("ground truth and prediction sizes differ")
-        valid = gt != IGNORE_LABEL
-        gt = gt[valid].astype(np.int64)
-        pred = pred[valid].astype(np.int64)
         k = self.num_classes
         for name, labels in (("gt", gt), ("pred", pred)):
             if labels.size and (labels.min() < 0 or labels.max() >= k):

@@ -207,12 +207,23 @@ def pfnet_forward(image, params, cfg):
     """Full forward pass to quarter-resolution class logits.
 
     The input side must be ``cfg.crop_size``, whose grids set the effective
-    point budgets.  With no gaps enabled and the context head off this is
-    exactly the plain pyramid decoder (resize + add at every gap) - the
-    same graph, not an approximation.
+    point budgets, and the image dtype must be the parameters' dtype.  The
+    batch must leave ``channel_norm`` at least 2 values per channel on the
+    level-5 map, so a 32 px crop needs a batch of 2.  With no gaps enabled
+    and the context head off this is exactly the plain pyramid decoder
+    (resize + add at every gap) - the same graph, not an approximation.
     """
     if image.shape[2:] != (cfg.crop_size, cfg.crop_size):
         raise ValueError(f"input size {image.shape[2]}x{image.shape[3]} is not crop_size {cfg.crop_size}")
+    dtype = params["head.conv.weight"].dtype
+    if image.dtype != dtype:
+        raise ValueError(f"image dtype {image.dtype} is not the parameters' dtype {dtype}")
+    h5, w5 = cfg.level_size(5)
+    if image.shape[0] * h5 * w5 < 2:
+        raise ValueError(
+            f"batch size {image.shape[0]} at crop_size {cfg.crop_size} leaves channel_norm"
+            f" fewer than 2 values per channel on the {h5}x{w5} level-5 map"
+        )
     c2, c3, c4, c5 = backbone_forward(image, params)
     by_level = {2: c2, 3: c3, 4: c4, 5: c5}
 

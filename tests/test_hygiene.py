@@ -2,8 +2,9 @@
 ``src/pfnet`` or ``tests`` imports a name it never uses, ``src/pfnet``
 imports only the standard library, numpy and itself, every parameter of a
 ``src/pfnet`` function is read, every typed config of ``src/pfnet`` checks
-itself when built and holds no mutable container, and every public function
-or class of ``src/pfnet`` has a caller in the package or the benchmark (no
+itself when built and holds no mutable container, every public function
+or class of ``src/pfnet`` has a caller in the package or the benchmark, and
+every public module-level constant of ``src/pfnet`` is read there (no
 linter is installed, so the checks walk the syntax tree)."""
 
 import ast
@@ -156,17 +157,40 @@ def test_configs_hold_no_mutable_container(path):
     assert mutable_config_fields(path.read_text()) == []
 
 
+def read_names(paths):
+    """Every name or attribute that the modules at ``paths`` load; an
+    import or an assignment binds a name without reading it."""
+    read = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                read.add(node.id if isinstance(node, ast.Name) else node.attr)
+    return read
+
+
 def test_every_public_name_has_a_caller():
     defined = set()
     for path in SRC_MODULES:
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
                 defined.add(node.name)
-    referenced = set()
-    for path in SRC_MODULES + BENCH_MODULES:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-    assert defined - referenced == set(AWAITING_CALLER)
+    assert defined - read_names(SRC_MODULES + BENCH_MODULES) == set(AWAITING_CALLER)
+
+
+def public_constants(source):
+    """(line, name) of each public name a module-level assignment binds."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name) and not n.id.startswith("_"):
+                        found.append((node.lineno, n.id))
+    return found
+
+
+@pytest.mark.parametrize("path", SRC_MODULES, ids=lambda p: p.name)
+def test_every_public_constant_is_read(path):
+    read = read_names(SRC_MODULES + BENCH_MODULES)
+    assert [(line, name) for line, name in public_constants(path.read_text()) if name not in read] == []

@@ -194,20 +194,27 @@ def test_ce_three_class_reference():
     assert float(ce_loss(logits, mask).data) == pytest.approx(0.40760596444438064, abs=1e-12)
 
 
-def test_ce_ignore_label():
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8], ids=["int64", "uint8"])
+def test_ce_rejects_label_255(dtype):
+    # masks hold class labels only, so 255 is out of range, on every pixel
+    # or beside a class label
     logits = Tensor(rand((1, 3, 2, 2), 7))
-    mask = np.full((1, 2, 2), 255, dtype=np.int64)
+    mask = np.full((1, 2, 2), 255, dtype=dtype)
+    with pytest.raises(ValueError, match="^mask label outside class range$"):
+        ce_loss(logits, mask)
     mask[0, 0, 0] = 1
-    full = ce_loss(logits, mask)
-    only = ce_loss(Tensor(logits.data[:, :, :1, :1]), mask[:, :1, :1])
-    assert float(full.data) == pytest.approx(float(only.data), abs=1e-12)
-    with pytest.raises(ValueError):
-        ce_loss(logits, np.full((1, 2, 2), 255, dtype=np.int64))
+    with pytest.raises(ValueError, match="^mask label outside class range$"):
+        ce_loss(logits, mask)
 
 
 def test_ce_rejects_bad_labels():
-    with pytest.raises(ValueError):
-        ce_loss(Tensor(np.zeros((1, 2, 2, 2))), np.full((1, 2, 2), 5, dtype=np.int64))
+    logits = Tensor(np.zeros((1, 2, 2, 2)))
+    with pytest.raises(ValueError, match="^mask label outside class range$"):
+        ce_loss(logits, np.full((1, 2, 2), 5, dtype=np.int64))
+    # the labels index the log-softmax, so they must be integers
+    for dtype in (bool, np.float64):
+        with pytest.raises(ValueError, match=f"^mask dtype {np.dtype(dtype)} is not an integer dtype$"):
+            ce_loss(logits, np.ones((1, 2, 2), dtype=dtype))
 
 
 def test_ce_rejects_negative_labels():
@@ -216,25 +223,22 @@ def test_ce_rejects_negative_labels():
     mask[0, 1, 1] = -1
     with pytest.raises(ValueError, match="outside class range"):
         ce_loss(logits, mask)
-    mask[0, 1, 1] = 255  # IGNORE_LABEL
-    assert float(ce_loss(logits, mask).data) == pytest.approx(np.log(2), abs=1e-12)
 
 
 def ce_reference(logits, mask, g):
     """ce_loss's forward and adjoint as first written, with a one-hot array:
     (loss, grad logits)."""
-    valid = mask != 255
-    count = int(valid.sum())
+    count = mask.size
     shifted = logits - logits.max(axis=1, keepdims=True)
     logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     logp = shifted - logz
-    labels = np.where(valid, mask, 0).astype(np.int64)
-    picked = np.take_along_axis(logp, labels[:, None], axis=1)[:, 0]
-    loss = np.asarray(float(-(picked * valid).sum() / count), dtype=logits.dtype)
+    labels = mask.astype(np.int64)[:, None]
+    picked = np.take_along_axis(logp, labels, axis=1)[:, 0]
+    loss = np.asarray(float(-picked.sum() / count), dtype=logits.dtype)
     softmax = np.exp(logp)
     onehot = np.zeros_like(softmax)
-    np.put_along_axis(onehot, labels[:, None], 1.0, axis=1)
-    grad = (softmax - onehot) * valid[:, None] / count
+    np.put_along_axis(onehot, labels, 1.0, axis=1)
+    grad = (softmax - onehot) / count
     return loss, (g * grad).astype(logits.dtype)
 
 
@@ -251,8 +255,6 @@ def test_ce_matches_reference_bitwise(shape, dtype):
     rng = np.random.Generator(np.random.PCG64(seed))
     logits_data = rand(shape, seed, -6, 6).astype(dtype)
     mask = rng.integers(0, k, (n, h, w))
-    mask[rng.uniform(size=(n, h, w)) < 0.2] = 255
-    mask[0, 0, 0] = 0  # at least one scored pixel
     gs = (np.ones((), dtype=dtype), np.asarray(0.37, dtype=dtype))
     want = [(g, ce_reference(logits_data, mask, g)) for g in gs]
     for m in (mask, mask.astype(np.uint8)):  # training masks are uint8
@@ -280,24 +282,23 @@ def test_ce_peak_bounded_at_paper_shape():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the log-softmax the tape keeps and the gradient, the valid mask and
-    # labels (a byte per pixel each), and one chunk of eight tiles;
-    # whole-batch exponentials or int64 labels exceed that
-    assert peak <= 2 * logits.data.nbytes + 2 * n * h * w + 8 * 4 * ops._BLOCK
+    # the log-softmax the tape keeps and the gradient, and one chunk of
+    # eight tiles; whole-batch exponentials or a per-pixel copy of the
+    # labels exceed that
+    assert peak <= 2 * logits.data.nbytes + 8 * 4 * ops._BLOCK
 
 
 def test_ce_tape_keeps_the_mask_and_nothing_derived_from_it():
     n, k, h, w = 2, 3, 5, 7
     logits_data = rand((n, k, h, w), 42).astype(np.float32)
     mask = np.random.Generator(np.random.PCG64(43)).integers(0, k, (n, h, w)).astype(np.uint8)
-    mask[0, :2] = 255
     logits = Tensor(logits_data.copy(), requires_grad=True)
     with Tape() as tape:
         ce_loss(logits, mask)
     ((_, backward),) = tape.entries
     held = held_arrays(backward)
     assert any(a is mask for a in held)
-    # neither the valid pixels nor the labels, which backward rebuilds
+    # no labels array, which backward reads from the mask
     assert [a.shape for a in held if a.size == mask.size and a is not mask] == []
     g = np.asarray(0.37, dtype=np.float32)
     backward(g)
@@ -319,7 +320,6 @@ def test_bce_gradients(seed):
 def test_ce_gradients(seed):
     logits = Tensor(rand((2, 3, 4, 4), seed), requires_grad=True)
     mask = np.random.Generator(np.random.PCG64(seed + 3)).integers(0, 3, (2, 4, 4))
-    mask[0, 0, 0] = 255  # exercise the ignore path
 
     def build():
         return ce_loss(logits, mask)

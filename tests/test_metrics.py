@@ -116,11 +116,15 @@ def test_class_f1_all_wrong_binary():
     assert np.allclose(result.per_class, [0.0, 0.0])
 
 
-def test_confusion_matrix_ignores_label():
-    gt = np.array([0, 1, 255, 255])
-    pred = np.array([0, 0, 1, 0])
-    cm = ConfusionMatrix(2).update(gt, pred)
-    assert cm.total == 2
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8], ids=["int64", "uint8"])
+def test_confusion_matrix_rejects_label_255(dtype):
+    # a mask holds class labels only: 255 is no ignore label
+    cm = ConfusionMatrix(2)
+    with pytest.raises(ValueError, match=r"^gt label outside class range \[0, 2\)$"):
+        cm.update(np.array([0, 1, 255, 255], dtype=dtype), np.array([0, 0, 1, 0]))
+    with pytest.raises(ValueError, match=r"^pred label outside class range \[0, 2\)$"):
+        cm.update(np.array([0, 1, 1, 0]), np.array([0, 255, 1, 0], dtype=dtype))
+    assert cm.total == 0
 
 
 def test_confusion_matrix_rejects_out_of_range():

@@ -116,7 +116,7 @@ def test_config_rejects_an_enabled_gap_without_its_config():
 def test_backbone_stride_law():
     cfg = NetworkConfig()
     params = init_params(cfg, 0)
-    image = Tensor(rand((1, 3, 64, 64), 1))
+    image = Tensor(rand((1, 3, 64, 64), 1).astype(np.float32))
     c2, c3, c4, c5 = backbone_forward(image, params)
     assert c2.shape[2:] == (16, 16)
     assert c3.shape[2:] == (8, 8)
@@ -127,7 +127,7 @@ def test_backbone_stride_law():
 def test_backbone_zero_image_zero_bias_gives_zero_features():
     cfg = tiny_cfg()
     params = init_params(cfg, 0)
-    image = Tensor(np.zeros((2, 3, 32, 32)))
+    image = Tensor(np.zeros((2, 3, 32, 32), dtype=np.float32))
     feats = backbone_forward(image, params)
     for f in feats:
         assert np.allclose(f.data, 0.0)
@@ -137,7 +137,7 @@ def test_backbone_deterministic_across_runs():
     def run():
         cfg = tiny_cfg()
         params = init_params(cfg, 3)
-        image = Tensor(rand((2, 3, 32, 32), 4))
+        image = Tensor(rand((2, 3, 32, 32), 4).astype(np.float32))
         return backbone_forward(image, params)[3].data.tobytes()
 
     assert run() == run()
@@ -171,14 +171,14 @@ def test_init_params_norm_and_boundary_bias():
 def test_ppm_constant_input_well_formed():
     cfg = tiny_cfg()
     params = init_params(cfg, 5)
-    c5 = Tensor(np.full((2, 12, 4, 4), 0.7))
+    c5 = Tensor(np.full((2, 12, 4, 4), 0.7, dtype=np.float32))
     out = ppm_forward(c5, params, (1,))
     assert out.shape == (2, 8, 4, 4)
     assert np.isfinite(out.data).all()
 
 
 def test_ppm_output_resolution_matches_input():
-    c5 = Tensor(rand((1, 12, 4, 4), 7))
+    c5 = Tensor(rand((1, 12, 4, 4), 7).astype(np.float32))
     for bins in [(1,), (1, 2), (1, 2, 4)]:
         cfg2 = tiny_cfg(crop_size=128, ppm_bins=bins)  # deepest map 4x4
         params2 = init_params(cfg2, 6)
@@ -190,7 +190,7 @@ def test_ppm_bin_too_large():
     cfg = tiny_cfg(crop_size=96, ppm_bins=(1, 2, 3))  # deepest map 3x3 fits bin 3
     params = init_params(cfg, 8)
     with pytest.raises(ValueError, match="^pool output 3x3 exceeds input 2x2"):
-        ppm_forward(Tensor(rand((1, 12, 2, 2), 9)), params, (1, 2, 3))
+        ppm_forward(Tensor(rand((1, 12, 2, 2), 9).astype(np.float32)), params, (1, 2, 3))
 
 
 def test_ppm_oversized_default_bins_are_dropped():
@@ -216,7 +216,7 @@ def test_effective_pfm_clamps_budget():
 def test_plain_fpn_baseline_shapes():
     cfg = tiny_cfg(pfm_gaps=(), use_ppm=False)
     params = init_params(cfg, 10)
-    image = Tensor(rand((2, 3, 32, 32), 11))
+    image = Tensor(rand((2, 3, 32, 32), 11).astype(np.float32))
     out = pfnet_forward(image, params, cfg)
     assert out.logits.shape == (2, 4, 8, 8)  # quarter resolution
     assert out.pfm_outputs == {}
@@ -230,13 +230,39 @@ def test_forward_rejects_an_input_side_other_than_crop_size(monkeypatch, side):
     params = init_params(cfg, 16)
     monkeypatch.setattr(network, "backbone_forward", lambda *args: pytest.fail("the backbone ran"))
     with pytest.raises(ValueError, match=f"^input size {side}x{side} is not crop_size 64$"):
-        pfnet_forward(Tensor(rand((1, 3, side, side), 17)), params, cfg)
+        pfnet_forward(Tensor(rand((1, 3, side, side), 17).astype(np.float32)), params, cfg)
+
+
+def test_forward_rejects_an_image_dtype_other_than_the_parameters(monkeypatch):
+    # a float64 image on float32 parameters would run the whole forward in
+    # float64, and the reverse in float32
+    cfg = tiny_cfg()
+    params = init_params(cfg, 16)
+    image = rand((2, 3, 32, 32), 17)
+    monkeypatch.setattr(network, "backbone_forward", lambda *args: pytest.fail("the backbone ran"))
+    with pytest.raises(ValueError, match="^image dtype float64 is not the parameters' dtype float32$"):
+        pfnet_forward(Tensor(image), params, cfg)
+    with pytest.raises(ValueError, match="^image dtype float32 is not the parameters' dtype float64$"):
+        pfnet_forward(Tensor(image.astype(np.float32)), float64_params(params), cfg)
+
+
+def test_forward_rejects_a_batch_too_small_for_channel_norm():
+    # a 32 px crop has a 1x1 level-5 map, so channel_norm needs 2 items
+    cfg = tiny_cfg()
+    params = init_params(cfg, 16)
+    image = rand((2, 3, 32, 32), 17).astype(np.float32)
+    with pytest.raises(ValueError, match="^batch size 1 at crop_size 32 leaves channel_norm fewer than 2 values"):
+        pfnet_forward(Tensor(image[:1]), params, cfg)
+    assert pfnet_forward(Tensor(image), params, cfg).logits.shape == (2, 4, 8, 8)
+    cfg64 = tiny_cfg(crop_size=64)  # a 2x2 level-5 map takes one item
+    image64 = rand((1, 3, 64, 64), 18).astype(np.float32)
+    assert pfnet_forward(Tensor(image64), init_params(cfg64, 16), cfg64).logits.shape == (1, 4, 16, 16)
 
 
 def test_all_gaps_give_three_boundary_maps_at_right_strides():
     cfg = tiny_cfg()
     params = init_params(cfg, 12)
-    image = Tensor(rand((2, 3, 32, 32), 13))
+    image = Tensor(rand((2, 3, 32, 32), 13).astype(np.float32))
     out = pfnet_forward(image, params, cfg)
     assert sorted(out.pfm_outputs) == [3, 4, 5]
     assert out.pfm_outputs[3].boundary.shape[2:] == (4, 4)   # stride 8
@@ -247,7 +273,7 @@ def test_all_gaps_give_three_boundary_maps_at_right_strides():
 def test_disabled_pfms_match_plain_path_exactly():
     cfg_a = tiny_cfg(pfm_gaps=(), use_ppm=False)
     cfg_b = tiny_cfg(pfm_gaps=(), use_ppm=False)
-    image_data = rand((2, 3, 32, 32), 14)
+    image_data = rand((2, 3, 32, 32), 14).astype(np.float32)
     pa = init_params(cfg_a, 15)
     pb = init_params(cfg_b, 15)
     out_a = pfnet_forward(Tensor(image_data), pa, cfg_a)
@@ -267,7 +293,7 @@ def test_forward_finite_across_seeds():
 def test_every_parameter_receives_gradient():
     cfg = tiny_cfg()
     params = init_params(cfg, 16)
-    image = Tensor(rand((2, 3, 32, 32), 17))
+    image = Tensor(rand((2, 3, 32, 32), 17).astype(np.float32))
     mask = np.random.Generator(np.random.PCG64(18)).integers(0, 4, (2, 8, 8))
     with Tape() as tape:
         out = pfnet_forward(image, params, cfg)
