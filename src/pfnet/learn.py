@@ -142,6 +142,8 @@ def ce_loss(logits, mask):
         raise ValueError(f"logits {logits.shape} vs mask {mask.shape}")
     if mask.dtype.kind not in "iu":
         raise ValueError(f"mask dtype {mask.dtype} is not an integer dtype")
+    if mask.size == 0:
+        raise ValueError("empty mask")
     if mask.min() < 0 or mask.max() >= k:
         raise ValueError("mask label outside class range")
     count = mask.size

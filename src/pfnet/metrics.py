@@ -26,15 +26,18 @@ class ConfusionMatrix:
         self.counts = np.zeros((num_classes, num_classes), dtype=np.int64)
 
     def update(self, gt, pred):
-        """Count each (gt, pred) pixel pair; both hold labels in ``[0, K)``."""
-        gt = np.asarray(gt).ravel().astype(np.int64)
-        pred = np.asarray(pred).ravel().astype(np.int64)
-        if gt.shape != pred.shape:
+        """Count each (gt, pred) pixel pair; both hold integer labels in ``[0, K)``."""
+        gt, pred = np.asarray(gt), np.asarray(pred)
+        if gt.size != pred.size:
             raise ValueError("ground truth and prediction sizes differ")
         k = self.num_classes
         for name, labels in (("gt", gt), ("pred", pred)):
+            if labels.dtype.kind not in "iu":
+                raise ValueError(f"{name} dtype {labels.dtype} is not an integer dtype")
             if labels.size and (labels.min() < 0 or labels.max() >= k):
                 raise ValueError(f"{name} label outside class range [0, {k})")
+        # int64, so gt * k + pred cannot overflow a uint8 mask
+        gt, pred = (labels.ravel().astype(np.int64) for labels in (gt, pred))
         self.counts += np.bincount(gt * k + pred, minlength=k * k).reshape(k, k)
         return self
 

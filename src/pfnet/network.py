@@ -7,7 +7,7 @@ input / 2^l for l = 2..5.  Gap l denotes the decoder step between level l
 (coarse) and level l-1 (fine); its saliency/boundary maps live on the
 level-l grid (strides 8/16/32 for gaps 3/4/5).
 
-Paper-scale defaults (14x14 salient kernel, 128 boundary points, pooled
+Paper-scale defaults (14x14 salient grid, 128 boundary points, pooled
 bins up to 6) exceed the tiny grids of a desk-scale input, so the
 assembly clamps each gap's point budget to its grid and drops pooled bins
 larger than the deepest map.  The configured values are preserved; only
@@ -80,12 +80,7 @@ class NetworkConfig:
         """Gap config with the point budget clamped to the gap's grid."""
         base = self.pfm[PYRAMID_GAPS.index(gap)]
         h, w = self.level_size(gap)
-        return replace(
-            base,
-            salient_kh=min(base.salient_kh, h),
-            salient_kw=min(base.salient_kw, w),
-            boundary_k=min(base.boundary_k, h * w),
-        )
+        return replace(base, salient_k=min(base.salient_k, h), boundary_k=min(base.boundary_k, h * w))
 
     def effective_ppm_bins(self):
         h, w = self.level_size(5)

@@ -46,7 +46,7 @@ DIRECTIONS = ("top_down", "bottom_up", "td_then_bu")
 EDGE_MODES = ("subtraction", "direct", "addition")
 SALIENT_SAMPLING = ("max_pool", "uniform_random", "attention_topk")
 # the PfmConfig fields set per gap, in [pfm.gapN]; [pfm] sets the rest for every gap
-BUDGET_KEYS = ("salient_kh", "salient_kw", "boundary_k")
+BUDGET_KEYS = ("salient_k", "boundary_k")
 
 # Most points one item may flow: the [K, K] affinity of 4096 points is
 # 64 MiB in float32, and the softmax and backward hold a few more.
@@ -55,8 +55,7 @@ _MAX_POINTS = 4096
 
 @dataclass(frozen=True)
 class PfmConfig:
-    salient_kh: int = 14
-    salient_kw: int = 14
+    salient_k: int = 14  # side of the square salient grid: k * k points
     boundary_k: int = 128  # 0 disables the boundary flow
     direction: str = "top_down"
     edge_mode: str = "subtraction"
@@ -64,7 +63,7 @@ class PfmConfig:
     sampling_seed: int = 0
 
     def __post_init__(self):
-        for name, lo in (("salient_kh", 1), ("salient_kw", 1), ("boundary_k", 0), ("sampling_seed", 0)):
+        for name, lo in (("salient_k", 1), ("boundary_k", 0), ("sampling_seed", 0)):
             if getattr(self, name) < lo:
                 raise ValueError(f"{name} must be >= {lo}, got {getattr(self, name)}")
         if self.direction not in DIRECTIONS:
@@ -120,18 +119,18 @@ def salient_match(coarse, saliency, cfg):
     comes from the max-pooled attention path.
     """
     n, _, h, w = coarse.shape
-    kh, kw = cfg.salient_kh, cfg.salient_kw
+    k = cfg.salient_k
 
-    pooled, pool_idx = adaptive_max_pool(saliency, (kh, kw))
+    pooled, pool_idx = adaptive_max_pool(saliency, (k, k))
     attention = bilinear_resize(pooled, (h, w))
     enhanced = tt.add(tt.mul(coarse, attention), coarse)
 
     if cfg.salient_sampling == "max_pool":
-        flat = pool_idx[:, 0].reshape(n, kh * kw)
+        flat = pool_idx[:, 0].reshape(n, k * k)
     elif cfg.salient_sampling == "uniform_random":
-        flat = _uniform_region_points(saliency.data, (kh, kw), cfg.sampling_seed)
+        flat = _uniform_region_points(saliency.data, (k, k), cfg.sampling_seed)
     else:  # attention_topk
-        flat = topk_select(saliency, kh * kw)
+        flat = topk_select(saliency, k * k)
     return enhanced, flat
 
 

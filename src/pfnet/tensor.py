@@ -142,17 +142,13 @@ class Tape:
     Use as a context manager; operations executed inside record an adjoint
     rule whenever any operand requires gradients.  A tape can be
     backpropagated once, via :func:`reverse_accumulate`.
-
-    Entries and bookkeeping are keyed by slot: a tensor may be freed
-    mid-forward and its ``id()`` reused, but every slot the tape knows
-    stays alive with it.
     """
 
     def __init__(self):
         self.entries = []          # (output GradSlot, backward callable)
         self.consumed = False
-        self._produced = set()     # id() of the slots of outputs recorded here
-        self._leaves = {}          # id() -> (slot, shape, dtype) of each leaf input
+        self._produced = set()     # slots of the outputs recorded here
+        self._leaves = {}          # slot -> (shape, dtype) of each leaf input
 
     def __enter__(self):
         if _active_tape() is not None:
@@ -168,13 +164,13 @@ class Tape:
         out.slot.requires_grad = True
         for t in inputs:
             slot = t.slot
-            if slot.requires_grad and id(slot) not in self._produced:
-                self._leaves[id(slot)] = (slot, t.shape, t.dtype)
-        self._produced.add(id(out.slot))
+            if slot.requires_grad and slot not in self._produced:
+                self._leaves[slot] = (t.shape, t.dtype)
+        self._produced.add(out.slot)
         self.entries.append((out.slot, backward))
 
     def owns(self, t):
-        return id(t.slot) in self._produced
+        return t.slot in self._produced
 
 
 def _accumulate(slot, g):
@@ -210,7 +206,7 @@ def reverse_accumulate(tape, loss):
         g, slot.grad = slot.grad, None
         if g is not None:
             backward(g)
-    for slot, shape, dtype in tape._leaves.values():
+    for slot, (shape, dtype) in tape._leaves.items():
         if slot.grad is None:
             slot.grad = np.zeros(shape, dtype=dtype)
 

@@ -37,6 +37,7 @@ from pfnet.pointflow import DIRECTIONS, EDGE_MODES, SALIENT_SAMPLING, PfmConfig
         pytest.param("[train]\nepochs = 2\nmomentum = inf\n", 3, id="inf-float"),
         pytest.param("[data]\nfg_ratio = -Infinity\n", 2, id="negative-inf-float"),
         pytest.param("[pfm.gap3]\ndirection = bottom_up\n", 2, id="per-gap-mode"),
+        pytest.param("[pfm.gap3]\nsalient_kh = 4\n", 2, id="two-sided-salient-grid"),
         pytest.param("[data]\ncrop_size = 64\n[train]\nepochs = 2\n[data]\ncrop_size = 32\n", 6, id="repeated-key"),
     ],
 )
@@ -194,7 +195,7 @@ def test_config_key_is_a_field_of_its_view(section, key):
 _GAP_BUDGETS = [
     (f"pfm.gap{gap}.{key}={value}", f"pfm.gap{gap}.{key}")
     for gap in (3, 4, 5)
-    for key, value in (("salient_kh", 0), ("salient_kh", -1), ("salient_kw", 0), ("salient_kw", -1), ("boundary_k", -1))
+    for key, value in (("salient_k", 0), ("salient_k", -1), ("boundary_k", -1))
 ]
 
 

@@ -38,7 +38,7 @@ def tiny_cfg(**kw):
         fpn_channels=8,
         backbone_channels=(4, 6, 8, 12),
         ppm_bins=(1,),
-        pfm=(PfmConfig(salient_kh=2, salient_kw=2, boundary_k=2),) * 3,
+        pfm=(PfmConfig(salient_k=2, boundary_k=2),) * 3,
     )
     base.update(kw)
     return NetworkConfig(**base)
@@ -215,6 +215,12 @@ def test_ce_rejects_bad_labels():
     for dtype in (bool, np.float64):
         with pytest.raises(ValueError, match=f"^mask dtype {np.dtype(dtype)} is not an integer dtype$"):
             ce_loss(logits, np.ones((1, 2, 2), dtype=dtype))
+
+
+def test_ce_rejects_empty_mask():
+    logits = Tensor(np.zeros((0, 2, 1, 2)))
+    with pytest.raises(ValueError, match="^empty mask$"):
+        ce_loss(logits, np.zeros((0, 1, 2), dtype=np.int64))
 
 
 def test_ce_rejects_negative_labels():

@@ -133,16 +133,19 @@ def test_confusion_matrix_rejects_out_of_range():
 
 
 @pytest.mark.parametrize(
-    "gt,pred,name",
+    "gt,pred,error",
     [
-        pytest.param([1, 2], [-1, 0], "pred", id="negative-pred"),
-        pytest.param([-1, 0], [1, 2], "gt", id="negative-gt"),
-        pytest.param([0, 1], [3, 0], "pred", id="pred-at-K"),
+        pytest.param([1, 2], [-1, 0], "pred label outside class range", id="negative-pred"),
+        pytest.param([-1, 0], [1, 2], "gt label outside class range", id="negative-gt"),
+        pytest.param([0, 1], [3, 0], "pred label outside class range", id="pred-at-K"),
+        # truncating 0.7 and 1.9 would count both pixels as correct
+        pytest.param([0.7, 1.9], [0, 1], "gt dtype float64 is not an integer dtype$", id="float-gt"),
+        pytest.param([0, 1], [0.7, 1.9], "pred dtype float64 is not an integer dtype$", id="float-pred"),
     ],
 )
-def test_confusion_matrix_rejects_labels_outside_range_naming_side(gt, pred, name):
+def test_confusion_matrix_rejects_labels_outside_range_naming_side(gt, pred, error):
     cm = ConfusionMatrix(3)
-    with pytest.raises(ValueError, match=f"^{name} label outside class range"):
+    with pytest.raises(ValueError, match=f"^{error}"):
         cm.update(gt, pred)
     assert cm.total == 0
 

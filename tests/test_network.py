@@ -32,7 +32,7 @@ def tiny_cfg(**kw):
         fpn_channels=8,
         backbone_channels=(4, 6, 8, 12),
         ppm_bins=(1, 2),
-        pfm=(PfmConfig(salient_kh=2, salient_kw=2, boundary_k=2),) * 3,
+        pfm=(PfmConfig(salient_k=2, boundary_k=2),) * 3,
     )
     base.update(kw)
     return NetworkConfig(**base)
@@ -50,14 +50,14 @@ def test_config_rejects_input_size_below_32(side):
         config.network_config(config.apply_overrides(cfg, [f"data.crop_size={side}"]))
 
 
-@pytest.mark.parametrize("kh,kw", [(-2, -2), (0, 3), (3, -1)])
-def test_config_rejects_salient_kernel_sides_below_one(kh, kw):
+@pytest.mark.parametrize("k", [-2, 0])
+def test_config_rejects_salient_k_below_one(k):
     cfg = config.load_config(config.packaged_config_path("desk"))
-    overrides = [f"pfm.gap3.salient_kh={kh}", f"pfm.gap3.salient_kw={kw}"]
-    with pytest.raises(ValueError, match=f"^pfm.gap3.salient_k{'h' if kh < 1 else 'w'} "):
+    overrides = [f"pfm.gap3.salient_k={k}"]
+    with pytest.raises(ValueError, match="^pfm.gap3.salient_k "):
         config.network_config(config.apply_overrides(cfg, overrides))
     # a disabled gap is checked too
-    with pytest.raises(ValueError, match=f"^pfm.gap3.salient_k{'h' if kh < 1 else 'w'} "):
+    with pytest.raises(ValueError, match="^pfm.gap3.salient_k "):
         config.network_config(config.apply_overrides(cfg, overrides + ["network.pfm_gaps=4,5"]))
 
 
@@ -201,15 +201,15 @@ def test_ppm_oversized_default_bins_are_dropped():
 
 
 def test_effective_pfm_clamps_budget():
-    cfg = NetworkConfig(crop_size=64)  # paper budgets: kernel 14x14, k=128
+    cfg = NetworkConfig(crop_size=64)  # paper budgets: salient grid 14x14, k=128
     eff5 = cfg.effective_pfm(5)
-    assert (eff5.salient_kh, eff5.salient_kw) == (2, 2)
+    assert eff5.salient_k == 2
     assert eff5.boundary_k == 4
     eff3 = cfg.effective_pfm(3)
-    assert (eff3.salient_kh, eff3.salient_kw) == (8, 8)
+    assert eff3.salient_k == 8
     assert eff3.boundary_k == 64
     # configured values are untouched
-    assert (cfg.pfm[2].salient_kh, cfg.pfm[2].salient_kw) == (14, 14)  # gap 5
+    assert cfg.pfm[2].salient_k == 14  # gap 5
     assert cfg.pfm[2].boundary_k == 128
 
 

@@ -44,7 +44,7 @@ def boundary_conv(c, seed=None, zero=False):
 
 
 def small_cfg(**kw):
-    base = dict(salient_kh=2, salient_kw=2, boundary_k=3)
+    base = dict(salient_k=2, boundary_k=3)
     base.update(kw)
     return PfmConfig(**base)
 
@@ -141,14 +141,13 @@ def test_salient_match_kernel_too_large():
     coarse, _ = levels(10)
     m = Tensor(np.full((1, 1, 4, 4), 0.5))
     with pytest.raises(ValueError, match="^pool output 5x5 exceeds input 4x4"):
-        salient_match(coarse, m, small_cfg(salient_kh=5, salient_kw=5))
+        salient_match(coarse, m, small_cfg(salient_k=5))
 
 
-@pytest.mark.parametrize("kernel", [(-2, -2), (0, 3), (3, -1)])
-def test_pfm_config_rejects_salient_kernel_sides_below_one(kernel):
-    kh, kw = kernel
-    with pytest.raises(ValueError, match=f"^salient_k{'h' if kh < 1 else 'w'} must be >= 1"):
-        PfmConfig(salient_kh=kh, salient_kw=kw)
+@pytest.mark.parametrize("k", [-2, 0])
+def test_pfm_config_rejects_salient_k_below_one(k):
+    with pytest.raises(ValueError, match="^salient_k must be >= 1"):
+        PfmConfig(salient_k=k)
 
 
 def test_pfm_config_rejects_negative_sampling_seed():
@@ -194,15 +193,16 @@ def uniform_region_points_loop(saliency_data, kernel, seed):
 
 def test_uniform_region_points_match_region_loop_bitwise():
     gen = np.random.Generator(np.random.PCG64(40))
-    shapes = [(8, 32, 32, 14, 14), (8, 16, 16, 14, 14), (8, 8, 8, 8, 8)]
+    # salient grids are square, on grids that need not be
+    shapes = [(8, 32, 32, 14), (8, 16, 16, 14), (8, 8, 8, 8)]
     for _ in range(300):
         n, h, w = gen.integers(1, 5), gen.integers(1, 21), gen.integers(1, 21)
-        shapes.append((n, h, w, gen.integers(1, h + 1), gen.integers(1, w + 1)))
-    for i, (n, h, w, kh, kw) in enumerate(shapes):
+        shapes.append((n, h, w, gen.integers(1, min(h, w) + 1)))
+    for i, (n, h, w, k) in enumerate(shapes):
         saliency = np.zeros((n, 1, h, w))
-        got = _uniform_region_points(saliency, (kh, kw), i)
-        want = uniform_region_points_loop(saliency, (kh, kw), i)
-        assert got.dtype == want.dtype and np.array_equal(got, want), (n, h, w, kh, kw)
+        got = _uniform_region_points(saliency, (k, k), i)
+        want = uniform_region_points_loop(saliency, (k, k), i)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (n, h, w, k)
 
 
 def test_salient_match_attention_topk_picks_highest():
@@ -353,7 +353,7 @@ def make_params(c, seed, zero=False):
 
 def test_pfm_full_grid_matches_dense_oracle():
     coarse, fine = levels(30)
-    cfg = small_cfg(salient_kh=4, salient_kw=4, boundary_k=0)
+    cfg = small_cfg(salient_k=4, boundary_k=0)
     s_conv, b_conv = make_params(3, 31)
     out = pfm_forward(coarse, fine, cfg, s_conv, b_conv)
 
@@ -451,7 +451,7 @@ def check_pfm_gradients(seed, **cfg_kw):
     coarse = Tensor(rand((1, 2, 4, 4), seed + 200), requires_grad=True)
     fine = Tensor(rand((1, 2, 8, 8), seed + 201), requires_grad=True)
     s_conv, b_conv = make_params(2, seed + 202)
-    cfg = small_cfg(salient_kh=2, salient_kw=2, boundary_k=3, **cfg_kw)
+    cfg = small_cfg(salient_k=2, boundary_k=3, **cfg_kw)
     w_fine = Tensor(rand((1, 2, 8, 8), seed + 203))
     w_coarse = Tensor(rand((1, 2, 4, 4), seed + 204))
 
