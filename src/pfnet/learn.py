@@ -28,6 +28,8 @@ from .tensor import Tape, Tensor, _accumulate, _maybe_record, reverse_accumulate
 
 EDGE_STRIDES = tuple(2**gap for gap in PYRAMID_GAPS)  # strides of the gaps' coarse grids
 _EPS = 1e-7
+_POLY_POWER = 0.9
+_EDGE_RADIUS = 1  # px, the Chebyshev dilation of the boundary targets
 
 
 class TrainingAborted(RuntimeError):
@@ -42,22 +44,19 @@ class TrainConfig:
     base_lr: float = 0.01
     momentum: float = 0.9
     weight_decay: float = 1e-4
-    poly_power: float = 0.9
     batch_size: int = 8
     seed: int = 0
-    edge_radius: int = 1
     bce_weight: float = 1.0
     augment: bool = True
     checkpoint_every: int = 0  # iterations; 0 disables periodic checkpoints
 
     def __post_init__(self):
-        for name in ("base_lr", "momentum", "weight_decay", "poly_power", "bce_weight"):
+        for name in ("base_lr", "momentum", "weight_decay", "bce_weight"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        for name in ("base_lr", "poly_power"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        mins = dict(batch_size=1, epochs=1, edge_radius=0, bce_weight=0, weight_decay=0, checkpoint_every=0)
+        if self.base_lr <= 0:
+            raise ValueError(f"base_lr must be positive, got {self.base_lr}")
+        mins = dict(batch_size=1, epochs=1, bce_weight=0, weight_decay=0, checkpoint_every=0)
         for name, lo in mins.items():
             if getattr(self, name) < lo:
                 raise ValueError(f"{name} must be >= {lo}, got {getattr(self, name)}")
@@ -174,8 +173,8 @@ def ce_loss(logits, mask):
     return _maybe_record(out, (logits,), backward)
 
 
-def poly_lr(base_lr, iteration, total_iter, power):
-    return base_lr * (1.0 - iteration / total_iter) ** power
+def poly_lr(base_lr, iteration, total_iter):
+    return base_lr * (1.0 - iteration / total_iter) ** _POLY_POWER
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +235,7 @@ def _batch_losses(params, batch, masks, net_cfg, train_cfg):
     total = ce
     bce_parts = []
     if out.pfm_outputs and train_cfg.bce_weight != 0.0:
-        targets = edge_targets_from_mask(masks, train_cfg.edge_radius)
+        targets = edge_targets_from_mask(masks, _EDGE_RADIUS)
         for gap in sorted(out.pfm_outputs):
             bce_parts.append(bce_loss(out.pfm_outputs[gap].boundary, targets[2**gap][:, None]))
         bce_sum = bce_parts[0]
@@ -251,7 +250,7 @@ def _batch_losses(params, batch, masks, net_cfg, train_cfg):
 def train_step(params, optimizer, batch, net_cfg, train_cfg, iteration, total_iter):
     """One optimization step; returns (new params, loss components)."""
     masks = np.stack([m for _, m in batch])
-    lr = poly_lr(train_cfg.base_lr, iteration, total_iter, train_cfg.poly_power)
+    lr = poly_lr(train_cfg.base_lr, iteration, total_iter)
     try:
         with Tape() as tape:
             total, ce_val, bce_val = _batch_losses(params, batch, masks, net_cfg, train_cfg)

@@ -28,8 +28,8 @@ class ConfusionMatrix:
     def update(self, gt, pred):
         """Count each (gt, pred) pixel pair; both hold integer labels in ``[0, K)``."""
         gt, pred = np.asarray(gt), np.asarray(pred)
-        if gt.size != pred.size:
-            raise ValueError("ground truth and prediction sizes differ")
+        if gt.shape != pred.shape:
+            raise ValueError(f"ground truth {gt.shape} vs prediction {pred.shape}")
         k = self.num_classes
         for name, labels in (("gt", gt), ("pred", pred)):
             if labels.dtype.kind not in "iu":

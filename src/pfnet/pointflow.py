@@ -60,10 +60,9 @@ class PfmConfig:
     direction: str = "top_down"
     edge_mode: str = "subtraction"
     salient_sampling: str = "max_pool"
-    sampling_seed: int = 0
 
     def __post_init__(self):
-        for name, lo in (("salient_k", 1), ("boundary_k", 0), ("sampling_seed", 0)):
+        for name, lo in (("salient_k", 1), ("boundary_k", 0)):
             if getattr(self, name) < lo:
                 raise ValueError(f"{name} must be >= {lo}, got {getattr(self, name)}")
         if self.direction not in DIRECTIONS:
@@ -94,7 +93,8 @@ def compute_saliency(coarse, fine_down, params):
 
 
 def _uniform_region_points(saliency_data, kernel, seed):
-    """One seeded uniform pick per adaptive region of the saliency grid."""
+    """One seeded uniform pick per adaptive region of the saliency grid; it
+    reads the grid's shape and the batch size, never the saliency values."""
     n = saliency_data.shape[0]
     h, w = saliency_data.shape[2:]
     kh, kw = kernel
@@ -116,7 +116,9 @@ def salient_match(coarse, saliency, cfg):
     upsampled back to the grid before the residual multiply) plus the
     [N, P] flat indices of the selected salient cells.  The sampling
     variants only change the index selection; the enhanced feature always
-    comes from the max-pooled attention path.
+    comes from the max-pooled attention path.  ``uniform_random`` reads
+    only the grid's shape and the batch size, so with its fixed seed 0 it
+    is a fixed jittered grid (the same cells every call), not a random draw.
     """
     n, _, h, w = coarse.shape
     k = cfg.salient_k
@@ -128,7 +130,7 @@ def salient_match(coarse, saliency, cfg):
     if cfg.salient_sampling == "max_pool":
         flat = pool_idx[:, 0].reshape(n, k * k)
     elif cfg.salient_sampling == "uniform_random":
-        flat = _uniform_region_points(saliency.data, (k, k), cfg.sampling_seed)
+        flat = _uniform_region_points(saliency.data, (k, k), 0)
     else:  # attention_topk
         flat = topk_select(saliency, k * k)
     return enhanced, flat

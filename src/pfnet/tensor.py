@@ -93,7 +93,7 @@ class Tensor:
     def __init__(self, data, requires_grad=False, _op=None):
         arr = np.asarray(data)
         if arr.dtype not in _FLOAT_DTYPES:
-            arr = arr.astype(np.float64)
+            raise ValueError(f"tensor dtype {arr.dtype} is not float32 or float64")
         if not np.isfinite(arr).all():
             where = "" if _op is None else f" (output of {_op})"
             raise FloatingPointError(f"non-finite tensor values{where}")

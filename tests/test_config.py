@@ -38,6 +38,9 @@ from pfnet.pointflow import DIRECTIONS, EDGE_MODES, SALIENT_SAMPLING, PfmConfig
         pytest.param("[data]\nfg_ratio = -Infinity\n", 2, id="negative-inf-float"),
         pytest.param("[pfm.gap3]\ndirection = bottom_up\n", 2, id="per-gap-mode"),
         pytest.param("[pfm.gap3]\nsalient_kh = 4\n", 2, id="two-sided-salient-grid"),
+        pytest.param("[train]\nepochs = 2\npoly_power = 0.9\n", 3, id="poly-power-is-a-constant"),
+        pytest.param("[train]\nedge_radius = 1\n", 2, id="edge-radius-is-a-constant"),
+        pytest.param("[pfm]\nsampling_seed = 0\n", 2, id="sampling-seed-is-a-constant"),
         pytest.param("[data]\ncrop_size = 64\n[train]\nepochs = 2\n[data]\ncrop_size = 32\n", 6, id="repeated-key"),
     ],
 )
@@ -237,14 +240,11 @@ _GAP_BUDGETS = [
         ("train.momentum=-0.5", "momentum"),
         ("train.momentum=1.5", "momentum"),
         ("train.weight_decay=-0.5", "weight_decay"),
-        ("train.poly_power=-0.5", "poly_power"),
         ("train.bce_weight=-0.5", "bce_weight"),
-        ("train.edge_radius=-1", "edge_radius"),
         ("train.checkpoint_every=-1", "checkpoint_every"),
         ("pfm.direction=foo", "pfm.direction"),
         ("pfm.edge_mode=foo", "pfm.edge_mode"),
         ("pfm.salient_sampling=foo", "pfm.salient_sampling"),
-        ("pfm.sampling_seed=-1", "pfm.sampling_seed"),
     ]
     + _GAP_BUDGETS,
     ids=lambda v: v,

@@ -18,8 +18,9 @@ from pfnet.learn import (
     train_run,
     train_step,
 )
-from pfnet.metrics import label_boundaries
-from pfnet.network import NetworkConfig, ParameterSet, init_params
+from pfnet.data import SceneConfig, sliding_crop, stitch_label_votes, synth_scene
+from pfnet.metrics import ConfusionMatrix, label_boundaries, miou
+from pfnet.network import NetworkConfig, ParameterSet, init_params, pfnet_forward
 from pfnet.pointflow import PfmConfig
 from pfnet.tensor import Tape, Tensor
 
@@ -338,13 +339,13 @@ def test_ce_gradients(seed):
 
 
 def test_poly_lr_endpoints():
-    assert poly_lr(0.01, 0, 100, 0.9) == pytest.approx(0.01)
-    assert poly_lr(0.01, 100, 100, 0.9) == 0.0
+    assert poly_lr(0.01, 0, 100) == pytest.approx(0.01)
+    assert poly_lr(0.01, 100, 100) == 0.0
 
 
 def test_poly_lr_matches_formula():
     for it in (1, 37, 99):
-        assert poly_lr(0.05, it, 100, 0.9) == pytest.approx(0.05 * (1 - it / 100) ** 0.9)
+        assert poly_lr(0.05, it, 100) == pytest.approx(0.05 * (1 - it / 100) ** 0.9)
 
 
 def test_sgd_momentum_hand_recurrence():
@@ -467,6 +468,44 @@ def test_loss_decreases_over_first_iterations():
     assert np.median(finals) < np.median(initials)
 
 
+_FLOOR_SCENES = dict(canvas=64, num_classes=2, size_min=3, size_max=8, fg_ratio=0.05)
+
+
+def _held_out_fg_iou(pairs, seed):
+    """Train the plain arm on ``pairs`` of 32 px crops, then score 4
+    held-out 64 px scenes (scene seed + 7919) from stitched crop labels;
+    returns the foreground IoU."""
+    net = NetworkConfig(
+        crop_size=32,
+        num_classes=2,
+        fpn_channels=16,
+        backbone_channels=(8, 8, 16, 16),
+        ppm_bins=(1,),
+        pfm_gaps=(),
+    )
+    params = train_run(pairs, net, TrainConfig(epochs=24, batch_size=8, base_lr=0.05, seed=seed))
+    cm = ConfusionMatrix(2)
+    for i in range(4):
+        scene = synth_scene(SceneConfig(seed=seed + 7919, **_FLOOR_SCENES), i)
+        crops = sliding_crop(scene.image, scene.mask, 32, 16)
+        out = pfnet_forward(Tensor(np.stack([c.image for c in crops])), params, net)
+        labels = ops.bilinear_resize(out.logits, (32, 32)).data.argmax(axis=1).astype(np.uint8)
+        cm.update(scene.mask, stitch_label_votes([(labels[k], c.top, c.left) for k, c in enumerate(crops)], (64, 64), 2))
+    return miou(cm).per_class[1]
+
+
+def test_train_run_clears_a_held_out_iou_floor_that_shuffled_masks_do_not():
+    # 8 scenes cropped 32/16 give 72 crops and 216 steps; over seeds 1-5
+    # the plain arm scored 0.556-0.611 and its shuffled control 0.000
+    seed = 1
+    scenes = [synth_scene(SceneConfig(seed=seed, **_FLOOR_SCENES), i) for i in range(8)]
+    crops = [c for s in scenes for c in sliding_crop(s.image, s.mask, 32, 16)]
+    assert _held_out_fg_iou([(c.image, c.mask) for c in crops], seed) >= 0.5
+    perm = np.random.Generator(np.random.PCG64(seed)).permutation(len(crops))
+    shuffled = [(c.image, crops[j].mask) for c, j in zip(crops, perm)]
+    assert _held_out_fg_iou(shuffled, seed) < 0.05
+
+
 def test_boundary_supervision_off_zeroes_only_boundary_grads():
     cfg = tiny_cfg()
     params = init_params(cfg, 2)
@@ -508,7 +547,7 @@ def test_non_finite_loss_aborts_with_iteration():
     assert err.value.iteration == 3
 
 
-@pytest.mark.parametrize("field", ["base_lr", "momentum", "weight_decay", "poly_power", "bce_weight"])
+@pytest.mark.parametrize("field", ["base_lr", "momentum", "weight_decay", "bce_weight"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
 def test_train_config_rejects_non_finite_values(field, value):
     # a config built in code skips the parser's finiteness check
@@ -524,9 +563,3 @@ def test_train_config_rejects_out_of_range_values(field, value):
     TrainConfig(**{field: 0})
     with pytest.raises(ValueError, match=f"^{field} "):
         TrainConfig(**{field: value})
-
-
-def test_train_config_rejects_negative_edge_radius():
-    TrainConfig(edge_radius=0)
-    with pytest.raises(ValueError, match="^edge_radius "):
-        TrainConfig(edge_radius=-1)

@@ -132,6 +132,14 @@ def test_confusion_matrix_rejects_out_of_range():
         ConfusionMatrix(2).update(np.array([3]), np.array([0]))
 
 
+def test_confusion_matrix_rejects_shapes_of_equal_size():
+    # pairing by flat position would count [[0, 16], [0, 0]]
+    cm = ConfusionMatrix(2)
+    with pytest.raises(ValueError, match=r"^ground truth \(2, 8\) vs prediction \(4, 4\)$"):
+        cm.update(np.zeros((2, 8), np.uint8), np.ones((4, 4), np.uint8))
+    assert cm.total == 0
+
+
 @pytest.mark.parametrize(
     "gt,pred,error",
     [

@@ -150,12 +150,6 @@ def test_pfm_config_rejects_salient_k_below_one(k):
         PfmConfig(salient_k=k)
 
 
-def test_pfm_config_rejects_negative_sampling_seed():
-    PfmConfig(salient_sampling="uniform_random", sampling_seed=0)
-    with pytest.raises(ValueError, match="^sampling_seed "):
-        PfmConfig(salient_sampling="uniform_random", sampling_seed=-1)
-
-
 @pytest.mark.parametrize("sampling", ["uniform_random", "attention_topk"])
 def test_salient_match_sampling_variants(sampling):
     coarse, _ = levels(11)

@@ -38,6 +38,12 @@ def test_non_finite_values_rejected():
         Tensor(np.array([np.nan]))
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.float16, bool])
+def test_non_float_dtype_rejected_by_name(dtype):
+    with pytest.raises(ValueError, match=f"^tensor dtype {np.dtype(dtype)} is not float32 or float64$"):
+        Tensor(np.zeros(3, dtype=dtype))
+
+
 # ---------------------------------------------------------------------------
 # elementwise forward values
 
