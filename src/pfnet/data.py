@@ -221,8 +221,8 @@ def sliding_crop(image, mask, size, stride):
 
 
 def stitch_label_votes(pred_crops, canvas_hw, num_classes):
-    """Reassemble crop label predictions by per-pixel max vote; every label
-    must lie in [0, num_classes)."""
+    """Reassemble crop label predictions by per-pixel max vote; every crop
+    must lie inside the canvas and every label in [0, num_classes)."""
     h, w = canvas_hw
     votes = np.zeros((num_classes, h, w), dtype=np.int64)
     classes = np.arange(num_classes)[:, None, None]
@@ -230,6 +230,8 @@ def stitch_label_votes(pred_crops, canvas_hw, num_classes):
         if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
             raise ValueError(f"crop {index}: labels must lie in [0, {num_classes}), got {labels.min()}..{labels.max()}")
         ch, cw = labels.shape
+        if top < 0 or left < 0 or top + ch > h or left + cw > w:
+            raise ValueError(f"crop {index}: {ch}x{cw} at ({top}, {left}) is not inside the {h}x{w} canvas")
         votes[:, top : top + ch, left : left + cw] += labels == classes
     return votes.argmax(axis=0).astype(np.uint8)
 

@@ -174,6 +174,13 @@ def ce_loss(logits, mask):
 
 
 def poly_lr(base_lr, iteration, total_iter):
+    """The poly schedule's rate at ``iteration`` of ``total_iter``; 0 at the
+    end.  An iteration outside ``[0, total_iter]`` would give a rate above
+    the base rate or a complex one."""
+    if total_iter < 1:
+        raise ValueError(f"total_iter must be >= 1, got {total_iter} (iteration {iteration})")
+    if not 0 <= iteration <= total_iter:
+        raise ValueError(f"iteration {iteration} outside [0, total_iter={total_iter}]")
     return base_lr * (1.0 - iteration / total_iter) ** _POLY_POWER
 
 

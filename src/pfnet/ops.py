@@ -13,6 +13,14 @@ int64 flat cell indices of an h x w grid, read by gather from a map on
 that grid.  Only ``flat_to_points`` turns them into normalized
 coordinates, for the point-flow outputs: cell (i, j) sits at
 ((i + 0.5) / h, (j + 0.5) / w).
+
+The kn2row ``conv2d`` forward and the ``resize_conv3x3`` forward take
+their large temporaries from ``tensor._scratch``: in a tape-free call
+they are views of the thread's workspace, which keeps its size between
+calls, so scoring a scene does not fault back in the pages the last one
+freed.  A recorded call allocates them fresh: the tape keeps a training
+step's heap large enough to reuse freed memory, and a workspace there
+would only add to the step's peak.  Every output is a fresh array.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from functools import lru_cache, wraps
 
 import numpy as np
 
-from .tensor import Tensor, _accumulate, _kept, _maybe_record
+from .tensor import Tensor, _accumulate, _kept, _maybe_record, _scratch
 
 
 @dataclass
@@ -88,16 +96,15 @@ def _phase_cells(xd, s, padding):
             yield a * s + b, slice(y0, y0 + part.shape[2]), slice(x0, x0 + part.shape[3]), part
 
 
-def _padded_phases(xd, s, padding, hq, wq):
+def _padded_phases(xd, s, padding, buf):
     """The input zero-padded to ``s*hq x s*wq`` in the channel-major
-    polyphase layout ``[s*s, C, N*hq*wq]``: ``buf[a*s + b, c, (n, y, x)]``
-    is padded cell ``(s*y + a, s*x + b)`` of item n, channel c.  Each input
-    cell is copied once, straight from NCHW into its phase."""
-    n, c, h, w = xd.shape
-    buf = np.zeros((s * s, c, n, hq, wq), dtype=xd.dtype)
+    polyphase layout ``[s*s, C, N*hq*wq]``, written into ``buf``, a zeroed
+    ``[s*s, C, N, hq, wq]`` array: ``buf[a*s + b, c, (n, y, x)]`` is padded
+    cell ``(s*y + a, s*x + b)`` of item n, channel c.  Each input cell is
+    copied once, straight from NCHW into its phase."""
     for ph, rows, cols, part in _phase_cells(xd, s, padding):
         buf[ph, :, :, rows, cols] = part.transpose(1, 0, 2, 3)
-    return buf.reshape(s * s, c, n * hq * wq)
+    return buf.reshape(buf.shape[0], buf.shape[1], -1)
 
 
 def conv2d(x, p):
@@ -114,16 +121,20 @@ def conv2d(x, p):
     component per stride phase (a single one at stride 1), where hq x wq is
     the padded map divided by the stride s.  Tap (i, j) reads phase
     (i % s, j % s) at flat offset ``(i // s) * wq + j // s``, so each tap is
-    a 2-D GEMM over the whole batch, added into an extended output whose
+    a 2-D GEMM over the whole batch, summed into an extended output whose
     cells beyond oh x ow are dropped.  The taps run over equal column tiles
-    of that output (``_spans``), each summed through a scratch tile of at
-    most ``_BLOCK`` elements, sized to the widest tile; a column is one
-    output cell, so every cell keeps its bits.  The buffer is 1x the padded
-    input, not a kh*kw-fold column matrix (the memory argument of MEC, arXiv
-    1706.06873), and the tap sum needs no scratch wider than a tile.  The
-    tape keeps the input's reader and the weight array it was given, not
-    the buffer, which would be a second copy of the input, nor the
-    tap-major weight.
+    of that output (``_spans``) of at most ``_BLOCK`` elements.  Each tile
+    is summed in contiguous scratch: the first tap's GEMM writes one
+    ``[cout, tile]`` array, each later tap's GEMM a second that is added
+    into the first, and the sum is copied into the extended output.  A
+    column is one output cell, so every cell keeps its bits.  The buffer is
+    1x the padded input, not a kh*kw-fold column matrix (the memory
+    argument of MEC, arXiv 1706.06873), and the tap sum needs no scratch
+    wider than a tile.  In a tape-free call the buffer, the extended output
+    and both tiles are views of the thread's workspace (see the module
+    docstring).  The tape keeps the input's reader and the weight array it
+    was given, not the buffer, which would be a second copy of the input,
+    nor the tap-major weight.
 
     Backward rebuilds the buffer from the kept input, byte for byte.  It
     stacks, per stride phase, the output gradient shifted by each of the
@@ -143,6 +154,10 @@ def conv2d(x, p):
     if cin != cin_w:
         raise ValueError(f"input has {cin} channels, weight expects {cin_w}")
     s, padding = int(p.stride), int(p.padding)
+    if s < 1:
+        raise ValueError(f"conv stride {s} must be >= 1")
+    if padding < 0:
+        raise ValueError(f"conv padding {padding} must be >= 0")
     oh = (h + 2 * padding - kh) // s + 1
     ow = (w + 2 * padding - kw) // s + 1
     if oh < 1 or ow < 1:
@@ -179,28 +194,30 @@ def conv2d(x, p):
     hq = -(-(h + 2 * padding) // s)
     wq = -(-(w + 2 * padding) // s)
     lq = n * hq * wq
-    buf = _padded_phases(x.data, s, padding, hq, wq)
     taps = [(i, j, (i % s) * s + j % s, (i // s) * wq + j // s) for i in range(kh) for j in range(kw)]
     # every kept output cell k satisfies k + offset < lq for every tap, so
     # the taps cover the first m cells of the extended output
     m = lq - taps[-1][3]
     wd = p.weight.data
     wt = np.ascontiguousarray(wd.transpose(2, 3, 0, 1))  # [kh, kw, cout, cin]
-
     spans = _spans(m, _BLOCK // cout)
-    ext = np.empty((cout, lq), dtype=x.dtype)
-    tmp = np.empty((cout, max(c1 - c0 for c0, c1 in spans)), dtype=x.dtype)
-    with np.errstate(over="ignore"):  # overflow surfaces as the finiteness error
-        for c0, c1 in spans:
-            acc, part = ext[:, c0:c1], tmp[:, : c1 - c0]
-            for t, (i, j, ph, d) in enumerate(taps):
-                np.matmul(wt[i, j], buf[ph, :, d + c0 : d + c1], out=part if t else acc)
-                if t:
-                    acc += part
-        del buf
-        out_data = np.empty((n, cout, oh, ow), dtype=x.dtype)
-        kept = ext.reshape(cout, n, hq, wq)[:, :, :oh, :ow].transpose(1, 0, 2, 3)
-        np.add(kept, p.bias.data[:, None, None], out=out_data)
+    tile = cout * max(c1 - c0 for c0, c1 in spans)
+    sizes = (s * s * cin * lq, cout * lq, tile, tile)  # buffer, extended output, two tiles
+    with _scratch((x, p.weight, p.bias), x.dtype, sizes) as scratch:
+        buf = _padded_phases(x.data, s, padding, scratch.zeros(0, (s * s, cin, n, hq, wq)))
+        ext = scratch.take(1, (cout, lq))
+        with np.errstate(over="ignore"):  # overflow surfaces as the finiteness error
+            for c0, c1 in spans:
+                acc, part = scratch.take(2, (cout, c1 - c0)), scratch.take(3, (cout, c1 - c0))
+                for t, (i, j, ph, d) in enumerate(taps):
+                    np.matmul(wt[i, j], buf[ph, :, d + c0 : d + c1], out=part if t else acc)
+                    if t:
+                        acc += part
+                ext[:, c0:c1] = acc
+            del buf
+            out_data = np.empty((n, cout, oh, ow), dtype=x.dtype)
+            kept = ext.reshape(cout, n, hq, wq)[:, :, :oh, :ow].transpose(1, 0, 2, 3)
+            np.add(kept, p.bias.data[:, None, None], out=out_data)
     out = Tensor(out_data, _op="conv2d")
 
     def backward(g):
@@ -220,7 +237,8 @@ def conv2d(x, p):
             gpad[:, dmax:], (na, nb, cout, lq), (-wq * e, -e, gpad.strides[0], e), writeable=False
         )
         gw = np.empty((kh, kw, cout, cin), dtype=g.dtype)
-        buf = _padded_phases(xk(), s, padding, hq, wq)  # turns into the input gradient
+        # the rebuilt buffer turns into the input gradient
+        buf = _padded_phases(xk(), s, padding, np.zeros((s * s, cin, n, hq, wq), dtype=g.dtype))
         block = np.empty(na * nb * cout * tile, dtype=g.dtype)
         for pa in range(s):
             for pb in range(s):
@@ -501,6 +519,11 @@ def resize_conv3x3(x, weight, out_hw):
     the weight gradient ``gz @ xc.T`` sums over (n, x, y), and summing it
     by chunks would change its bits.  Only its Rx3 product and each
     chunk's block of ``gz`` are computed chunk by chunk.
+
+    In a tape-free forward the channel-major input, the tap-mix ``z``, its
+    transposed copy, and the Ry3 product's transposed copy, which takes
+    ``z``'s region, are views of the thread's workspace (see the module
+    docstring).
     """
     n, cin, h, w = x.shape
     cout, cin_w, kh, kw = weight.shape
@@ -520,24 +543,36 @@ def resize_conv3x3(x, weight, out_hw):
 
     ws = stacked()
     xk = _kept(x)
-    xc = np.ascontiguousarray(x.data.transpose(1, 0, 3, 2)).reshape(cin, n * w * h)
-    spans = _item_spans(n, 3 * cout * w * max(3 * h, oh))
+    per_item = 3 * cout * w * max(3 * h, oh)  # the larger of z and the Ry product
+    spans = _item_spans(n, per_item)
+    most = max(n1 - n0 for n0, n1 in spans)
+    # the channel-major input; z, then the Ry product's transposed copy; z's
+    # transposed copy
+    sizes = (cin * n * w * h, most * per_item, most * 9 * cout * w * h)
     # each GEMM result is dropped as soon as its transposed copy exists, and
     # the whole-batch result is made only once the first chunk's tap-mix is
     # gone, so an unsplit batch peaks as low as one unchunked GEMM chain
     out_data = None
-    with np.errstate(over="ignore"):  # overflow surfaces as the finiteness error
-        for n0, n1 in spans:
-            k = n1 - n0
-            z = np.matmul(ws, xc[:, n0 * w * h : n1 * w * h]).reshape(3, cout, 3, k, w, h)
-            z = z.transpose(0, 1, 3, 4, 2, 5).reshape(3 * cout * k * w, 3 * h)
-            a = np.matmul(z, ry.T)
-            del z
-            a = a.reshape(3, cout, k, w, oh).transpose(2, 1, 4, 0, 3).reshape(k * cout * oh, 3 * w)
-            if out_data is None:
-                out_data = np.empty((n, cout, oh, ow), dtype=x.dtype)
-            np.matmul(a, rx.T, out=out_data[n0:n1].reshape(k * cout * oh, ow))
-            del a
+    with _scratch((x, weight), x.dtype, sizes) as scratch:
+        xc = scratch.take(0, (cin, n, w, h))
+        xc[...] = x.data.transpose(1, 0, 3, 2)
+        xc = xc.reshape(cin, n * w * h)
+        with np.errstate(over="ignore"):  # overflow surfaces as the finiteness error
+            for n0, n1 in spans:
+                k = n1 - n0
+                z = np.matmul(ws, xc[:, n0 * w * h : n1 * w * h], out=scratch.take(1, (9 * cout, k * w * h)))
+                zt = scratch.take(2, (3, cout, k, w, 3, h))
+                zt[...] = z.reshape(3, cout, 3, k, w, h).transpose(0, 1, 3, 4, 2, 5)
+                del z
+                a = np.matmul(zt.reshape(3 * cout * k * w, 3 * h), ry.T)
+                del zt
+                at = scratch.take(1, (k, cout, oh, 3, w))
+                at[...] = a.reshape(3, cout, k, w, oh).transpose(2, 1, 4, 0, 3)
+                del a
+                if out_data is None:
+                    out_data = np.empty((n, cout, oh, ow), dtype=x.dtype)
+                np.matmul(at.reshape(k * cout * oh, 3 * w), rx.T, out=out_data[n0:n1].reshape(k * cout * oh, ow))
+                del at
     out = Tensor(out_data, _op="resize_conv3x3")
     x_slot, w_slot = x.slot, weight.slot
 

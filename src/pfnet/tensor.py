@@ -38,6 +38,17 @@ the caller's crops.  So
 ``add``, ``sub``, ``concat_channels`` and resize outputs get no rule; one
 would pin inputs that no reader keeps.
 
+A tape-free kernel call (:func:`_recording` is false) takes its large
+temporaries from the thread's workspace (:func:`_scratch`): one byte
+buffer, kept beside the active tape, that grows to the largest size a
+call asks for and keeps it between calls.  A tape-free forward frees
+every array it makes, so without it the allocator hands the freed pages
+back and the next call faults them in again; a recorded forward keeps its
+activations on the tape, so its heap stays large and reuses freed memory.
+A recorded call allocates fresh arrays, and entering a :class:`Tape`
+drops the workspace, so training never holds it.  No view of the
+workspace leaves a kernel call: outputs and gradients are fresh arrays.
+
 Broadcasting is deliberately restricted to the one pattern the network
 needs: a single-channel spatial map ``[N, 1, H, W]`` broadcast over the
 channels of a feature map ``[N, C, H, W]``.  Anything else is rejected.
@@ -45,7 +56,10 @@ channels of a feature map ``[N, C, H, W]``.  Anything else is rejected.
 
 from __future__ import annotations
 
+import math
 import threading
+from contextlib import contextmanager
+from itertools import accumulate
 
 import numpy as np
 
@@ -154,6 +168,7 @@ class Tape:
         if _active_tape() is not None:
             raise TapeError("a tape is already active on this thread")
         _state.tape = self
+        _state.workspace = None
         return self
 
     def __exit__(self, exc_type, exc, tb):
@@ -215,6 +230,64 @@ def _recording(inputs):
     """Whether an op on ``inputs`` records: a tape is active and an input
     wants a gradient."""
     return _active_tape() is not None and any(t.requires_grad for t in inputs)
+
+
+_ALIGN = 64  # bytes; each workspace region starts on a cache line
+
+
+class _Scratch:
+    """The numbered regions of one kernel call's temporaries (see
+    :func:`_scratch`)."""
+
+    __slots__ = ("regions", "dtype")
+
+    def __init__(self, regions, dtype):
+        self.regions = regions
+        self.dtype = dtype
+
+    def take(self, i, shape):
+        """An uninitialised contiguous array of ``shape`` in region i: a
+        view of the workspace, or a fresh array in a recorded call."""
+        if self.regions is None:
+            return np.empty(shape, self.dtype)
+        return self.regions[i][: math.prod(shape)].reshape(shape)
+
+    def zeros(self, i, shape):
+        if self.regions is None:
+            return np.zeros(shape, self.dtype)
+        out = self.take(i, shape)
+        out.fill(0)
+        return out
+
+
+@contextmanager
+def _scratch(inputs, dtype, sizes):
+    """Regions for the temporaries of one kernel call on ``inputs``:
+    region i holds ``sizes[i]`` elements of ``dtype``, and a later array
+    may take the region of one that is dead.
+
+    A recorded call gets a fresh array from each ``take``, so it allocates
+    as it would without the workspace.  A tape-free call gets disjoint
+    views of the thread's workspace, grown if it is too small; no view may
+    outlive the ``with``.  A second use while one is open raises.
+    """
+    if _recording(inputs):
+        yield _Scratch(None, dtype)
+        return
+    if getattr(_state, "scratch_open", False):
+        raise RuntimeError("the scratch workspace is already in use on this thread")
+    itemsize = np.dtype(dtype).itemsize
+    ends = list(accumulate(-(-size * itemsize // _ALIGN) * _ALIGN for size in sizes))
+    ws = getattr(_state, "workspace", None)
+    if ws is None or ws.nbytes < ends[-1] + _ALIGN:
+        ws = _state.workspace = np.empty(ends[-1] + _ALIGN, np.uint8)
+    base = ws[-ws.ctypes.data % _ALIGN :]
+    regions = [base[lo:hi].view(dtype) for lo, hi in zip([0] + ends, ends)]
+    _state.scratch_open = True
+    try:
+        yield _Scratch(regions, dtype)
+    finally:
+        _state.scratch_open = False
 
 
 def _maybe_record(out, inputs, backward, remake=None):

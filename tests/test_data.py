@@ -213,6 +213,20 @@ def test_stitch_rejects_labels_outside_the_classes():
         stitch_label_votes(crops, (2, 4), 6)
 
 
+@pytest.mark.parametrize(
+    "top, left, match",
+    [
+        (-8, 0, "crop 1: 4x4 at (-8, 0) is not inside the 8x8 canvas"),  # was stitched into rows 0-3
+        (6, 2, "crop 1: 4x4 at (6, 2) is not inside the 8x8 canvas"),  # was a bare broadcast error
+    ],
+    ids=["above-the-canvas", "over-the-bottom-edge"],
+)
+def test_stitch_rejects_a_crop_outside_the_canvas(top, left, match):
+    crops = [(np.zeros((4, 4), np.uint8), 0, 0), (np.ones((4, 4), np.uint8), top, left)]
+    with pytest.raises(ValueError, match=re.escape(match)):
+        stitch_label_votes(crops, (8, 8), 2)
+
+
 # ---------------------------------------------------------------------------
 # augmentation
 

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import weakref
 
@@ -341,6 +342,20 @@ def test_ce_gradients(seed):
 def test_poly_lr_endpoints():
     assert poly_lr(0.01, 0, 100) == pytest.approx(0.01)
     assert poly_lr(0.01, 100, 100) == 0.0
+
+
+@pytest.mark.parametrize(
+    "iteration, total_iter, match",
+    [
+        (12, 10, "iteration 12 outside [0, total_iter=10]"),  # was a complex rate
+        (-1, 10, "iteration -1 outside [0, total_iter=10]"),  # was 0.109, above the base rate
+        (0, 0, "total_iter must be >= 1, got 0 (iteration 0)"),
+    ],
+    ids=["past-the-end", "negative-iteration", "no-iterations"],
+)
+def test_poly_lr_rejects_an_iteration_outside_the_schedule(iteration, total_iter, match):
+    with pytest.raises(ValueError, match=re.escape(match)):
+        poly_lr(0.1, iteration, total_iter)
 
 
 def test_poly_lr_matches_formula():

@@ -329,6 +329,22 @@ def desk_cfg():
     return config.network_config(config.load_config(config.packaged_config_path("desk")))
 
 
+def test_second_tape_free_desk_forward_reuses_the_workspace():
+    # a held-out desk scene's nine crops, scored twice
+    net_cfg = desk_cfg()
+    params = init_params(net_cfg, 0)
+    image = Tensor(rand((9, 3) + net_cfg.level_size(0), 11).astype(np.float32))
+    with Tape():  # drops any workspace left by an earlier test
+        pass
+    first = pfnet_forward(image, params, net_cfg).logits.data
+    ws = tensor._state.workspace
+    nbytes = ws.nbytes
+    second = pfnet_forward(image, params, net_cfg).logits.data
+    assert tensor._state.workspace is ws and ws.nbytes == nbytes
+    assert nbytes <= 3 * 2**20  # 2.7 MiB, for the level-2 head conv
+    assert first.tobytes() == second.tobytes() and not np.shares_memory(first, second)
+
+
 def test_head_matches_concat_formulation_on_desk(monkeypatch):
     net_cfg = desk_cfg()
     params = init_params(net_cfg, 0)

@@ -18,7 +18,7 @@ from pfnet.ops import (
     scatter_points_batched,
     topk_select,
 )
-from pfnet import config, network, ops, pointflow
+from pfnet import config, network, ops, pointflow, tensor
 from pfnet.tensor import Tape, Tensor, channel_slice, mul, relu, reverse_accumulate
 
 from gradcheck import DEFAULT_TOL, check_gradients, sum_all
@@ -73,6 +73,17 @@ def test_conv_channel_mismatch():
 def test_conv_degenerate_output():
     with pytest.raises(ValueError):
         conv2d(Tensor(rand((1, 1, 2, 2), 5)), conv_params(1, 1, 3, 6))
+
+
+@pytest.mark.parametrize(
+    "stride, padding, match",
+    [(0, 0, "conv stride 0 must be >= 1"), (1, -1, "conv padding -1 must be >= 0")],
+    ids=["stride-0", "padding-minus-1"],
+)
+def test_conv_rejects_bad_stride_or_padding(stride, padding, match):
+    # stride 0 raised ZeroDivisionError, padding -1 a numpy broadcast error
+    with pytest.raises(ValueError, match=match):
+        conv2d(Tensor(rand((1, 1, 4, 4), 7)), conv_params(1, 1, 3, 8, stride, padding))
 
 
 def test_conv_kernel_size_restricted():
@@ -1076,6 +1087,31 @@ def test_tiled_kernels_match_untiled_bitwise_on_network_shapes(monkeypatch, run)
         assert_conv_matches_untiled(*args, seed=120 + 3 * k)
     for k, args in enumerate(folds):
         assert_resize_conv3x3_matches_untiled(*args, seed=180 + 3 * k)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("run", ["desk64-batch8", "desk64-batch9"])
+def test_tape_free_and_recorded_kernels_agree_bitwise_on_desk_shapes(monkeypatch, run, dtype):
+    # tape-free calls run in the thread's workspace, recorded calls in
+    # fresh arrays; no output may share memory with the workspace or with
+    # the output of the tape-free call before it
+    convs, folds = network_kernel_shapes(monkeypatch, run)
+    cases = []
+    for k, (x_shape, w_shape, stride, padding) in enumerate(convs):
+        w, b = rand(w_shape, 201 + 3 * k).astype(dtype), rand(w_shape[:1], 202 + 3 * k).astype(dtype)
+        cases.append((conv2d, rand(x_shape, 200 + 3 * k).astype(dtype), (ConvParams(Tensor(w), Tensor(b), stride, padding),)))
+    for k, (x_shape, cout, out_hw) in enumerate(folds):
+        w = rand((cout, x_shape[1], 3, 3), 251 + 2 * k).astype(dtype)
+        cases.append((resize_conv3x3, rand(x_shape, 250 + 2 * k).astype(dtype), (Tensor(w), out_hw)))
+    tape_free = []
+    for op, xd, args in cases:
+        tape_free.append(op(Tensor(xd), *args).data)
+        assert not np.shares_memory(tape_free[-1], tensor._state.workspace)
+        assert len(tape_free) == 1 or not np.shares_memory(tape_free[-1], tape_free[-2])
+    for (op, xd, args), free in zip(cases, tape_free):
+        with Tape():
+            recorded = op(Tensor(xd, requires_grad=True), *args).data
+        assert free.dtype == recorded.dtype == dtype and free.tobytes() == recorded.tobytes(), (op.__name__, xd.shape)
 
 
 def padded_buffer_conv2d_grads(xd, wd, g, s, padding):

@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+from pfnet import tensor
 from pfnet.ops import ConvParams, conv2d
 from pfnet.tensor import (
     Tape,
@@ -372,6 +373,59 @@ def test_nested_tapes_rejected():
         with pytest.raises(TapeError):
             with Tape():
                 pass
+
+
+# ---------------------------------------------------------------------------
+# the scratch workspace of tape-free kernel calls
+
+
+def test_scratch_regions_are_disjoint_aligned_views_of_one_kept_workspace():
+    sizes = (5, 7, 3)
+    with tensor._scratch((), np.float64, sizes) as scratch:
+        arrays = [scratch.take(i, (size,)) for i, size in enumerate(sizes)]
+        ws = tensor._state.workspace
+    for i, a in enumerate(arrays):
+        assert np.shares_memory(a, ws) and a.ctypes.data % 64 == 0
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
+    with tensor._scratch((), np.float32, (4,)) as scratch:  # fits: no new buffer
+        assert np.shares_memory(scratch.zeros(0, (2, 2)), ws)
+    assert tensor._state.workspace is ws
+
+
+def test_nested_scratch_use_raises_and_leaves_the_open_one_intact():
+    with tensor._scratch((), np.float32, (4,)) as scratch:
+        a = scratch.take(0, (4,))
+        a[...] = 7.0
+        with pytest.raises(RuntimeError, match="already in use"):
+            with tensor._scratch((), np.float32, (4,)):
+                pass
+        assert (a == 7.0).all()
+    with pytest.raises(ValueError):  # an error inside closes the workspace too
+        with tensor._scratch((), np.float32, (4,)):
+            raise ValueError("inside")
+    with tensor._scratch((), np.float32, (4,)):
+        pass
+
+
+def test_recorded_scratch_takes_fresh_arrays():
+    x = Tensor(np.ones(2), requires_grad=True)
+    with Tape():
+        with tensor._scratch((x,), np.float32, (4,)) as scratch:
+            a, b = scratch.take(0, (4,)), scratch.zeros(0, (4,))
+            with tensor._scratch((x,), np.float32, (4,)):  # no shared buffer to guard
+                pass
+        assert not np.shares_memory(a, b) and (b == 0).all()
+        assert tensor._state.workspace is None
+
+
+def test_entering_a_tape_drops_the_workspace():
+    p = ConvParams(Tensor(rand((2, 2, 3, 3), 1)), Tensor(np.zeros(2)), padding=1)
+    conv2d(Tensor(rand((1, 2, 4, 4), 2)), p)
+    assert tensor._state.workspace is not None
+    with Tape():
+        assert tensor._state.workspace is None
+        conv2d(Tensor(rand((1, 2, 4, 4), 2), requires_grad=True), p)  # recorded
+        assert tensor._state.workspace is None
 
 
 def test_foreign_loss_rejected():
