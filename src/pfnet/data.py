@@ -5,6 +5,10 @@ rectangles and ellipses) until a target foreground ratio is met, mimicking
 the extreme foreground/background imbalance of aerial imagery.  Everything
 is integer-seeded PCG64, so bytes reproduce across platforms.
 
+A scene is scored in crops: ``sliding_crop`` cuts an image and its mask
+into the same windows, and ``stitch_label_votes`` reassembles the crops'
+labels by per-pixel vote in whole-canvas passes, one per class.
+
 The one file format is PFC1, a checkpoint container holding named
 parameters with a (name, shape, offset) manifest.
 """
@@ -198,8 +202,11 @@ def _window_starts(extent, size, stride):
 
 
 def sliding_crop(image, mask, size, stride):
-    """Windows at stride steps; the remainder gets a border-flushed window."""
+    """Windows at stride steps; the remainder gets a border-flushed window.
+    ``image`` is ``[C, H, W]`` over the ``[H, W]`` ``mask``."""
     h, w = mask.shape
+    if image.shape[1:] != mask.shape:
+        raise ValueError(f"image {image.shape} does not cover mask {mask.shape}: spatial sizes differ")
     if size < 1:
         raise ValueError(f"crop size must be >= 1, got {size}")
     if size > h or size > w:
@@ -222,10 +229,16 @@ def sliding_crop(image, mask, size, stride):
 
 def stitch_label_votes(pred_crops, canvas_hw, num_classes):
     """Reassemble crop label predictions by per-pixel max vote; every crop
-    must lie inside the canvas and every label in [0, num_classes)."""
+    must lie inside the canvas, every label in [0, num_classes), and every
+    canvas pixel under some crop.
+
+    Votes count in the narrowest unsigned dtype that holds the crop count,
+    and the winner is a running strict ``>`` over the class planes, so a
+    tie goes to the lowest class."""
     h, w = canvas_hw
-    votes = np.zeros((num_classes, h, w), dtype=np.int64)
-    classes = np.arange(num_classes)[:, None, None]
+    votes = np.zeros((num_classes, h, w), dtype=np.min_scalar_type(len(pred_crops)))
+    # classes in the narrowest dtype too, so uint8 labels compare without widening
+    classes = np.arange(num_classes, dtype=np.min_scalar_type(num_classes))[:, None, None]
     for index, (labels, top, left) in enumerate(pred_crops):
         if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
             raise ValueError(f"crop {index}: labels must lie in [0, {num_classes}), got {labels.min()}..{labels.max()}")
@@ -233,7 +246,15 @@ def stitch_label_votes(pred_crops, canvas_hw, num_classes):
         if top < 0 or left < 0 or top + ch > h or left + cw > w:
             raise ValueError(f"crop {index}: {ch}x{cw} at ({top}, {left}) is not inside the {h}x{w} canvas")
         votes[:, top : top + ch, left : left + cw] += labels == classes
-    return votes.argmax(axis=0).astype(np.uint8)
+    pred = np.zeros((h, w), dtype=np.uint8)
+    best = votes[0].copy()
+    for k in range(1, num_classes):
+        np.copyto(pred, k, where=votes[k] > best)
+        np.maximum(best, votes[k], out=best)
+    unvoted = h * w - np.count_nonzero(best)
+    if unvoted:
+        raise ValueError(f"{unvoted} of the {h}x{w} canvas pixels lie under no crop")
+    return pred
 
 
 AUGMENT_OPS = ("identity", "hflip", "vflip", "rot90_1", "rot90_2", "rot90_3")

@@ -4,9 +4,10 @@ contour F1 at pixel tolerances via an exact Euclidean distance transform
 of sampled points.
 
 Masks hold class labels in ``[0, K)`` only, and every pixel is scored; a
-label outside that range is rejected, not skipped.  Confusion matrices and
-boundary match counts are mergeable, so metrics computed streaming over
-crops equal the same metrics on pooled counts.
+label outside that range is rejected, not skipped, as is a sampled point
+outside the unit square.  Confusion matrices and boundary match counts
+are mergeable, so metrics computed streaming over crops equal the same
+metrics on pooled counts.
 """
 
 from __future__ import annotations
@@ -230,21 +231,26 @@ class BoundaryStats:
 
 
 def fg_point_counts(point_sets, gt_mask):
-    """(foreground hits, unique points) for streaming aggregation."""
+    """(foreground hits, unique points) for streaming aggregation.
+
+    ``point_sets`` hold normalized ``(row, col)`` points in ``[0, 1)``, any
+    leading shape; a point is counted at the mask cell it falls in, once
+    however many points fall there.  All sets are stacked, then checked,
+    floored and deduplicated in one pass each, and the mask is read once.
+    """
     h, w = gt_mask.shape
-    cells = []
-    for pts in point_sets:
-        pts = np.asarray(pts, dtype=np.float64).reshape(-1, 2)
-        if pts.shape[0] == 0:
-            continue
-        rows = np.clip(np.floor(pts[:, 0] * h), 0, h - 1).astype(np.int64)
-        cols = np.clip(np.floor(pts[:, 1] * w), 0, w - 1).astype(np.int64)
-        cells.append(rows * w + cols)
-    if not cells:
-        return 0, 0
-    unique = np.unique(np.concatenate(cells))
+    sets = [np.asarray(pts, dtype=np.float64).reshape(-1, 2) for pts in point_sets]
+    pts = np.concatenate([np.empty((0, 2)), *sets])
+    if pts.size and not (pts.min() >= 0 and pts.max() < 1):  # NaN fails both
+        first = np.flatnonzero(~((pts >= 0) & (pts < 1)).all(axis=1))[0]
+        index = int(np.searchsorted(np.cumsum([len(s) for s in sets]), first, side="right"))
+        raise ValueError(f"point set {index}: point {pts[first].tolist()} is not in [0, 1) x [0, 1)")
+    # x in [0, 1) times a side n rounds to below n, so truncation is the
+    # floor and lands in [0, n): no clip is needed
+    cells = (pts * (h, w)).astype(np.int64)
+    unique = np.unique(cells[:, 0] * w + cells[:, 1])
     fg = np.asarray(gt_mask).ravel()[unique] > 0
-    return int(fg.sum()), int(unique.size)
+    return int(np.count_nonzero(fg)), int(unique.size)
 
 
 # ---------------------------------------------------------------------------

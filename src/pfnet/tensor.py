@@ -76,6 +76,21 @@ def _active_tape():
     return getattr(_state, "tape", None)
 
 
+def _all_finite(arr):
+    """Whether every value of a float array is finite.
+
+    A C-contiguous array is first summed as squares by one BLAS ``vdot``,
+    which reads it once, makes no temporary and sets no floating-point
+    warning: every term is at least 0 or NaN, so no cancellation hides a
+    NaN or an infinity, and a finite sum proves every value finite.  Only
+    a non-finite sum, which finite values whose squares overflow also
+    give, falls through to the exact elementwise check.
+    """
+    if arr.flags.c_contiguous and math.isfinite(np.vdot(arr, arr)):
+        return True
+    return bool(np.isfinite(arr).all())
+
+
 class GradSlot:
     """Backward-pass bookkeeping of one tensor: its gradient, and whether
     it wants one.  Tapes and backward closures hold slots, not tensors.
@@ -108,7 +123,7 @@ class Tensor:
         arr = np.asarray(data)
         if arr.dtype not in _FLOAT_DTYPES:
             raise ValueError(f"tensor dtype {arr.dtype} is not float32 or float64")
-        if not np.isfinite(arr).all():
+        if not _all_finite(arr):
             where = "" if _op is None else f" (output of {_op})"
             raise FloatingPointError(f"non-finite tensor values{where}")
         self.data = arr

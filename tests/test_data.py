@@ -174,6 +174,12 @@ def test_crop_size_below_one_rejected(size):
         sliding_crop(np.zeros((3, 16, 16)), np.zeros((16, 16)), size, 8)
 
 
+def test_crop_rejects_an_image_of_another_size_than_the_mask():
+    # a (3, 36, 64) image crop was returned beside each (64, 64) mask crop
+    with pytest.raises(ValueError, match=re.escape("image (3, 100, 128) does not cover mask (128, 128)")):
+        sliding_crop(np.zeros((3, 100, 128)), np.zeros((128, 128)), 64, 32)
+
+
 def test_stitch_reconstructs_from_crops():
     rng = np.random.Generator(np.random.PCG64(1))
     full = rng.integers(0, 4, (48, 48)).astype(np.uint8)
@@ -204,6 +210,27 @@ def test_stitch_equals_the_per_class_loop_with_overlaps_and_ties():
     got = stitch_label_votes(crops, (32, 32), 5)
     want = stitch_per_class_loop(crops, (32, 32), 5)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [[3] * 260 + [1] * 40, [4] * 150 + [2] * 150],
+    ids=["3-wins-past-255-votes", "tie-to-the-smaller-class"],
+)
+def test_stitch_counts_300_votes_on_one_pixel(labels):
+    # 300 crops need uint16 votes: in uint8, 260 votes for class 3 wrap to 4
+    crops = [(np.full((1, 1), k, np.uint8), 0, 0) for k in labels]
+    got = stitch_label_votes(crops, (1, 1), 5)
+    want = stitch_per_class_loop(crops, (1, 1), 5)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert got[0, 0] == min(labels, key=lambda k: (-labels.count(k), k))
+
+
+def test_stitch_rejects_pixels_under_no_crop():
+    # the 48 pixels outside the one crop were stitched as class 0
+    crops = [(np.full((4, 4), 2, np.uint8), 0, 0)]
+    with pytest.raises(ValueError, match=re.escape("48 of the 8x8 canvas pixels lie under no crop")):
+        stitch_label_votes(crops, (8, 8), 3)
 
 
 def test_stitch_rejects_labels_outside_the_classes():

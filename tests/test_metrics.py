@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -388,6 +389,58 @@ def test_fg_counts_accept_batched_point_sets():
     mask[:4] = 1
     pts = np.random.Generator(np.random.PCG64(10)).uniform(0, 1, (2, 5, 2))
     assert fg_point_counts([pts], mask) == fg_point_counts([pts.reshape(-1, 2)], mask)
+
+
+def fg_point_counts_per_set(point_sets, gt_mask):
+    """The reference for ``fg_point_counts``: floor and clip one set at a time."""
+    h, w = gt_mask.shape
+    cells = []
+    for pts in point_sets:
+        pts = np.asarray(pts, dtype=np.float64).reshape(-1, 2)
+        if pts.shape[0] == 0:
+            continue
+        rows = np.clip(np.floor(pts[:, 0] * h), 0, h - 1).astype(np.int64)
+        cols = np.clip(np.floor(pts[:, 1] * w), 0, w - 1).astype(np.int64)
+        cells.append(rows * w + cols)
+    if not cells:
+        return 0, 0
+    unique = np.unique(np.concatenate(cells))
+    fg = np.asarray(gt_mask).ravel()[unique] > 0
+    return int(fg.sum()), int(unique.size)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_fg_counts_equal_the_per_set_loop(seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    mask = (rng.random((9, 13)) < 0.3).astype(np.uint8)
+    below_one = np.nextafter(1.0, 0.0)  # 9 or 13 times it rounds to below 9 or 13: the last cell
+    edges = np.array([[r / 9, c / 13] for r in range(9) for c in range(13)] + [[below_one, below_one], [0.0, 0.0]])
+    sets = [
+        rng.uniform(0, 1, (3, int(rng.integers(0, 40)), 2)),  # [N, K, 2], as a PFM returns them
+        np.zeros((0, 2)),
+        rng.uniform(0, 1, (int(rng.integers(1, 60)), 2)),
+        np.zeros((2, 0, 2)),
+        edges[rng.permutation(len(edges))[: int(rng.integers(1, len(edges)))]],
+    ]
+    assert fg_point_counts(sets, mask) == fg_point_counts_per_set(sets, mask)
+    for k in range(len(sets)):
+        assert fg_point_counts(sets[k : k + 1], mask) == fg_point_counts_per_set(sets[k : k + 1], mask)
+
+
+@pytest.mark.parametrize(
+    "point",
+    [[1.5, 0.2], [-0.3, 0.9], [np.nan, 0.2], [0.2, np.inf], [-np.inf, 0.5], [1.0, 0.5]],
+    ids=["above-one", "below-zero", "nan", "+inf", "-inf", "one"],
+)
+def test_fg_counts_reject_a_point_outside_the_unit_square(point):
+    # [1.5, 0.2] and [-0.3, 0.9] were clipped into the mask; NaN was counted
+    # with only a RuntimeWarning
+    good = np.full((2, 3, 2), 0.5)
+    sets = [good, np.zeros((0, 2)), np.array([[0.1, 0.1], point]), good]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"point set 2: point {point} is not in [0, 1) x [0, 1)")):
+            fg_point_counts(sets, np.zeros((4, 4), np.uint8))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -37,6 +38,37 @@ def test_non_finite_values_rejected():
         Tensor(np.array([1.0, np.inf]))
     with pytest.raises(FloatingPointError):
         Tensor(np.array([np.nan]))
+
+
+def _with_value(layout, dtype, value):
+    if layout == "0-d":
+        return np.array(value, dtype=dtype)
+    arr = np.ones((6, 8), dtype=dtype)
+    arr[3, 4] = value
+    if layout == "contiguous":
+        return arr
+    view = arr[1:, ::2] if layout == "strided" else arr.T
+    assert not view.flags.c_contiguous
+    return view
+
+
+@pytest.mark.parametrize("layout", ["0-d", "contiguous", "strided", "transposed"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_non_finite_value_rejected_in_every_dtype_and_layout(dtype, value, layout):
+    with pytest.raises(FloatingPointError, match=r"^non-finite tensor values \(output of probe\)$"):
+        Tensor(_with_value(layout, dtype, value), _op="probe")
+
+
+@pytest.mark.parametrize("layout", ["0-d", "contiguous", "strided"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_finite_values_whose_squares_overflow_are_accepted(dtype, layout):
+    big = 1e20 if dtype == np.float32 else 1e200
+    assert big * big > float(np.finfo(dtype).max)  # the sum of squares overflows
+    arr = _with_value(layout, dtype, big)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert Tensor(arr).data is arr
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.float16, bool])
